@@ -26,11 +26,13 @@ from .cones import (
     primitive,
     star_trop_cone,
 )
-from .gluing import alpha_vector, enumerate_basis, graph_key, moment_matrix
+from .gluing import alpha_vector, enumerate_basis, moment_matrix
 from .hypergraphs import (
     Hypergraph,
     clique_turan_density,
     density,
+    fraction_str,
+    graph_key,
     named_graph,
     star_limit_density,
 )
@@ -50,11 +52,6 @@ class RunConfig:
     out: str | None
     fmt: str
     seed: int
-
-
-def fraction_str(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def load_graph(spec: str) -> Hypergraph:

@@ -1,8 +1,10 @@
 """Exact rational polyhedral cones: double description, membership, formula cones.
 
 Facet normals a mean the halfspace <a, y> >= 0. Rays and facet normals are
-kept as primitive integer vectors; all pivoting is over Fraction, so every
-certificate is exact and independently re-checked before it is returned.
+kept as primitive integer vectors. Double description projects and combines
+them in integer arithmetic; echelon forms, rank tests and the simplex pivot
+over Fraction. Every certificate is exact and independently re-checked
+before it is returned.
 """
 
 from __future__ import annotations
@@ -10,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .gluing import MomentMatrix, graph_key
-from .hypergraphs import complete_graph, star_hypergraph
+from .gluing import MomentMatrix
+from .hypergraphs import complete_graph, graph_key, star_hypergraph
 
 MAX_DD_DIM = 12
 
@@ -27,30 +29,24 @@ class CertificateError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def dot(a, b) -> Fraction:
-    return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
+def dot(a, b):
+    """Exact inner product; an int when both vectors are integer."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def primitive(vec) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving direction."""
-    fracs = [Fraction(x) for x in vec]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(0 for _ in ints)
-    return tuple(x // g for x in ints)
+    """Scale a vector of ints and Fractions to coprime integers, preserving direction."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def _neg(v):
     return tuple(-x for x in v)
 
 
-def _combine(a_pos: Fraction, rn, a_neg: Fraction, rp):
+def _combine(a_pos: int, rn, a_neg: int, rp):
     # nonnegative combination a_pos * rn - a_neg * rp lying on the hyperplane
     return primitive(tuple(a_pos * y - a_neg * x for x, y in zip(rp, rn)))
 
@@ -106,13 +102,16 @@ def _echelon(rows):
 
 
 def _reduce_mod_lines(vec, lines):
-    """Normal form of a ray modulo the lineality space (echelon lines assumed)."""
-    row = [Fraction(x) for x in vec]
+    """Normal form of an integer ray modulo the lineality space.
+
+    The lines are _echelon's output, so each pivot entry is positive and
+    every elimination step scales the ray by a positive integer.
+    """
+    row = vec
     for line in lines:
         pcol = next(i for i, x in enumerate(line) if x != 0)
         if row[pcol] != 0:
-            f = row[pcol] / Fraction(line[pcol])
-            row = [x - f * y for x, y in zip(row, line)]
+            row = [line[pcol] * x - row[pcol] * y for x, y in zip(row, line)]
     return primitive(row)
 
 
@@ -144,15 +143,15 @@ def dd_rays(facets, dim: int):
             for l in lines:
                 if l == pivot or l == _neg(pivot):
                     continue
-                proj = tuple(Fraction(x) - dot(a, l) / apiv * y for x, y in zip(l, pivot))
-                v = primitive(proj)
+                al = dot(a, l)
+                v = primitive(tuple(apiv * x - al * y for x, y in zip(l, pivot)))
                 if any(v):
                     newlines.append(v)
             lines = _echelon(newlines)
             newrays = []
             for r in rays:
-                proj = tuple(Fraction(x) - dot(a, r) / apiv * y for x, y in zip(r, pivot))
-                v = _reduce_mod_lines(proj, lines)
+                ar = dot(a, r)
+                v = _reduce_mod_lines(tuple(apiv * x - ar * y for x, y in zip(r, pivot)), lines)
                 if any(v):
                     newrays.append(v)
             rays = _dedupe(newrays + [_reduce_mod_lines(pivot, lines)])

@@ -10,7 +10,6 @@ their connected components.
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,12 +20,16 @@ from .hypergraphs import (
     Hypergraph,
     _min_relabeling,
     _refine_classes,
+    basis_sort_key,
     canonical_form,
+    component_key,
     connected_components,
     density,
-    disjoint_union,
     empty_graph,
+    graph_key,
     is_isomorphic,
+    key_graph,
+    split_components,
 )
 
 _TRIVIAL_SQUARE_EDGE_LIMIT = 12
@@ -67,7 +70,8 @@ class LabeledGraph:
         return {v: l for l, v in self.labels}
 
     def to_json(self) -> str:
-        obj = json.loads(self.graph.to_json())
+        g = self.graph
+        obj = {"r": g.r, "n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
         obj["labels"] = {str(l): v for l, v in self.labels}
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -144,31 +148,11 @@ def labeled_isomorphic(A: LabeledGraph, B: LabeledGraph) -> bool:
 
 def labeled_components(A: LabeledGraph) -> list[LabeledGraph]:
     """Connected components of A, each keeping its labels, in canonical form."""
-    G = A.graph
     vlabs = A.vertex_labels()
     out = []
-    parent = list(range(G.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in G.edges:
-        root = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = root
-    groups: dict[int, list[int]] = {}
-    for v in range(G.n):
-        groups.setdefault(find(v), []).append(v)
-    for root in sorted(groups, key=lambda x: min(groups[x])):
-        verts = sorted(groups[root])
-        remap = {v: i for i, v in enumerate(verts)}
-        vset = set(verts)
-        edges = [tuple(remap[v] for v in e) for e in G.edges if e[0] in vset]
-        labels = {vlabs[v]: remap[v] for v in verts if v in vlabs}
-        out.append(labeled_graph(G.r, len(verts), edges, labels))
+    for verts, edges in split_components(A.graph):
+        labels = {vlabs[v]: i for i, v in enumerate(verts) if v in vlabs}
+        out.append(labeled_graph(A.r, len(verts), edges, labels))
     return out
 
 
@@ -213,6 +197,11 @@ def unlabel(A: LabeledGraph) -> Hypergraph:
 def unlabeled_product(A: LabeledGraph, B: LabeledGraph) -> Hypergraph:
     """unlabel(glue(A, B)) without canonicalizing the labeled intermediate."""
     return canonical_form(_glue_raw(A, B).graph)
+
+
+def product_counts(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
+    """component_counts(unlabeled_product(A, B)), keying the components of the raw product."""
+    return component_counts(_glue_raw(A, B).graph)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +270,6 @@ def glue_product(a: Combination, b: Combination) -> Combination:
     return Combination(out)
 
 
-def unlabel_combination(a: Combination) -> Combination:
-    out: dict = {}
-    for A, c in a.terms.items():
-        U = unlabel(A)
-        out[U] = out.get(U, Fraction(0)) + c
-    return Combination(out)
-
-
 def square_expand(a: Combination) -> Combination:
     """Unlabeled expansion of the glued square of a labeled combination."""
     out: dict = {}
@@ -332,18 +313,11 @@ class ExponentVector:
         return {b: e for b, e in zip(self.basis, self.exponents) if e}
 
 
-def graph_key(G: Hypergraph) -> str:
-    return canonical_form(G).to_json()
-
-
-def basis_sort_key(canon: str) -> tuple[int, str]:
-    return (len(json.loads(canon)["edges"]), canon)
-
-
 def component_counts(G: Hypergraph) -> dict[str, int]:
+    """Multiplicity of each connected component of G, by key."""
     out: dict[str, int] = {}
     for comp in connected_components(G):
-        key = graph_key(comp)
+        key = component_key(comp)
         out[key] = out.get(key, 0) + 1
     return out
 
@@ -377,30 +351,26 @@ class Basis:
 
 def _edge_shapes(d: int, r: int) -> list[Hypergraph]:
     """All unlabeled graphs with 1..d edges and no isolated vertices, up to isomorphism."""
-    shapes: dict[str, Hypergraph] = {}
+    keys: set[str] = set()
     pool = d * r
     all_edges = list(combinations(range(pool), r))
     for m in range(1, d + 1):
         for chosen in combinations(all_edges, m):
             used = sorted({v for e in chosen for v in e})
             remap = {v: i for i, v in enumerate(used)}
-            G = canonical_form(
-                Hypergraph.make(r, len(used), [tuple(remap[v] for v in e) for e in chosen])
-            )
-            shapes.setdefault(G.to_json(), G)
-    return [shapes[k] for k in sorted(shapes, key=basis_sort_key)]
+            G = Hypergraph.make(r, len(used), [tuple(remap[v] for v in e) for e in chosen])
+            keys.add(graph_key(G))
+    return [key_graph(k) for k in sorted(keys, key=basis_sort_key)]
 
 
 def _labelings(shape: Hypergraph, label_budget: int) -> list[LabeledGraph]:
-    out: dict[str, LabeledGraph] = {}
+    out: dict[LabeledGraph, None] = {}
     for sz in range(0, min(shape.n, label_budget) + 1):
         for vset in combinations(range(shape.n), sz):
             for labs in permutations(range(1, label_budget + 1), sz):
-                L = labeled_canonical_form(
-                    LabeledGraph(shape, tuple(sorted(zip(labs, vset))))
-                )
-                out.setdefault(L.to_json(), L)
-    return list(out.values())
+                L = LabeledGraph(shape, tuple(sorted(zip(labs, vset))))
+                out[labeled_canonical_form(L)] = None
+    return list(out)
 
 
 def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int = 2) -> Basis:
@@ -419,26 +389,24 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
         raise ValueError(f"unknown basis kind {kind!r}")
 
     if kind == "V":
-        base = enumerate_basis("B", d, label_budget, r)
-        vset: dict[str, Hypergraph] = {}
-        elems = list(base.elements)
+        elems = enumerate_basis("B", d, label_budget, r).elements
+        keys: set[str] = set()
         for i in range(len(elems)):
             for j in range(i, len(elems)):
-                U = unlabeled_product(elems[i], elems[j])
-                if U.n > 0 and len(connected_components(U)) == 1:
-                    vset.setdefault(U.to_json(), U)
-        ordered = sorted(vset, key=basis_sort_key)
-        return Basis("V", d, label_budget, r, tuple(vset[k] for k in ordered))
+                counts = product_counts(elems[i], elems[j])
+                if list(counts.values()) == [1]:  # a connected, nonempty product
+                    keys.update(counts)
+        ordered = sorted(keys, key=basis_sort_key)
+        return Basis("V", d, label_budget, r, tuple(key_graph(k) for k in ordered))
 
-    elements: dict[str, LabeledGraph] = {unit(r).to_json(): unit(r)}
+    elements = [unit(r)]
     for shape in _edge_shapes(d, r):
         for L in _labelings(shape, label_budget):
             if kind == "B_tilde" and any(not comp.labels for comp in labeled_components(L)):
                 continue
-            elements[L.to_json()] = L
-
-    ordered = sorted(elements, key=basis_sort_key)
-    return Basis(kind, d, label_budget, r, tuple(elements[k] for k in ordered))
+            elements.append(L)
+    ordered = sorted(elements, key=lambda L: (L.graph.edge_count, L.to_json()))
+    return Basis(kind, d, label_budget, r, tuple(ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +418,13 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
 class MomentMatrix:
     """Symmetric matrix of unlabeled gluing products over a labeled basis.
 
-    Products and their component counts are stored for i <= j only; the counts
-    are read-only and shared by every caller of alpha_entry.
+    Only the component counts of each product are stored, for i <= j; they
+    are read-only and shared by every caller of alpha_entry.  The product
+    graph itself is rebuilt on demand by entry_graph.
     """
 
     basis: tuple[LabeledGraph, ...]
     vbasis: tuple[str, ...]
-    products: dict[tuple[int, int], Hypergraph]
     extensions: tuple[str, ...]
     counts: dict[tuple[int, int], Mapping[str, int]]
 
@@ -465,7 +433,7 @@ class MomentMatrix:
         return len(self.basis)
 
     def entry_graph(self, i: int, j: int) -> Hypergraph:
-        return self.products[(i, j) if i <= j else (j, i)]
+        return unlabeled_product(self.basis[i], self.basis[j])
 
     def alpha_entry(self, i: int, j: int) -> Mapping[str, int]:
         return self.counts[(i, j) if i <= j else (j, i)]
@@ -478,15 +446,11 @@ class MomentMatrix:
 def moment_matrix(basis, vbasis=None) -> MomentMatrix:
     """Products of all basis pairs; the V-basis is extended as needed and reported."""
     elems = tuple(basis.elements if isinstance(basis, Basis) else basis)
-    products: dict[tuple[int, int], Hypergraph] = {}
     counts: dict[tuple[int, int], Mapping[str, int]] = {}
     needed: set[str] = set()
     for i in range(len(elems)):
         for j in range(i, len(elems)):
-            U = unlabeled_product(elems[i], elems[j])
-            products[(i, j)] = U
-            # entries share interned key strings
-            entry = {sys.intern(k): c for k, c in component_counts(U).items()}
+            entry = product_counts(elems[i], elems[j])
             counts[(i, j)] = MappingProxyType(entry)
             needed.update(entry)
     provided = set()
@@ -494,7 +458,7 @@ def moment_matrix(basis, vbasis=None) -> MomentMatrix:
         provided = {b if isinstance(b, str) else graph_key(b) for b in vbasis}
     extensions = tuple(sorted(needed - provided, key=basis_sort_key)) if vbasis is not None else ()
     allkeys = sorted(needed | provided, key=basis_sort_key)
-    return MomentMatrix(elems, tuple(allkeys), products, extensions, counts)
+    return MomentMatrix(elems, tuple(allkeys), extensions, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +478,7 @@ def is_trivial_square(H: Hypergraph) -> bool:
         raise ValueError("trivial-square search limited to 12 edges")
     H = canonical_form(H)
     hedges = H.sorted_edges()
-    seen_shapes: set[str] = set()
+    seen_shapes: set[Hypergraph] = set()
     for m in range(1, len(hedges) + 1):
         for chosen in combinations(hedges, m):
             used = sorted({v for e in chosen for v in e})
@@ -522,10 +486,9 @@ def is_trivial_square(H: Hypergraph) -> bool:
             F0 = canonical_form(
                 Hypergraph.make(H.r, len(used), [tuple(remap[v] for v in e) for e in chosen])
             )
-            key = F0.to_json()
-            if key in seen_shapes:
+            if F0 in seen_shapes:
                 continue
-            seen_shapes.add(key)
+            seen_shapes.add(F0)
             full_copy = is_isomorphic(F0, H)
             for sz in range(0, F0.n + 1):
                 for vset in combinations(range(F0.n), sz):

@@ -1,13 +1,16 @@
 """Exact r-uniform hypergraphs: densities, products, canonical forms, extremal families.
 
 Vertices are 0..n-1 and every edge is a sorted tuple of r distinct vertices.
-All densities are returned as `fractions.Fraction`, never floats.
+All densities are returned as `fractions.Fraction`, never floats.  A graph is
+named by its key, the compact JSON of its canonical form; this module alone
+encodes and decodes keys, and every other module treats them as opaque strings.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -174,8 +177,8 @@ def named_graph(name: str) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
-def connected_components(G: Hypergraph) -> list[Hypergraph]:
-    """Components as hypergraphs with compacted vertex ids, ordered by first vertex."""
+def split_components(G: Hypergraph) -> list[tuple[list[int], list[tuple[int, ...]]]]:
+    """Each component's sorted vertices and its edges renumbered to 0..k-1, by first vertex."""
     parent = list(range(G.n))
 
     def find(x: int) -> int:
@@ -192,15 +195,16 @@ def connected_components(G: Hypergraph) -> list[Hypergraph]:
     groups: dict[int, list[int]] = {}
     for v in range(G.n):
         groups.setdefault(find(v), []).append(v)
+    index = {v: i for verts in groups.values() for i, v in enumerate(verts)}
+    edges: dict[int, list[tuple[int, ...]]] = {root: [] for root in groups}
+    for e in G.edges:
+        edges[find(e[0])].append(tuple(index[v] for v in e))
+    return [(verts, edges[root]) for root, verts in groups.items()]
 
-    comps = []
-    for root in sorted(groups, key=lambda x: min(groups[x])):
-        verts = sorted(groups[root])
-        remap = {v: i for i, v in enumerate(verts)}
-        vset = set(verts)
-        edges = [tuple(remap[v] for v in e) for e in G.edges if e[0] in vset]
-        comps.append(Hypergraph.make(G.r, len(verts), edges))
-    return comps
+
+def connected_components(G: Hypergraph) -> list[Hypergraph]:
+    """Components as hypergraphs with compacted vertex ids, ordered by first vertex."""
+    return [Hypergraph.make(G.r, len(verts), edges) for verts, edges in split_components(G)]
 
 
 def disjoint_union(G1: Hypergraph, G2: Hypergraph) -> Hypergraph:
@@ -330,6 +334,8 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
 
 @lru_cache(maxsize=None)
 def _canonical_connected(G: Hypergraph) -> Hypergraph:
+    if G.n > MAX_CANON_VERTICES:
+        raise ValueError(f"canonical form limited to {MAX_CANON_VERTICES} vertices, got {G.n}")
     if not G.edges or len(G.edges) == math.comb(G.n, G.r):
         return G
     classes = _refine_classes(G.n, G.sorted_edges(), {v: 0 for v in range(G.n)})
@@ -341,8 +347,6 @@ def canonical_form(G: Hypergraph) -> Hypergraph:
     """Isomorphism-canonical relabeling, componentwise with sorted components."""
     comps = connected_components(G)
     if len(comps) <= 1:
-        if G.n > MAX_CANON_VERTICES:
-            raise ValueError(f"canonical form limited to {MAX_CANON_VERTICES} vertices, got {G.n}")
         return _canonical_connected(comps[0]) if comps else G
     if max(c.n for c in comps) > MAX_CANON_VERTICES:
         raise ValueError(f"canonical form limited to {MAX_CANON_VERTICES} vertices per component")
@@ -362,6 +366,39 @@ def is_isomorphic(G1: Hypergraph, G2: Hypergraph) -> bool:
     if sorted(G1.degrees()) != sorted(G2.degrees()):
         return False
     return canonical_form(G1) == canonical_form(G2)
+
+
+# ---------------------------------------------------------------------------
+# Keys and exact rationals in JSON
+# ---------------------------------------------------------------------------
+
+
+def graph_key(G: Hypergraph) -> str:
+    """The key of G: the compact JSON of its canonical form."""
+    return canonical_form(G).to_json()
+
+
+@lru_cache(maxsize=None)
+def component_key(C: Hypergraph) -> str:
+    """The key of a connected hypergraph, memoised per component and interned."""
+    return sys.intern(_canonical_connected(C).to_json())
+
+
+@lru_cache(maxsize=None)
+def key_graph(key: str) -> Hypergraph:
+    """The canonical hypergraph a key names."""
+    return Hypergraph.from_json(key)
+
+
+def basis_sort_key(key: str) -> tuple[int, str]:
+    """Order keys by edge count, then by the key itself."""
+    return (key_graph(key).edge_count, key)
+
+
+def fraction_str(x) -> str:
+    """An exact rational as the "num/den" string of every JSON output."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +538,7 @@ def density_vector(basis: list[Hypergraph], G: Hypergraph) -> DensityVector:
     for B in basis:
         if len(connected_components(B)) != 1:
             raise ValueError("density vector basis graphs must be connected")
-    keys = tuple(canonical_form(B).to_json() for B in basis)
-    return DensityVector(keys, tuple(density(B, G) for B in basis))
+    return DensityVector(tuple(graph_key(B) for B in basis), tuple(density(B, G) for B in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +565,8 @@ def turan_hypergraph(m: int, k: int, r: int = 2) -> Hypergraph:
 
 def clique_turan_density(j: int, alpha: Fraction, parts: int, r: int = 2) -> Fraction:
     """Limit density of the complete graph on j vertices in clique_plus_turan blowups."""
-    if j < r:
-        raise ValueError(f"clique size must be at least the uniformity, got j={j}, r={r}")
+    if not 2 <= r <= j:
+        raise ValueError(f"need 2 <= r <= j, got r={r}, j={j}")
     alpha = Fraction(alpha)
     value = alpha**j
     if r <= j <= parts:

@@ -17,24 +17,31 @@ import logging
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import lcm
 
 from .cones import CertificateError, cone_member, dot, primitive
 from .gluing import (
     ExponentVector,
     LabeledGraph,
+    _glue_raw,
     alpha_vector,
-    basis_sort_key,
     component_counts,
     enumerate_basis,
-    glue,
-    graph_key,
     is_trivial_square,
     labeled_components,
     moment_matrix,
-    unlabeled_product,
+    product_counts,
 )
-from .hypergraphs import Hypergraph, canonical_form, connected_components
+from .hypergraphs import (
+    Hypergraph,
+    basis_sort_key,
+    canonical_form,
+    component_key,
+    connected_components,
+    fraction_str,
+    graph_key,
+    key_graph,
+)
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +84,7 @@ def y_vector(basis, p: int) -> YVector:
     keys = []
     values = []
     for b in basis:
-        G = Hypergraph.from_json(b) if isinstance(b, str) else b
+        G = key_graph(b) if isinstance(b, str) else b
         if G.n == 0 or len(connected_components(G)) != 1:
             raise ValueError("y-vector basis entries must be nonempty connected graphs")
         keys.append(graph_key(G))
@@ -115,7 +122,7 @@ def m_vector(A: LabeledGraph, B: LabeledGraph, basis=None) -> ExponentVector:
     """
     counts: dict[str, int] = {}
     for X, Y, w in ((A, A, 1), (B, B, 1), (A, B, -2)):
-        for key, c in component_counts(unlabeled_product(X, Y)).items():
+        for key, c in product_counts(X, Y).items():
             counts[key] = counts.get(key, 0) + w * c
     if basis is None:
         keys = tuple(sorted(counts, key=basis_sort_key))
@@ -159,7 +166,7 @@ class PairStats:
 
 
 def _witness_graph(C) -> Hypergraph:
-    G = Hypergraph.from_json(C) if isinstance(C, str) else canonical_form(C)
+    G = key_graph(C) if isinstance(C, str) else canonical_form(C)
     if G.edge_count == 0 or len(connected_components(G)) != 1:
         raise ValueError("witness must be a connected graph with at least one edge")
     return G
@@ -169,7 +176,7 @@ def _fully_labeled_copies(X: LabeledGraph, ckey: str) -> dict[frozenset[int], La
     """Fully labeled components of X isomorphic to the witness, by label set."""
     out: dict[frozenset[int], LabeledGraph] = {}
     for comp in labeled_components(X):
-        if len(comp.labels) == comp.graph.n and graph_key(comp.graph) == ckey:
+        if len(comp.labels) == comp.graph.n and component_key(comp.graph) == ckey:
             out[frozenset(l for l, _ in comp.labels)] = comp
     return out
 
@@ -178,11 +185,10 @@ def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
     """Count copies of the witness C in the squares and the gluing of (A, B)."""
     W = _witness_graph(C)
     ckey = graph_key(W)
-    aa = component_counts(unlabeled_product(A, A)).get(ckey, 0)
-    bb = component_counts(unlabeled_product(B, B)).get(ckey, 0)
-    G = glue(A, B)
-    gcomps = labeled_components(G)
-    ab = sum(1 for comp in gcomps if graph_key(comp.graph) == ckey)
+    aa = product_counts(A, A).get(ckey, 0)
+    bb = product_counts(B, B).get(ckey, 0)
+    gcomps = labeled_components(_glue_raw(A, B))
+    ab = sum(1 for comp in gcomps if component_key(comp.graph) == ckey)
 
     owner: dict[int, int] = {}
     for idx, comp in enumerate(gcomps):
@@ -193,7 +199,7 @@ def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
         alive = set()
         for labset in copies:
             comp = gcomps[owner[next(iter(labset))]]
-            if graph_key(comp.graph) != ckey:
+            if component_key(comp.graph) != ckey:
                 continue
             if frozenset(l for l, _ in comp.labels) != labset:
                 raise CertificateError("surviving copy carries unexpected labels")
@@ -210,10 +216,10 @@ def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
     z_a = len(fl_a) - len(surv_a)
     z_b = len(fl_b) - len(surv_b)
     u_a = sum(
-        1 for c in labeled_components(A) if not c.labels and graph_key(c.graph) == ckey
+        1 for c in labeled_components(A) if not c.labels and component_key(c.graph) == ckey
     )
     u_b = sum(
-        1 for c in labeled_components(B) if not c.labels and graph_key(c.graph) == ckey
+        1 for c in labeled_components(B) if not c.labels and component_key(c.graph) == ckey
     )
     self_glue_a = aa - len(fl_a) - 2 * u_a
     self_glue_b = bb - len(fl_b) - 2 * u_b
@@ -296,7 +302,7 @@ class ObstructionReport:
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return fraction_str(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -327,8 +333,8 @@ def counting_obstruction(
         raise ValueError(f"degree must be at least 1, got {degree}")
     if label_budget is None:
         label_budget = 2 * degree
-    upper_c = canonical_form(upper)
-    lower_c = canonical_form(lower)
+    upper_key, lower_key = graph_key(upper), graph_key(lower)
+    upper_c, lower_c = key_graph(upper_key), key_graph(lower_key)
     upper_counts = component_counts(upper_c)
     lower_counts = component_counts(lower_c)
     witness = None
@@ -345,8 +351,8 @@ def counting_obstruction(
         ("witness component of upper absent from lower", witness is not None),
     )
     base = dict(
-        upper=upper_c.to_json(),
-        lower=lower_c.to_json(),
+        upper=upper_key,
+        lower=lower_key,
         k=k,
         degree=degree,
         label_budget=label_budget,
@@ -373,7 +379,7 @@ def counting_obstruction(
     chain_bound = 2 * target_pairing / upper_counts[witness]
     chain_contradiction = k > chain_bound
 
-    witness_g = Hypergraph.from_json(witness)
+    witness_g = key_graph(witness)
     diag = [M.alpha_entry(i, i) for i in range(M.size)]
     generators: dict[tuple[int, ...], None] = {}
     pos_indices = []
@@ -527,14 +533,6 @@ def _poly_squarefree(a):
     return _poly_scale(quo, Fraction(1) / quo[-1])
 
 
-def _int_poly(a) -> tuple[int, ...]:
-    """The positive integer multiple of a rational polynomial with coprime coefficients."""
-    den = lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (den // c.denominator) for c in a]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
-
-
 def _sign_at(a: tuple[int, ...], x: Fraction) -> int:
     """Sign of the integer polynomial a at the rational x, in integer arithmetic.
 
@@ -551,10 +549,10 @@ def _sign_at(a: tuple[int, ...], x: Fraction) -> int:
 
 def _sturm_chain(a) -> list[tuple[int, ...]]:
     """Sturm chain of a polynomial, each member a positive integer multiple of the usual one."""
-    chain = [_int_poly(a)]
-    chain.append(_int_poly(_poly_deriv(chain[0])))
+    chain = [primitive(a)]
+    chain.append(primitive(_poly_deriv(chain[0])))
     while chain[-1]:
-        rem = _int_poly(_poly_divmod(chain[-2], chain[-1])[1])
+        rem = primitive(_poly_divmod(chain[-2], chain[-1])[1])
         if not rem:
             break
         chain.append(tuple(-c for c in rem))
@@ -609,7 +607,7 @@ class _RootData:
     """
 
     def __init__(self, pol) -> None:
-        self.ipol = _int_poly(pol)
+        self.ipol = primitive(pol)
         sf = _poly_squarefree(list(pol))
         self.sf_chain = _sturm_chain(sf)
         core = list(sf)

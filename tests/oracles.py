@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from random import Random
 
 from graphtrop.hypergraphs import Hypergraph
@@ -30,6 +31,21 @@ def brute_hom(H: Hypergraph, G: Hypergraph) -> int:
 
 def brute_density(H: Hypergraph, G: Hypergraph) -> Fraction:
     return Fraction(brute_hom(H, G), G.n**H.n)
+
+
+def fraction_primitive(vec) -> tuple[int, ...]:
+    """Scale a rational vector to coprime integers, all in Fraction arithmetic."""
+    fracs = [Fraction(x) for x in vec]
+    denom = 1
+    for f in fracs:
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g == 0:
+        return tuple(0 for _ in ints)
+    return tuple(x // g for x in ints)
 
 
 def random_graph(rng: Random, n: int, p: float, r: int = 2) -> Hypergraph:

@@ -1,11 +1,15 @@
 """Tests for the command-line interface: outputs, formats, and exit codes."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 from graphtrop.cli import main
+from graphtrop.hypergraphs import complete_graph, path_graph, single_edge
+from graphtrop.obstructions import minor_certificate
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +247,16 @@ def test_trajectory_bad_parameters(capsys):
     assert run_cli(capsys, "family-trajectory", "clique", "--l", "3", "--k", "1")[0] == 2
 
 
+def test_trajectory_clique_uniformity_below_two_exit_2(capsys):
+    """A clique family of uniformity 1 is a precondition failure, not a trajectory."""
+    code, out = run_cli(
+        capsys, "family-trajectory", "clique", "--r", "1", "--l", "3", "--k", "1",
+        "--schedule", "1e-1",
+    )
+    assert code == 2
+    assert out == ""
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     """Writing to a file produces the same bytes as stdout."""
     _, stdout_text = run_cli(capsys, "clique-cone", "--l", "4")
@@ -280,3 +294,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["density"] == "3/8"
+
+
+# sha256 of the stdout of fast runs.  Refactors of keys, products and cone
+# arithmetic must leave these bytes alone: any change to a key, an ordering or
+# a certificate changes them.
+OUTPUT_SHA256 = {
+    "trop-sos --d 1 --labels 2":
+        "8cc6f7fb748e0c91d7457a85759e0930037c3df85bc9e3cbc92bc3944a974833",
+    "trop-sos --d 2 --labels 2":
+        "93f64678573ca4da672b54b95d06a7b5b826c689583cfec96b3b64aae1604e12",
+    "obstruction P3 edge^3 --k 7 --d 2 --labels 4":
+        "31798689815242873bedd2ce83ab667e82cd3bee41404c59bb16a012e9d5fd6c",
+    "test-binomial star path2 edge^2 --r 2 --c 1 --l 2":
+        "364eb4ba02d6c8f129f8ac2f6d3b7e8502de6c984063bbea2c40d1f90d0dfc5d",
+    "test-binomial clique edge^3 K3^2 --r 2 --l 3":
+        "773327aeed91a005e9bb1601aa06352162f7891c43e91b20477d42c461f07037",
+    "test-binomial trop-sos path2 edge^2 --d 1 --labels 2":
+        "1ab0318b251bb0f44cc428a4e468d676600e57528c630979c652efadb7abb290",
+    "clique-cone --r 2 --l 4":
+        "fb2167932daf2e14326b3f29783dcd90fa6823cd23eddea183fcc1eb863e198f",
+    "star-cone --r 3 --c 2 --l 4":
+        "31725d2c8d6b8db5322edcd5fefa5a528fc2aade0a51f0367276699665f7b55b",
+}
+MINOR_CERTIFICATE_SHA256 = "6bbd213b620e8d647e46950f5015ab79ee6330ac43e481d533b226cb56931bf2"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_outputs_byte_identical_to_recorded_hashes(capsys):
+    """Cone, obstruction, binomial and minor-certificate outputs keep their recorded bytes."""
+    for argv, digest in OUTPUT_SHA256.items():
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0, argv
+        assert _sha256(out) == digest, argv
+    fixed = {single_edge(): Fraction(7, 10), complete_graph(3): Fraction(1, 5)}
+    cert = minor_certificate(fixed, path_graph(2), 2)
+    assert _sha256(cert.to_json()) == MINOR_CERTIFICATE_SHA256

@@ -28,6 +28,7 @@ from graphtrop.cones import (
     star_trop_cone,
 )
 from graphtrop.gluing import enumerate_basis, moment_matrix
+from oracles import fraction_primitive
 
 
 def test_primitive_normalization():
@@ -36,6 +37,41 @@ def test_primitive_normalization():
     assert primitive((6, -9, 0)) == (2, -3, 0)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((Fraction(-1, 2),)) == (-1,)
+
+
+def test_primitive_matches_fraction_reference():
+    """The integer normaliser agrees with the Fraction reference on ints, Fractions and mixes."""
+    rng = random.Random(4471)
+
+    def entry(kind):
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-30, 30)
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    cases = [(), (0,), (0, 0, 0), (Fraction(0), 0), (Fraction(0, 5),)]
+    for kind in ("int", "fraction", "mixed"):
+        for _ in range(300):
+            cases.append(tuple(entry(kind) for _ in range(rng.randint(0, 7))))
+    for vec in cases:
+        got = primitive(vec)
+        assert got == fraction_primitive(vec), vec
+        assert all(type(x) is int for x in got)
+
+
+def test_dot_of_int_vectors_is_int():
+    """Integer vectors pair to a plain int, never a Fraction or a float."""
+    assert type(dot((3, -1, 2), (4, 5, -6))) is int
+    assert dot((3, -1, 2), (4, 5, -6)) == -5
+    assert type(dot((), ())) is int
+    assert dot((Fraction(1, 2), 1), (3, 4)) == Fraction(11, 2)
+
+
+def test_minor_cone_entries_are_int():
+    """Double description keeps every facet, ray and lineality entry a plain int."""
+    cone = minor_cone(moment_matrix(enumerate_basis("B_tilde", 2, 2).elements))
+    vectors = cone.facets + cone.rays + cone.lineality
+    assert vectors
+    assert all(type(x) is int for v in vectors for x in v)
 
 
 def test_dd_frozen_wedge():

@@ -1,9 +1,13 @@
 """Tests for labeled graphs, gluing products, bases and moment matrices."""
 
+import json
 from fractions import Fraction
 from random import Random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtrop.gluing import (
     Basis,
@@ -33,6 +37,8 @@ from graphtrop.gluing import (
 )
 from graphtrop.hypergraphs import (
     Hypergraph,
+    basis_sort_key,
+    canonical_form,
     complete_bipartite,
     complete_graph,
     disjoint_union,
@@ -42,7 +48,7 @@ from graphtrop.hypergraphs import (
     single_edge,
     star_hypergraph,
 )
-from oracles import random_labeled
+from oracles import random_graph, random_labeled, random_permuted
 
 
 def K(name):
@@ -372,6 +378,34 @@ def test_moment_entries_match_fresh_component_counts():
             assert M.alpha_entry(j, i) == M.alpha_entry(i, j)
     with pytest.raises(TypeError):
         M.alpha_entry(0, 1)[graph_key(single_edge())] = 5
+
+
+def _nx(G):
+    out = nx.Graph()
+    out.add_nodes_from(range(G.n))
+    out.add_edges_from(G.edges)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.sampled_from([0.2, 0.35, 0.5, 0.7]),
+)
+def test_graph_key_properties(seed, n1, n2, p):
+    """Keys are permutation invariant, name isomorphism classes, and sort by edge count."""
+    rng = Random(seed)
+    G = random_graph(rng, n1, p)
+    others = [random_permuted(rng, G), random_graph(rng, n2, p), random_graph(rng, n1, p)]
+    key = graph_key(G)
+    assert graph_key(others[0]) == key
+    assert component_counts(G) == component_counts(canonical_form(G))
+    for H in others:
+        assert (graph_key(H) == key) == nx.is_isomorphic(_nx(G), _nx(H))
+    for k in [key] + list(component_counts(G)):
+        assert basis_sort_key(k) == (len(json.loads(k)["edges"]), k)
 
 
 def test_moment_matrix_unit_row():

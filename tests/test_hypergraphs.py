@@ -312,6 +312,14 @@ def test_clique_turan_density_beyond_parts():
         clique_turan_density(2, Fraction(1, 2), 3, r=3)
 
 
+def test_clique_turan_density_rejects_uniformity_below_two():
+    # t(K1) is 1 in every graph, so no clique-fraction limit applies below r = 2
+    with pytest.raises(ValueError, match="need 2 <= r"):
+        clique_turan_density(1, Fraction(1, 10), 0, 1)
+    with pytest.raises(ValueError, match="need 2 <= r"):
+        clique_turan_density(3, Fraction(1, 10), 2, 0)
+
+
 def test_clique_plus_turan_validation():
     with pytest.raises(ValueError):
         clique_plus_turan(10, Fraction(1, 3), 2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphtrop.cones import primitive
 from graphtrop.gluing import (
     enumerate_basis,
     graph_key,
@@ -29,7 +30,6 @@ from graphtrop.obstructions import (
     _poly_gcd,
     _poly_mul,
     _poly_squarefree,
-    _int_poly,
     _roots_within,
     _sign_at,
     _sturm_chain,
@@ -455,11 +455,11 @@ def test_sign_at_matches_exact_evaluation():
         for _ in range(4):
             points.append(Fraction(rng.randint(-40, 40), 2 ** rng.randint(0, 12)))
         for pol in (a, with_root):
-            ipol = _int_poly(pol)
+            ipol = primitive(pol)
             assert all(isinstance(c, int) for c in ipol)
             for x in points:
                 assert _sign_at(ipol, x) == _sign(_poly_eval(pol, x)), (pol, x)
-        assert _sign_at(_int_poly(with_root), root) == 0
+        assert _sign_at(primitive(with_root), root) == 0
 
 
 def test_roots_within_matches_sympy_count_roots():
