@@ -2,9 +2,10 @@
 
 Facet normals a mean the halfspace <a, y> >= 0. Rays and facet normals are
 kept as primitive integer vectors. Double description projects and combines
-them in integer arithmetic; echelon forms, rank tests and the simplex pivot
-over Fraction. Every certificate is exact and independently re-checked
-before it is returned.
+them in integer arithmetic, and its adjacency test is combinatorial on
+bitsets of the facets tight on each ray (Fukuda and Prodon 1996). Only
+_echelon and the simplex work over Fraction. Every certificate is exact and
+independently re-checked before it is returned.
 """
 
 from __future__ import annotations
@@ -49,26 +50,6 @@ def _neg(v):
 def _combine(a_pos: int, rn, a_neg: int, rp):
     # nonnegative combination a_pos * rn - a_neg * rp lying on the hyperplane
     return primitive(tuple(a_pos * y - a_neg * x for x, y in zip(rp, rn)))
-
-
-def rank_of(vectors) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivval = rows[rank][c]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / pivval
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def _echelon(rows):
@@ -127,13 +108,16 @@ def dd_rays(facets, dim: int):
     if dim == 0:
         return [], []
     lines = _echelon([tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)])
-    rays: list[tuple[int, ...]] = []
-    processed: list[tuple[int, ...]] = []
+    # ray -> bitset whose bit k is set when the k-th processed nonzero facet is tight on it
+    rays: dict[tuple[int, ...], int] = {}
+    k = 0
 
     for raw in facets:
         a = primitive(raw)
         if all(x == 0 for x in a):
             continue
+        bit = 1 << k
+        k += 1
         pivot = next((l for l in lines if dot(a, l) != 0), None)
         if pivot is not None:
             if dot(a, pivot) < 0:
@@ -148,29 +132,32 @@ def dd_rays(facets, dim: int):
                 if any(v):
                     newlines.append(v)
             lines = _echelon(newlines)
-            newrays = []
-            for r in rays:
+            # processed facets vanish on the old lines, so projecting keeps each tight
+            # set; the pivot direction is tight on every earlier facet
+            projected = {}
+            for r, z in rays.items():
                 ar = dot(a, r)
                 v = _reduce_mod_lines(tuple(apiv * x - ar * y for x, y in zip(r, pivot)), lines)
                 if any(v):
-                    newrays.append(v)
-            rays = _dedupe(newrays + [_reduce_mod_lines(pivot, lines)])
+                    projected[v] = z | bit
+            projected.setdefault(_reduce_mod_lines(pivot, lines), bit - 1)
+            rays = projected
         else:
             pos, zero, neg = [], [], []
-            for r in rays:
+            for r, z in rays.items():
                 s = dot(a, r)
-                (pos if s > 0 else zero if s == 0 else neg).append(r)
+                (pos if s > 0 else zero if s == 0 else neg).append((r, z, s))
+            kept = {r: z for r, z, _ in pos}
+            kept.update((r, z | bit) for r, z, _ in zero)
             quotient_dim = dim - len(lines)
-            keep = pos + zero
-            for rp in pos:
-                for rn in neg:
-                    if _adjacent(rp, rn, processed, quotient_dim):
-                        v = _reduce_mod_lines(_combine(dot(a, rp), rn, dot(a, rn), rp), lines)
+            for rp, zp, ap in pos:
+                for rn, zn, an in neg:
+                    if _adjacent(rp, rn, zp & zn, rays, quotient_dim):
+                        v = _reduce_mod_lines(_combine(ap, rn, an, rp), lines)
                         if any(v):
-                            keep.append(v)
-            rays = _dedupe(keep)
-        processed.append(a)
-    return lines, rays
+                            kept.setdefault(v, (zp & zn) | bit)
+            rays = kept
+    return lines, list(rays)
 
 
 def _dedupe(rays):
@@ -180,11 +167,13 @@ def _dedupe(rays):
     return list(out.values())
 
 
-def _adjacent(rp, rn, processed, quotient_dim: int) -> bool:
+def _adjacent(rp, rn, common: int, rays, quotient_dim: int) -> bool:
     if quotient_dim <= 2:
         return True
-    common = [a for a in processed if dot(a, rp) == 0 and dot(a, rn) == 0]
-    return rank_of(common) == quotient_dim - 2
+    if common.bit_count() < quotient_dim - 2:
+        return False
+    # valid only because rays holds exactly the extreme rays of the pointed quotient
+    return not any(z & common == common for r, z in rays.items() if r is not rp and r is not rn)
 
 
 def _dual_facets(rays, lineality, dim: int):
@@ -318,6 +307,7 @@ class Membership:
 
 def cone_member(target, generators) -> Membership:
     """Decide target in cone(generators); returns coefficients or a Farkas separator."""
+    generators = tuple(generators)
     target = [Fraction(x) for x in target]
     gens = [tuple(Fraction(x) for x in g) for g in generators]
     m = len(target)
@@ -377,7 +367,7 @@ def cone_member(target, generators) -> Membership:
     # phase-1 dual prices: pi_i = 1 - reduced cost of the i-th artificial
     pi = [1 - cost[n + i] for i in range(m)]
     y = primitive([-sigma[i] * pi[i] for i in range(m)])
-    if dot(y, target) >= 0 or any(dot(y, g) < 0 for g in gens):
+    if dot(y, target) >= 0 or any(dot(y, g) < 0 for g in generators):
         raise CertificateError("Farkas separator failed re-verification")
     return Membership(False, None, y)
 

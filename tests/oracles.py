@@ -48,6 +48,70 @@ def fraction_primitive(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def rank_of(vectors) -> int:
+    """Rank of a list of rational vectors, by Fraction Gaussian elimination."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivval = rows[rank][c]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c] / pivval
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _kernel(rows, dim: int) -> list[list[Fraction]]:
+    """Basis of {y: <a, y> = 0 for every row a}, from the Fraction reduced row echelon form."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(dim):
+        piv = next((i for i in range(len(pivots), len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        work[r], work[piv] = work[piv], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(dim) if c not in pivots):
+        v = [Fraction(0)] * dim
+        v[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -work[i][free]
+        basis.append(v)
+    return basis
+
+
+def extreme_rays(facets, dim: int) -> set[tuple[int, ...]]:
+    """Primitive extreme rays of the pointed cone {y: <a, y> >= 0 for all facets a}.
+
+    Every extreme ray spans the kernel of some dim-1 facets of rank dim-1, so
+    try every such subset and keep the kernel directions inside the cone.
+    """
+    found = set()
+    for subset in combinations(facets, dim - 1):
+        kernel = _kernel(subset, dim)
+        if len(kernel) != 1:
+            continue
+        for d in (kernel[0], [-x for x in kernel[0]]):
+            if all(sum(a * y for a, y in zip(f, d)) >= 0 for f in facets):
+                found.add(fraction_primitive(d))
+    return found
+
+
 def random_graph(rng: Random, n: int, p: float, r: int = 2) -> Hypergraph:
     edges = [e for e in combinations(range(n), r) if rng.random() < p]
     return Hypergraph.make(r, n, edges)

@@ -304,6 +304,8 @@ OUTPUT_SHA256 = {
         "8cc6f7fb748e0c91d7457a85759e0930037c3df85bc9e3cbc92bc3944a974833",
     "trop-sos --d 2 --labels 2":
         "93f64678573ca4da672b54b95d06a7b5b826c689583cfec96b3b64aae1604e12",
+    "trop-sos --d 2 --labels 4":
+        "4ae29f5a5255da563b866865c9b9016ac92cc19177358e86ddc72b404fd85121",
     "obstruction P3 edge^3 --k 7 --d 2 --labels 4":
         "31798689815242873bedd2ce83ab667e82cd3bee41404c59bb16a012e9d5fd6c",
     "test-binomial star path2 edge^2 --r 2 --c 1 --l 2":

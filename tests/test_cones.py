@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtrop.cones import (
     CertificateError,
@@ -23,12 +25,11 @@ from graphtrop.cones import (
     minor_cone,
     primitive,
     project_cone,
-    rank_of,
     rays_from_facets,
     star_trop_cone,
 )
 from graphtrop.gluing import enumerate_basis, moment_matrix
-from oracles import fraction_primitive
+from oracles import extreme_rays, fraction_primitive, rank_of
 
 
 def test_primitive_normalization():
@@ -188,6 +189,35 @@ def test_extreme_ray_tightness_rank():
         for r in c.rays:
             tight = [a for a in c.facets if dot(a, r) == 0]
             assert rank_of(tight) == dim - len(c.lineality) - 1
+
+
+@st.composite
+def _degenerate_facets(draw):
+    """Facet lists with entries in -2..2, repeated and negated rows and zero rows."""
+    dim = draw(st.integers(1, 6))
+    size = draw(st.integers(0, dim + 2))
+    base = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=size, max_size=size))
+    extra = [(0,) * dim] * draw(st.integers(0, 1))
+    if base:
+        pick = st.tuples(st.sampled_from(base), st.sampled_from([1, -1]))
+        extra += [tuple(s * x for x in v) for v, s in draw(st.lists(pick, max_size=2))]
+    return dim, draw(st.permutations(base + extra))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_degenerate_facets())
+def test_dd_rays_are_the_brute_force_extreme_rays(case):
+    """Every ray is extreme; on pointed cones the rays are exactly the brute-force ones."""
+    dim, facets = case
+    lines, rays = dd_rays(facets, dim)
+    assert len(lines) == dim - rank_of(facets)
+    assert all(dot(a, l) == 0 for a in facets for l in lines)
+    assert len(set(rays)) == len(rays)
+    for r in rays:
+        assert all(dot(a, r) >= 0 for a in facets)
+        assert rank_of([a for a in facets if dot(a, r) == 0]) == dim - len(lines) - 1
+    if rank_of(facets) == dim:
+        assert set(rays) == extreme_rays(facets, dim)
 
 
 def test_cone_member_inside_certificate():
