@@ -104,7 +104,7 @@ def _reduce_mod_lines(vec, lines):
 def dd_rays(facets, dim: int):
     """V-representation (lineality basis, extreme rays) of {y: <a, y> >= 0 for all a}."""
     if dim > MAX_DD_DIM:
-        raise ValueError(f"double description limited to dimension {MAX_DD_DIM}")
+        raise ValueError(f"double description limited to dimension {MAX_DD_DIM}, got {dim}")
     if dim == 0:
         return [], []
     lines = _echelon([tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)])

@@ -136,7 +136,7 @@ def labeled_canonical_form(A: LabeledGraph) -> LabeledGraph:
     for v, i in fixed.items():
         seed[v] = i + 1
     classes = [cl for cl in _refine_classes(G.n, G.sorted_edges(), seed) if cl[0] not in fixed]
-    enc, _ = _min_relabeling(G.n, G.sorted_edges(), classes, fixed)
+    enc = _min_relabeling(G.n, G.sorted_edges(), classes, fixed)
     new_labels = tuple((l, i) for i, (l, _) in enumerate(in_order))
     return LabeledGraph(Hypergraph(G.r, G.n, frozenset(enc)), new_labels)
 

@@ -90,6 +90,9 @@ def hypergraph_from_obj(obj) -> Hypergraph:
     r, n, edges = obj["r"], obj["n"], obj["edges"]
     if not isinstance(r, int) or not isinstance(n, int) or not isinstance(edges, list):
         raise ValueError("hypergraph JSON has wrongly typed fields")
+    for e in edges:
+        if not isinstance(e, list) or not all(type(v) is int for v in e):
+            raise ValueError(f"hypergraph JSON edge entries must be integers, got {e!r}")
     return Hypergraph.make(r, n, edges)
 
 
@@ -163,9 +166,9 @@ def named_graph(name: str) -> Hypergraph:
     g = NAMED_GRAPHS[base]()
     if not power:
         return g
+    if not power.isdecimal() or int(power) < 1:
+        raise ValueError(f"power must be a positive integer in {name!r}")
     k = int(power)
-    if k < 1:
-        raise ValueError(f"power must be positive in {name!r}")
     out = g
     for _ in range(k - 1):
         out = disjoint_union(out, g)
@@ -261,7 +264,14 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
     `fixed` maps already-pinned vertices to their final indices; the class blocks
     fill the remaining indices in order. Branch and bound over one index at a
     time: candidates are ordered by an exact lower bound on the final sorted
-    edge list, and a branch is cut once it cannot beat the best completion.
+    edge list, and a branch is cut once it cannot reach the best completion.
+
+    Two leaves with equal encodings differ by an automorphism that keeps the
+    classes and the pinned vertices; each one found is recorded. At a node, a
+    candidate is skipped when a recorded automorphism fixing every vertex mapped
+    so far links it to a candidate already tried: it carries that candidate's
+    subtree onto its own with equal encodings, so the minimum is unchanged
+    (orbit pruning, McKay and Piperno, "Practical graph isomorphism II", 2014).
     """
     class_of: dict[int, int] = {}
     blocks: list[list[int]] = []
@@ -278,7 +288,8 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
     mapping = dict(fixed)
     filled = [0] * len(classes)
     best = None
-    best_map = None
+    best_at: list[int] = []  # the vertex at each index in the best leaf
+    automorphisms: list[list[int]] = []
     nodes = 0
 
     def lower_bound():
@@ -299,14 +310,16 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
         return tuple(sorted(tuples))
 
     def rec(t: int):
-        nonlocal best, best_map, nodes
+        nonlocal best, best_at, nodes
         nodes += 1
         if nodes > _SEARCH_NODE_CAP:
             raise ValueError("graph too symmetric for canonical relabeling")
         if t == n:
             enc = lower_bound()
             if best is None or enc < best:
-                best, best_map = enc, dict(mapping)
+                best, best_at = enc, sorted(mapping, key=mapping.get)
+            elif enc == best:
+                automorphisms.append([best_at[mapping[v]] for v in range(n)])
             return
         c = owner[t]
         scored = []
@@ -319,9 +332,27 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
             filled[c] -= 1
             del mapping[v]
         scored.sort()
+        orbit = {v: v for _, v in scored}  # union-find over the candidates
+        merged = 0
+
+        def root(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        tried: list[int] = []
         for lb, v in scored:
-            if best is not None and lb >= best:
+            if best is not None and lb > best:
                 break
+            for a in automorphisms[merged:]:
+                if all(a[u] == u for u in mapping):
+                    for u in orbit:
+                        orbit[root(u)] = root(a[u])
+            merged = len(automorphisms)
+            if any(root(w) == root(v) for w in tried):
+                continue
+            tried.append(v)
             mapping[v] = t
             filled[c] += 1
             rec(t + 1)
@@ -329,7 +360,7 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
             del mapping[v]
 
     rec(len(fixed))
-    return best, best_map
+    return best
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +370,7 @@ def _canonical_connected(G: Hypergraph) -> Hypergraph:
     if not G.edges or len(G.edges) == math.comb(G.n, G.r):
         return G
     classes = _refine_classes(G.n, G.sorted_edges(), {v: 0 for v in range(G.n)})
-    enc, _ = _min_relabeling(G.n, G.sorted_edges(), classes, {})
+    enc = _min_relabeling(G.n, G.sorted_edges(), classes, {})
     return Hypergraph(G.r, G.n, frozenset(enc))
 
 

@@ -2,13 +2,14 @@
 
 Everything here is deliberately naive: full enumeration over all vertex maps,
 no pruning, no shared code with the library internals beyond the Hypergraph
-container itself.
+container itself.  The one exception is `brute_canonical`, which takes the
+refinement classes from the library because they are part of what a key means.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 from random import Random
 
@@ -31,6 +32,30 @@ def brute_hom(H: Hypergraph, G: Hypergraph) -> int:
 
 def brute_density(H: Hypergraph, G: Hypergraph) -> Fraction:
     return Fraction(brute_hom(H, G), G.n**H.n)
+
+
+def brute_canonical(G: Hypergraph, pinned=()) -> tuple[tuple[int, ...], ...]:
+    """The smallest sorted edge list over every class-respecting relabeling (n <= 7).
+
+    `pinned[i]` goes to index i; each class of the library's refinement (seeded
+    so that every pinned vertex is alone) fills the next block of indices in
+    class order, in every possible order.
+    """
+    from graphtrop.hypergraphs import _refine_classes
+
+    if G.n > 7:
+        raise ValueError(f"brute canonical form limited to 7 vertices, got {G.n}")
+    seed = {v: 0 for v in range(G.n)}
+    for i, v in enumerate(pinned):
+        seed[v] = i + 1
+    classes = [cl for cl in _refine_classes(G.n, G.sorted_edges(), seed) if cl[0] not in pinned]
+    best = None
+    for orders in product(*(permutations(cl) for cl in classes)):
+        index = {v: i for i, v in enumerate([*pinned, *(v for order in orders for v in order)])}
+        enc = tuple(sorted(tuple(sorted(index[v] for v in e)) for e in G.edges))
+        if best is None or enc < best:
+            best = enc
+    return best
 
 
 def fraction_primitive(vec) -> tuple[int, ...]:

@@ -1,0 +1,183 @@
+"""Canonical search against brute force, under relabelling, and on vertex-transitive graphs."""
+
+from itertools import combinations
+from random import Random
+
+import networkx as nx
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from graphtrop.gluing import LabeledGraph, labeled_canonical_form
+from graphtrop.hypergraphs import (
+    Hypergraph,
+    canonical_form,
+    complete_bipartite,
+    connected_components,
+    disjoint_union,
+    graph_key,
+)
+from oracles import brute_canonical, random_permuted
+
+
+@st.composite
+def pinned_graphs(draw, max_n=7):
+    """An r-graph (r = 2 or 3) without isolated vertices and 0-3 of its vertices in label order."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, max_n))
+    edges = draw(st.sets(st.sampled_from(list(combinations(range(n), r))), min_size=1))
+    used = sorted({v for e in edges for v in e})
+    index = {v: i for i, v in enumerate(used)}
+    G = Hypergraph.make(r, len(used), [tuple(index[v] for v in e) for e in edges])
+    pinned = draw(st.permutations(range(G.n)))[: draw(st.integers(0, min(3, G.n)))]
+    return G, tuple(pinned)
+
+
+def _pin(G, pinned, labels=(2, 3, 5)):
+    """G with labels[i] on pinned[i]; labels ascend, so label order is pin order."""
+    return LabeledGraph(G, tuple(zip(labels, pinned)))
+
+
+def _relabel(G, perm):
+    return Hypergraph.make(G.r, G.n, [tuple(perm[v] for v in e) for e in G.edges])
+
+
+def _cayley(n, gens):
+    """Circulant graph on Z_n with connection set ±gens."""
+    return Hypergraph.make(2, n, [(v, (v + g) % n) for v in range(n) for g in gens])
+
+
+@st.composite
+def pinned_circulants(draw):
+    """A circulant graph, or two disjoint copies of one, with 0-2 of its vertices in label order."""
+    n = draw(st.integers(5, 9))
+    gens = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+    G = _cayley(n, sorted(gens))
+    if n <= 7 and draw(st.booleans()):
+        G = disjoint_union(G, G)
+    pinned = draw(st.permutations(range(G.n)))[: draw(st.integers(0, 2))]
+    return G, tuple(pinned)
+
+
+# Pinned vertex-transitive graphs, where most candidates are skipped as orbit-mates.
+@example((_cayley(6, [1]), (0,)))
+@example((_cayley(6, [1]), (0, 2)))
+@example((complete_bipartite(3, 3), (0, 3)))
+@settings(max_examples=400, deadline=None)
+@given(pinned_graphs())
+def test_search_matches_brute_force(case):
+    """Both canonical forms equal the minimum over every class-respecting relabeling."""
+    G, pinned = case
+    for C in connected_components(G):
+        assert canonical_form(C).sorted_edges() == list(brute_canonical(C))
+    A = labeled_canonical_form(_pin(G, pinned))
+    assert A.graph.sorted_edges() == list(brute_canonical(G, pinned))
+    assert A.labels == tuple(zip((2, 3, 5), range(len(pinned))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinned_graphs(max_n=9), st.randoms(use_true_random=False))
+def test_canonical_forms_invariant_under_relabeling(case, rng):
+    """Relabelling the vertices (and moving the pins with them) leaves both forms alone."""
+    _assert_relabeling_invariant(*case, rng)
+
+
+def _assert_relabeling_invariant(G, pinned, rng):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    H = _relabel(G, perm)
+    assert canonical_form(H) == canonical_form(G)
+    assert labeled_canonical_form(_pin(H, [perm[v] for v in pinned])) == labeled_canonical_form(
+        _pin(G, pinned)
+    )
+
+
+# Twice C7(1, 3) or C7(1, 2) with one pin: a search that pruned by every
+# recorded automorphism, not only by those fixing the mapped vertices, keyed
+# these differently under these relabellings.
+@example((disjoint_union(_cayley(7, [1, 3]), _cayley(7, [1, 3])), (5,)), Random(0))
+@example((disjoint_union(_cayley(7, [1, 2]), _cayley(7, [1, 2])), (0,)), Random(1))
+@settings(max_examples=50, deadline=None)
+@given(pinned_circulants(), st.randoms(use_true_random=False))
+def test_symmetric_labeled_forms_invariant_under_relabeling(case, rng):
+    """On circulant graphs, where most branches are symmetric, both forms survive relabelling."""
+    _assert_relabeling_invariant(*case, rng)
+
+
+def _torus(a, b, gens):
+    """Cayley graph on Z_a x Z_b with connection set ±gens."""
+
+    def vid(x, y):
+        return (x % a) * b + (y % b)
+
+    cells = [(x, y) for x in range(a) for y in range(b)]
+    edges = [(vid(x, y), vid(x + dx, y + dy)) for x, y in cells for dx, dy in gens]
+    return Hypergraph.make(2, a * b, edges)
+
+
+def _cube(d):
+    n = 1 << d
+    return Hypergraph.make(2, n, [(v, v ^ (1 << i)) for v in range(n) for i in range(d)])
+
+
+PETERSEN = Hypergraph.make(
+    2,
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+# Vertex-transitive graphs, grouped so that equal vertex and edge counts meet:
+# Q4 and the 4x4 torus are isomorphic; the rook's graph K4 x K4 and the
+# Shrikhande graph are both strongly regular (16, 6, 2, 2) and are not.
+VERTEX_TRANSITIVE = {
+    "K2,2": complete_bipartite(2, 2),
+    "C4": _cayley(4, [1]),
+    "K3,3": complete_bipartite(3, 3),
+    "prism3": _torus(3, 2, [(1, 0), (0, 1)]),
+    "C6": _cayley(6, [1]),
+    "2C3": disjoint_union(_cayley(3, [1]), _cayley(3, [1])),
+    "K4,4": complete_bipartite(4, 4),
+    "Q3": _cube(3),
+    "C8": _cayley(8, [1]),
+    "Mobius8": _cayley(8, [1, 4]),
+    "C8(1,2)": _cayley(8, [1, 2]),
+    "C8(1,3)": _cayley(8, [1, 3]),
+    "K5,5": complete_bipartite(5, 5),
+    "Petersen": PETERSEN,
+    "prism5": _torus(5, 2, [(1, 0), (0, 1)]),
+    "C10(1,3)": _cayley(10, [1, 3]),
+    "C10": _cayley(10, [1]),
+    "K6,6": complete_bipartite(6, 6),
+    "C12": _cayley(12, [1]),
+    "K7,7": complete_bipartite(7, 7),
+    "Q4": _cube(4),
+    "torus4x4": _torus(4, 4, [(1, 0), (0, 1)]),
+    "C16(1,4)": _cayley(16, [1, 4]),
+    "rook4x4": _torus(4, 4, [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]),
+    "Shrikhande": _torus(4, 4, [(1, 0), (0, 1), (1, 1)]),
+    "C16": _cayley(16, [1]),
+    "C20": _cayley(20, [1]),
+}
+
+
+def _nx(G):
+    out = nx.Graph()
+    out.add_nodes_from(range(G.n))
+    out.add_edges_from(G.edges)
+    return out
+
+
+def test_vertex_transitive_keys_match_networkx():
+    """Keys survive relabelling, and two keys agree exactly when networkx finds an isomorphism."""
+    rng = Random(6)
+    keys = {}
+    for name, G in VERTEX_TRANSITIVE.items():
+        keys[name] = graph_key(G)
+        assert graph_key(random_permuted(rng, G)) == keys[name], name
+    for a, b in combinations(VERTEX_TRANSITIVE, 2):
+        A, B = VERTEX_TRANSITIVE[a], VERTEX_TRANSITIVE[b]
+        if (A.n, A.edge_count) == (B.n, B.edge_count):
+            assert (keys[a] == keys[b]) == nx.is_isomorphic(_nx(A), _nx(B)), (a, b)
+    assert keys["Q4"] == keys["torus4x4"]
+    assert keys["rook4x4"] != keys["Shrikhande"]

@@ -3,12 +3,21 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 from graphtrop.cli import main
-from graphtrop.hypergraphs import complete_graph, path_graph, single_edge
+from graphtrop.hypergraphs import (
+    complete_bipartite,
+    complete_graph,
+    graph_key,
+    path_graph,
+    single_edge,
+)
 from graphtrop.obstructions import minor_certificate
 
 
@@ -60,6 +69,41 @@ def test_input_errors_exit_4(capsys):
     assert run_cli(capsys, "density", "nosuch", "edge")[0] == 4
     assert run_cli(capsys, "density", '{"bad": 1}', "edge")[0] == 4
     assert run_cli(capsys, "density", "@/no/such/file", "edge")[0] == 4
+
+
+def test_input_error_messages_are_precise(capsys):
+    """A non-integer power or vertex names the input, not a Python internal."""
+    assert main(["density", "edge^x", "K3"]) == 4
+    assert "power must be a positive integer in 'edge^x'" in capsys.readouterr().err
+    assert main(["density", '{"r":2,"n":2,"edges":[[0,"a"]]}', "K3"]) == 4
+    err = capsys.readouterr().err
+    assert "edge entries must be integers" in err and "not supported" not in err
+    assert main(["density", "edge", '{"r":2,"n":2,"edges":[[0,true]]}']) == 4
+    assert "edge entries must be integers" in capsys.readouterr().err
+
+
+def test_double_description_names_needed_dimension(capsys):
+    """trop-sos beyond the double-description limit says which dimension it needed."""
+    assert main(["trop-sos", "--d", "3", "--labels", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "double description limited to dimension 12, got 50" in err
+
+
+def test_density_in_large_complete_bipartite_graphs(capsys):
+    """K_{6,6} and K_{7,7} are keyed, whatever their labelling; t(P3; K_{a,a}) = 1/8."""
+    rng = Random(66)
+    for a in (6, 7):
+        keys = set()
+        for _ in range(2):
+            perm = list(range(2 * a))
+            rng.shuffle(perm)
+            edges = [sorted((perm[i], perm[a + j])) for i in range(a) for j in range(a)]
+            G = json.dumps({"r": 2, "n": 2 * a, "edges": edges})
+            code, obj = run_json(capsys, "density", "P3", G)
+            assert code == 0
+            assert obj["density"] == "1/8"
+            keys.add(obj["G"])
+        assert keys == {graph_key(complete_bipartite(a, a))}
 
 
 def test_trop_sos_small_cone(capsys):
@@ -287,10 +331,13 @@ def test_csv_rejected_for_json_commands(capsys):
 
 
 def test_module_entry_point():
-    """The package runs as python -m graphtrop."""
+    """The package runs as python -m graphtrop, from an uninstalled checkout too."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "graphtrop", "density", "K3", "K4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["density"] == "3/8"
