@@ -166,9 +166,9 @@ def named_graph(name: str) -> Hypergraph:
     g = NAMED_GRAPHS[base]()
     if not power:
         return g
-    if not power.isdecimal() or int(power) < 1:
+    k = int(power) if power.isdecimal() else 0
+    if k < 1:
         raise ValueError(f"power must be a positive integer in {name!r}")
-    k = int(power)
     out = g
     for _ in range(k - 1):
         out = disjoint_union(out, g)
@@ -180,28 +180,29 @@ def named_graph(name: str) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 
+def _find(parent, x: int) -> int:
+    """The root of x in a union-find forest kept as a parent list or dict, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def split_components(G: Hypergraph) -> list[tuple[list[int], list[tuple[int, ...]]]]:
     """Each component's sorted vertices and its edges renumbered to 0..k-1, by first vertex."""
     parent = list(range(G.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in G.edges:
-        root = find(e[0])
+        root = _find(parent, e[0])
         for v in e[1:]:
-            parent[find(v)] = root
+            parent[_find(parent, v)] = root
 
     groups: dict[int, list[int]] = {}
     for v in range(G.n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     index = {v: i for verts in groups.values() for i, v in enumerate(verts)}
     edges: dict[int, list[tuple[int, ...]]] = {root: [] for root in groups}
     for e in G.edges:
-        edges[find(e[0])].append(tuple(index[v] for v in e))
+        edges[_find(parent, e[0])].append(tuple(index[v] for v in e))
     return [(verts, edges[root]) for root, verts in groups.items()]
 
 
@@ -334,13 +335,6 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
         scored.sort()
         orbit = {v: v for _, v in scored}  # union-find over the candidates
         merged = 0
-
-        def root(v: int) -> int:
-            while orbit[v] != v:
-                orbit[v] = orbit[orbit[v]]
-                v = orbit[v]
-            return v
-
         tried: list[int] = []
         for lb, v in scored:
             if best is not None and lb > best:
@@ -348,9 +342,10 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
             for a in automorphisms[merged:]:
                 if all(a[u] == u for u in mapping):
                     for u in orbit:
-                        orbit[root(u)] = root(a[u])
+                        orbit[_find(orbit, u)] = _find(orbit, a[u])
             merged = len(automorphisms)
-            if any(root(w) == root(v) for w in tried):
+            root = _find(orbit, v)
+            if any(_find(orbit, w) == root for w in tried):
                 continue
             tried.append(v)
             mapping[v] = t
