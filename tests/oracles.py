@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 from math import gcd
 from random import Random
 
-from graphtrop.hypergraphs import Hypergraph
+from graphtrop.hypergraphs import Hypergraph, _refine_classes
 
 
 def brute_hom(H: Hypergraph, G: Hypergraph) -> int:
@@ -41,8 +41,6 @@ def brute_canonical(G: Hypergraph, pinned=()) -> tuple[tuple[int, ...], ...]:
     so that every pinned vertex is alone) fills the next block of indices in
     class order, in every possible order.
     """
-    from graphtrop.hypergraphs import _refine_classes
-
     if G.n > 7:
         raise ValueError(f"brute canonical form limited to 7 vertices, got {G.n}")
     seed = {v: 0 for v in range(G.n)}
