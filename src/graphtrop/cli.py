@@ -51,7 +51,6 @@ class RunConfig:
     args: argparse.Namespace
     out: str | None
     fmt: str
-    seed: int
 
 
 def load_graph(spec: str) -> Hypergraph:
@@ -279,11 +278,6 @@ def add_output_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     kw = {} if top else {"default": argparse.SUPPRESS}
     parser.add_argument("--out", help="write output to this path instead of stdout", **kw)
     parser.add_argument("--format", choices=("json", "csv"), help="output format", **kw)
-    if top:
-        kw = {"default": 0}
-    parser.add_argument(
-        "--seed", type=int, help="random seed (recorded; all commands are deterministic)", **kw
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +358,6 @@ def main(argv=None) -> int:
         args=args,
         out=args.out,
         fmt=args.format or default_fmt,
-        seed=args.seed,
     )
     try:
         validate(cfg)

@@ -374,8 +374,6 @@ def canonical_form(G: Hypergraph) -> Hypergraph:
     comps = connected_components(G)
     if len(comps) <= 1:
         return _canonical_connected(comps[0]) if comps else G
-    if max(c.n for c in comps) > MAX_CANON_VERTICES:
-        raise ValueError(f"canonical form limited to {MAX_CANON_VERTICES} vertices per component")
     parts = sorted(
         (_canonical_connected(c) for c in comps),
         key=lambda c: (c.n, c.edge_count, c.sorted_edges()),

@@ -6,8 +6,10 @@ Counting fully labeled copies of a witness component then caps the exponent k
 for which k copies of the upper graph can dominate k+1 copies of the lower one
 inside the degree-d relaxation; an exact LP over the generators acts as an
 independent oracle, and every verdict ships with a re-verified certificate.
-Minor certificates exclude single density points by Sturm-exact sign analysis
-of univariate principal-minor polynomials.
+Minor certificates exclude single density points by exact sign analysis of
+univariate principal-minor polynomials, kept as integer polynomials: Sturm
+chains isolate their roots, and Tarski queries give the sign of a constraint at
+an algebraic root of another.
 """
 
 from __future__ import annotations
@@ -460,77 +462,59 @@ def counting_obstruction(
 # ---------------------------------------------------------------------------
 # Exact univariate polynomials and Sturm sequences
 # ---------------------------------------------------------------------------
-# A polynomial is a list of Fractions, ascending powers, no trailing zeros.
-# Signs are taken in integer arithmetic instead: Sturm chains and constraints
-# are kept as integer polynomials (tuples of ints), each a positive multiple of
-# the rational polynomial it stands for, so that signs, roots and counts of
-# sign variations are the same.
+# A polynomial is a tuple of ints, ascending powers, no trailing zeros.  Every
+# helper returns a nonzero integer multiple of the rational polynomial it
+# stands for; remainders are positive multiples, so Sturm and Tarski chains
+# keep their signs and counts of sign variations.
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _deriv(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i * c for i, c in enumerate(a))[1:]
 
 
-def _poly_scale(a, s: Fraction):
-    return _poly_trim([x * s for x in a])
-
-
-def _poly_mul(a, b):
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, z in enumerate(b):
             out[i + j] += x * z
-    return _poly_trim(out)
+    return tuple(out)
 
 
-def _poly_eval(a, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(a):
-        total = total * x + c
-    return total
+def _divmod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Pseudo-division: (q, r) with s * a = q * b + r, deg r < deg b, for an integer s > 0.
 
-
-def _poly_deriv(a):
-    return _poly_trim([i * c for i, c in enumerate(a)][1:])
-
-
-def _poly_divmod(a, b):
+    Each step scales by |lead(b)| and subtracts with the sign of lead(b), so r
+    is a positive multiple of the true remainder.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
     while len(rem) >= len(b):
-        coeff = Fraction(rem[-1]) / lead
+        coeff = sign * rem[-1]
         shift = len(rem) - len(b)
+        rem = [scale * c for c in rem]
+        quo = [scale * c for c in quo]
         quo[shift] = coeff
         for i, c in enumerate(b):
             rem[shift + i] -= coeff * c
-        _poly_trim(rem)
-        if not rem:
-            break
-    return _poly_trim(quo), rem
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(quo), tuple(rem)
 
 
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
+def _gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        a = _poly_scale(a, Fraction(1) / a[-1])
-    return a
+        a, b = b, primitive(_divmod(a, b)[1])
+    return primitive(a)
 
 
-def _poly_squarefree(a):
-    g = _poly_gcd(a, _poly_deriv(a))
-    if len(g) <= 1:
-        return _poly_scale(a, Fraction(1) / a[-1])
-    quo, _ = _poly_divmod(a, g)
-    return _poly_scale(quo, Fraction(1) / quo[-1])
+def _squarefree(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of the distinct irreducible factors of a: primitive, with positive lead."""
+    sf = primitive(_divmod(a, _gcd(a, _deriv(a)))[0])
+    return sf if sf[-1] > 0 else tuple(-c for c in sf)
 
 
 def _sign_at(a: tuple[int, ...], x: Fraction) -> int:
@@ -547,16 +531,16 @@ def _sign_at(a: tuple[int, ...], x: Fraction) -> int:
     return (total > 0) - (total < 0)
 
 
-def _sturm_chain(a) -> list[tuple[int, ...]]:
-    """Sturm chain of a polynomial, each member a positive integer multiple of the usual one."""
-    chain = [primitive(a)]
-    chain.append(primitive(_poly_deriv(chain[0])))
+def _remainder_chain(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Signed remainder chain a, b, -rem(a, b), ... up to the last nonzero member."""
+    chain = [a, b]
     while chain[-1]:
-        rem = primitive(_poly_divmod(chain[-2], chain[-1])[1])
-        if not rem:
-            break
-        chain.append(tuple(-c for c in rem))
-    return chain
+        chain.append(tuple(-c for c in primitive(_divmod(chain[-2], chain[-1])[1])))
+    return chain[:-1]
+
+
+def _sturm_chain(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return _remainder_chain(a, primitive(_deriv(a)))
 
 
 def _sign_variations(chain, x: Fraction) -> int:
@@ -602,19 +586,19 @@ def _isolate_core_roots(chain):
 class _RootData:
     """Root isolation for one polynomial over (0, 1), reusable across systems.
 
-    ipol is the polynomial and core its squarefree part stripped of the roots
-    at 0, 1 and the rational roots met by bisection, both as integer multiples.
+    ipol is the primitive polynomial; core is its squarefree part stripped of
+    the roots at 0, 1 and the rational roots met by bisection, so every root
+    of core in (0, 1) lies alone in one of the isolating intervals.  core keeps
+    a positive lead, so constraints with the same roots share one core.
     """
 
-    def __init__(self, pol) -> None:
-        self.ipol = primitive(pol)
-        sf = _poly_squarefree(list(pol))
-        self.sf_chain = _sturm_chain(sf)
-        core = list(sf)
-        while core[0] == 0:
-            core = _poly_divmod(core, [Fraction(0), Fraction(1)])[0]
-        while sum(core) == 0:
-            core = _poly_divmod(core, [Fraction(-1), Fraction(1)])[0]
+    def __init__(self, ipol: tuple[int, ...]) -> None:
+        self.ipol = ipol
+        core = _squarefree(ipol)
+        if core[0] == 0:
+            core = core[1:]
+        if sum(core) == 0:
+            core = primitive(_divmod(core, (-1, 1))[0])
         rational = []
         while True:
             chain = _sturm_chain(core)
@@ -623,90 +607,47 @@ class _RootData:
                 break
             except _RationalRootFound as hit:
                 rational.append(hit.root)
-                core = _poly_divmod(core, [-hit.root, Fraction(1)])[0]
-        self.core = chain[0]
-        self.core_chain = chain
+                root = (-hit.root.numerator, hit.root.denominator)
+                core = primitive(_divmod(core, root)[0])
+        self.core = core
         self.rational = sorted(rational)
         self.intervals = intervals
 
 
-class _SturmCache:
-    """Shared root data and sign memos for repeated feasibility queries."""
+def _sign_at_root(p: tuple[int, ...], q: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
+    """Sign of p at the one root of the squarefree q in (lo, hi), by a Tarski query.
 
-    def __init__(self) -> None:
-        self.roots: dict[tuple, _RootData] = {}
-        self.signs: dict[tuple, int] = {}
-
-    def data(self, pol) -> _RootData:
-        key = tuple(pol)
-        if key not in self.roots:
-            self.roots[key] = _RootData(key)
-        return self.roots[key]
-
-
-def _sign_point(cache: _SturmCache, own: _RootData, x: Fraction) -> int:
-    key = (own.ipol, "pt", x)
-    if key not in cache.signs:
-        cache.signs[key] = _sign_at(own.ipol, x)
-    return cache.signs[key]
+    With q nonzero at lo and hi, the signed remainder chain of
+    (q, rem(q' * p, q)) loses Var(lo) - Var(hi) sign variations, which sums
+    the sign of p over the roots of q in (lo, hi) (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, Thm 2.58).  It is 0 when p
+    vanishes at that root.
+    """
+    chain = _remainder_chain(q, primitive(_divmod(_mul(_deriv(q), p), q)[1]))
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-def _root_free(own: _RootData, lo: Fraction, hi: Fraction) -> bool:
-    """True when own's polynomial has no root in the closed interval [lo, hi]."""
-    return (
-        _sign_at(own.ipol, lo) != 0
-        and _sign_at(own.ipol, hi) != 0
-        and _roots_within(own.sf_chain, lo, hi) == 0
-    )
-
-
-def _sign_at_root(
-    cache: _SturmCache, own: _RootData, data: _RootData, lo: Fraction, hi: Fraction
-) -> int:
-    """Exact sign of own's polynomial at the unique root of data.core inside (lo, hi)."""
-    key = (own.ipol, data.core, lo, hi)
-    if key in cache.signs:
-        return cache.signs[key]
-    sign = None
-    if not _root_free(own, lo, hi):
-        shared = _poly_gcd(own.ipol, data.core)
-        if len(shared) > 1 and _roots_within(_sturm_chain(shared), lo, hi) > 0:
-            sign = 0
-        else:
-            # narrow (lo, hi) around data's root until own has no root in it
-            while True:
-                mid = (lo + hi) / 2
-                if _sign_at(data.core, mid) == 0:
-                    sign = _sign_at(own.ipol, mid)
-                    break
-                if _roots_within(data.core_chain, lo, mid) == 1:
-                    hi = mid
-                else:
-                    lo = mid
-                if _root_free(own, lo, hi):
-                    break
-    if sign is None:
-        sign = _sign_at(own.ipol, (lo + hi) / 2)
-    cache.signs[key] = sign
-    return sign
-
-
-def _system_feasible(polys, cache: _SturmCache | None = None):
+def _system_feasible(polys, roots: dict | None = None):
     """Decide whether all polynomials are simultaneously >= 0 somewhere on [0, 1].
 
     Returns (feasible, point, interval): a rational witness point, or an
     interval isolating an algebraic witness root of one constraint.  The
     candidate set {0, 1, roots of the constraints} is complete: a nonempty
     feasible set is closed, and each of its boundary points inside (0, 1)
-    zeroes some constraint.  Exact throughout.
+    zeroes some constraint.  Exact throughout.  roots maps primitive
+    polynomials to their root data and may be shared across calls.
     """
-    if cache is None:
-        cache = _SturmCache()
+    if roots is None:
+        roots = {}
     datas = []
     for p in polys:
-        t = _poly_trim(list(p))
-        if t:
-            datas.append(cache.data(t))
+        ipol = primitive(p)
+        while ipol and ipol[-1] == 0:
+            ipol = ipol[:-1]
+        if ipol:
+            if ipol not in roots:
+                roots[ipol] = _RootData(ipol)
+            datas.append(roots[ipol])
     if not datas:
         return True, Fraction(0), None
     points = [Fraction(0), Fraction(1)]
@@ -717,7 +658,7 @@ def _system_feasible(polys, cache: _SturmCache | None = None):
                 seen_points.add(r)
                 points.append(r)
     for x in points:
-        if all(_sign_point(cache, p, x) >= 0 for p in datas):
+        if all(_sign_at(p.ipol, x) >= 0 for p in datas):
             return True, x, None
     seen_ivs = set()
     for d in datas:
@@ -725,7 +666,7 @@ def _system_feasible(polys, cache: _SturmCache | None = None):
             if (d.core, lo, hi) in seen_ivs:
                 continue
             seen_ivs.add((d.core, lo, hi))
-            if all(_sign_at_root(cache, p, d, lo, hi) >= 0 for p in datas):
+            if all(_sign_at_root(p.ipol, d.core, lo, hi) >= 0 for p in datas):
                 return True, None, (lo, hi)
     return False, None, None
 
@@ -800,10 +741,8 @@ def _minor_poly(terms, S):
             power += w
         if coeff:
             poly[power] = poly.get(power, 0) + coeff
-    out = [Fraction(0)] * (max(poly, default=0) + 1)
-    for w, c in poly.items():
-        out[w] = Fraction(c, scale)
-    return _poly_trim(out)
+    degree = max((w for w, c in poly.items() if c), default=-1)
+    return tuple(Fraction(poly.get(w, 0), scale) for w in range(degree + 1))
 
 
 def minor_certificate(fixed, free, degree: int, label_budget: int | None = None) -> MinorCertificate:
@@ -855,11 +794,10 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
     for S in index_sets:
         pol = _minor_poly(terms, S)
         if pol:
-            constraints.setdefault(tuple(pol), S)
+            constraints.setdefault(pol, S)
 
-    cache = _SturmCache()
-    polys = [list(pol) for pol in constraints]
-    feasible, point, interval = _system_feasible(polys, cache)
+    roots: dict[tuple[int, ...], _RootData] = {}
+    feasible, point, interval = _system_feasible(list(constraints), roots)
     fixed_out = tuple(sorted(fixed_map.items(), key=lambda kv: basis_sort_key(kv[0])))
     base = dict(
         free=free_key,
@@ -876,12 +814,12 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
     ordered = [(pol, constraints[pol]) for pol in constraints]
     refutation = None
     for pol, S in ordered:
-        if not _system_feasible([pol], cache)[0]:
+        if not _system_feasible([pol], roots)[0]:
             refutation = ((pol, S),)
             break
     if refutation is None:
         for (p1, s1), (p2, s2) in combinations(ordered, 2):
-            if not _system_feasible([p1, p2], cache)[0]:
+            if not _system_feasible([p1, p2], roots)[0]:
                 refutation = ((p1, s1), (p2, s2))
                 break
     if refutation is None:

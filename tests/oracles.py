@@ -135,6 +135,97 @@ def extreme_rays(facets, dim: int) -> set[tuple[int, ...]]:
     return found
 
 
+def _poly_trim(c: list[Fraction]) -> list[Fraction]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a, b) -> list[Fraction]:
+    """Product of two Fraction polynomials (ascending powers, no trailing zeros)."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i + j] += x * z
+    return _poly_trim(out)
+
+
+def _poly_eval(a, x: Fraction) -> Fraction:
+    total = Fraction(0)
+    for c in reversed(a):
+        total = total * x + c
+    return total
+
+
+def _poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of Fraction polynomial long division."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        coeff = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = coeff
+        for i, c in enumerate(b):
+            rem[shift + i] -= coeff * c
+        _poly_trim(rem)
+    return _poly_trim(quo), rem
+
+
+def _poly_gcd(a, b) -> list[Fraction]:
+    """Monic gcd by the Euclidean algorithm over the rationals."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def _poly_squarefree(a) -> list[Fraction]:
+    """Monic product of the distinct irreducible factors of a."""
+    quo = _poly_divmod(a, _poly_gcd(a, [i * c for i, c in enumerate(a)][1:]))[0]
+    return [c / quo[-1] for c in quo]
+
+
+def _fraction_roots_within(a, lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of a in (lo, hi] by a Fraction Sturm chain."""
+    chain = [_poly_squarefree(a)]
+    chain.append(_poly_trim([i * c for i, c in enumerate(chain[0])][1:]))
+    while chain[-1]:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+
+    def variations(x):
+        signs = [v > 0 for v in (_poly_eval(q, x) for q in chain if q) if v != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(lo) - variations(hi)
+
+
+def fraction_sign_at_root(p, q, lo: Fraction, hi: Fraction) -> int:
+    """Sign of p at the one root of the squarefree q in (lo, hi), all in Fractions.
+
+    A common root inside (lo, hi) gives 0; otherwise (lo, hi) is halved around
+    the root of q until p has no root in [lo, hi], and p is evaluated there.
+    """
+    def sign(v):
+        return (v > 0) - (v < 0)
+
+    shared = _poly_gcd(p, q)
+    if len(shared) > 1 and _fraction_roots_within(shared, lo, hi) > 0:
+        return 0
+    while _poly_eval(p, lo) == 0 or _poly_eval(p, hi) == 0 or _fraction_roots_within(p, lo, hi):
+        mid = (lo + hi) / 2
+        if _poly_eval(q, mid) == 0:
+            return sign(_poly_eval(p, mid))
+        if _fraction_roots_within(q, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return sign(_poly_eval(p, (lo + hi) / 2))
+
+
 def random_graph(rng: Random, n: int, p: float, r: int = 2) -> Hypergraph:
     edges = [e for e in combinations(range(n), r) if rng.random() < p]
     return Hypergraph.make(r, n, edges)

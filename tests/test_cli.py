@@ -319,7 +319,7 @@ def test_unwritable_out_exit_4(capsys):
 
 def test_byte_identical_reruns(capsys):
     """Identical invocations produce byte-identical output."""
-    argv = ["obstruction", "P3", "edge^3", "--k", "1", "--d", "1", "--seed", "7"]
+    argv = ["obstruction", "P3", "edge^3", "--k", "1", "--d", "1"]
     _, first = run_cli(capsys, *argv)
     _, second = run_cli(capsys, *argv)
     assert first == second
@@ -330,17 +330,40 @@ def test_csv_rejected_for_json_commands(capsys):
     assert run_cli(capsys, "--format", "csv", "trop-sos", "--d", "1")[0] == 2
 
 
-def test_module_entry_point():
-    """The package runs as python -m graphtrop, from an uninstalled checkout too."""
+def _checkout_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_module_entry_point():
+    """The package runs as python -m graphtrop, from an uninstalled checkout too."""
     proc = subprocess.run(
         [sys.executable, "-m", "graphtrop", "density", "K3", "K4"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_checkout_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["density"] == "3/8"
+
+
+def test_runtime_imports_no_test_only_library():
+    """The CLI and a minor certificate run without sympy, networkx, hypothesis or scipy."""
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import graphtrop.cli\n"
+        "from graphtrop.hypergraphs import path_graph, single_edge\n"
+        "from graphtrop.obstructions import minor_certificate\n"
+        "cert = minor_certificate({single_edge(): Fraction(1, 2)}, path_graph(2), 1)\n"
+        "test_only = ('sympy', 'networkx', 'hypothesis', 'scipy')\n"
+        "print(cert.status, [m for m in test_only if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "inconclusive []\n"
 
 
 # sha256 of the stdout of fast runs.  Refactors of keys, products and cone

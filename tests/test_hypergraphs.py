@@ -6,8 +6,10 @@ from random import Random
 import pytest
 
 from graphtrop.hypergraphs import (
+    _EXACT_COUNT_LIMIT,
     DensityVector,
     Hypergraph,
+    _hom_backtrack,
     canonical_form,
     clique_plus_turan,
     clique_turan_density,
@@ -113,6 +115,16 @@ def test_hom_count_matches_oracle():
         H = random_graph(rng, rng.randint(1, 4), 0.6, r)
         G = random_graph(rng, rng.randint(1, 5), 0.6, r)
         assert hom_count(H, G) == brute_hom(H, G)
+        # the backtracking count, used beyond the tensor limits
+        assert _hom_backtrack(H, G) == brute_hom(H, G)
+
+
+def test_hom_count_beyond_exact_count_limit():
+    """P19 into one edge among 9 vertices: 9**20 maps exceed the limit, 2 are homomorphisms."""
+    G = Hypergraph.make(2, 9, [(0, 1)])
+    assert G.n ** path_graph(19).n >= _EXACT_COUNT_LIMIT
+    assert hom_count(path_graph(19), G) == 2
+    assert density(path_graph(19), G) == Fraction(2, 9**20)
 
 
 def test_hom_count_multiplicative_over_components():
@@ -255,6 +267,9 @@ def test_is_isomorphic():
 def test_canonical_form_size_guard():
     with pytest.raises(ValueError):
         canonical_form(turan_hypergraph(21, 21, 2))
+    # a disconnected graph is refused by the size of its largest component
+    with pytest.raises(ValueError, match="limited to 20 vertices, got 21$"):
+        canonical_form(disjoint_union(single_edge(), path_graph(20)))
 
 
 # ---------------------------------------------------------------------------

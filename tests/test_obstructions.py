@@ -25,13 +25,14 @@ from graphtrop.hypergraphs import (
     single_edge,
 )
 from graphtrop.obstructions import (
-    _poly_divmod,
-    _poly_eval,
-    _poly_gcd,
-    _poly_mul,
-    _poly_squarefree,
+    _RootData,
+    _deriv,
+    _divmod,
+    _gcd,
     _roots_within,
     _sign_at,
+    _sign_at_root,
+    _squarefree,
     _sturm_chain,
     _system_feasible,
     counting_obstruction,
@@ -44,6 +45,7 @@ from graphtrop.obstructions import (
     y_pairing,
     y_vector,
 )
+from oracles import _poly_eval, _poly_gcd, _poly_mul, _poly_squarefree, fraction_sign_at_root
 
 
 def edge_power(k):
@@ -386,47 +388,55 @@ def test_obstruction_report_json():
 # ---------------------------------------------------------------------------
 
 
+def _int_poly(rng, max_degree, bound=9):
+    coeffs = [rng.randint(-bound, bound) for _ in range(rng.randint(1, max_degree + 1))]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs) or (rng.choice([-1, 1]),)
+
+
 def test_poly_divmod_random_roundtrip():
-    """Quotient and remainder reconstruct the dividend with smaller remainder."""
+    """Pseudo-division reconstructs a positive multiple of the dividend with smaller remainder."""
     rng = random.Random(4170)
-    for _ in range(40):
-        a = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 7))]
-        b = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
-        while not any(b):
-            b = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
-        while b and b[-1] == 0:
-            b.pop()
-        quo, rem = _poly_divmod(a, b)
-        recon = [Fraction(0)] * max(len(a), len(quo) + len(b))
+    for _ in range(200):
+        a = _int_poly(rng, 7)
+        b = _int_poly(rng, 4)
+        quo, rem = _divmod(a, b)
+        recon = [0] * max(len(a), len(quo) + len(b) - 1, len(rem))
         for i, qc in enumerate(quo):
             for j, bc in enumerate(b):
                 recon[i + j] += qc * bc
         for i, rc in enumerate(rem):
             recon[i] += rc
-        while recon and recon[-1] == 0:
-            recon.pop()
-        trimmed = list(a)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        assert recon == trimmed
-        assert len(rem) < len(b)
+        scale = Fraction(recon[len(a) - 1], a[-1])
+        assert scale > 0 and scale.denominator == 1
+        assert recon == [scale * c for c in a] + [0] * (len(recon) - len(a))
+        assert len(rem) < len(b) and (not rem or rem[-1] != 0)
 
 
 def test_poly_gcd_and_squarefree():
-    """Common factors and repeated roots are recovered exactly."""
+    """The gcd is recovered up to a nonzero integer factor, the squarefree part exactly."""
     x_minus = lambda r: [Fraction(-r), Fraction(1)]
-    p1 = _poly_mul(x_minus(1), x_minus(2))
-    p2 = _poly_mul(x_minus(2), x_minus(3))
-    assert _poly_gcd(p1, p2) == x_minus(2)
-    squared = _poly_mul(_poly_mul(x_minus(1), x_minus(1)), x_minus(-2))
-    assert _poly_squarefree(squared) == _poly_mul(x_minus(1), x_minus(-2))
+    p1 = primitive(_poly_mul(x_minus(1), x_minus(2)))
+    p2 = primitive(_poly_mul(x_minus(2), x_minus(3)))
+    assert _gcd(p1, p2) in ((-2, 1), (2, -1))
+    squared = primitive(_poly_mul(_poly_mul(x_minus(1), x_minus(1)), x_minus(-2)))
+    assert _squarefree(squared) == primitive(_poly_mul(x_minus(1), x_minus(-2)))
+    rng = random.Random(4171)
+    for _ in range(60):
+        shared = _int_poly(rng, 2)
+        a = primitive(_poly_mul(_poly_mul(shared, _int_poly(rng, 3)), _int_poly(rng, 2)))
+        b = primitive(_poly_mul(shared, _int_poly(rng, 3)))
+        g = _gcd(a, b)
+        assert primitive(_poly_gcd(a, b)) in (g, tuple(-c for c in g))
+        assert _squarefree(a) == primitive(_poly_squarefree(a))
 
 
 def test_sturm_root_counts():
     """The chain counts distinct roots in half-open intervals."""
     x_minus = lambda r: [Fraction(-r), Fraction(1)]
     p = _poly_mul(_poly_mul(x_minus(Fraction(1, 4)), x_minus(Fraction(1, 2))), x_minus(Fraction(3, 4)))
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(primitive(p))
     assert _roots_within(chain, Fraction(0), Fraction(1)) == 3
     assert _roots_within(chain, Fraction(0), Fraction(1, 2)) == 2
     assert _roots_within(chain, Fraction(1, 2), Fraction(1)) == 1
@@ -489,8 +499,67 @@ def test_roots_within_matches_sympy_count_roots():
         rational = lambda c: sympy.Rational(c.numerator, c.denominator)
         poly = sympy.Poly([rational(c) for c in reversed(pol)], x)
         expected = poly.count_roots(rational(lo), rational(hi))
-        assert _roots_within(_sturm_chain(pol), lo, hi) == expected, (pol, lo, hi)
+        assert _roots_within(_sturm_chain(primitive(pol)), lo, hi) == expected, (pol, lo, hi)
         checked += 1
+
+
+def _root_factor(rng):
+    """A random integer factor: linear or quadratic with a root in (0, 1), or any cubic."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        den = rng.randint(2, 9)
+        return (-rng.randint(1, den - 1), den)
+    if kind == 1:
+        den = rng.randint(2, 30)
+        return (-rng.randint(1, den - 1), 0, den)
+    return (rng.randint(-3, 3), rng.randint(-9, 9), rng.randint(-9, 9), rng.choice([-9, 9]))
+
+
+def test_sign_at_root_matches_reference_and_sympy():
+    """Tarski-query signs at algebraic roots agree with Fraction narrowing and with sympy.
+
+    q is squarefree with roots in (0, 1); p is random, a multiple of q, or
+    shares the roots of one factor of q, so that signs 0 are checked as well.
+    """
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rational = lambda c: sympy.Rational(c.numerator, c.denominator)
+
+    def sympy_sign(p, q, lo, hi):
+        P = sympy.Poly(list(reversed(p)), x)
+        Q = sympy.Poly(list(reversed(q)), x)
+        lo, hi = rational(lo), rational(hi)
+        shared = sympy.gcd(P, Q)
+        if shared.degree() > 0 and shared.count_roots(lo, hi) > 0:
+            return 0
+        while P.count_roots(lo, hi) > 0:
+            mid = (lo + hi) / 2
+            if Q.eval(mid) == 0:
+                return int(sympy.sign(P.eval(mid)))
+            lo, hi = (lo, mid) if Q.count_roots(lo, mid) else (mid, hi)
+        return int(sympy.sign(P.eval((lo + hi) / 2)))
+
+    rng = random.Random(7301)
+    checked = zeros = 0
+    for case in range(150):
+        factors = [_root_factor(rng) for _ in range(rng.randint(1, 3))]
+        q = (1,)
+        for f in factors:
+            q = primitive(_poly_mul(q, f))
+        data = _RootData(_squarefree(q))
+        if case % 3 == 0:
+            p = _int_poly(rng, 5)
+        elif case % 3 == 1:
+            p = primitive(_poly_mul(data.core, _int_poly(rng, 2)))
+        else:
+            p = primitive(_poly_mul(rng.choice(factors), _int_poly(rng, 3)))
+        for lo, hi in data.intervals:
+            sign = _sign_at_root(p, data.core, lo, hi)
+            assert sign == fraction_sign_at_root(p, data.core, lo, hi), (p, data.core, lo, hi)
+            assert sign == sympy_sign(p, data.core, lo, hi), (p, data.core, lo, hi)
+            checked += 1
+            zeros += sign == 0
+    assert zeros >= 100 and checked - zeros >= 100
 
 
 def test_system_feasible_simple_cases():
@@ -504,9 +573,12 @@ def test_system_feasible_simple_cases():
 
 
 def test_integer_coefficients_stay_exact():
-    """Plain int coefficients give Fraction results, never floats."""
-    assert _poly_squarefree([-2, 0, 0, 1]) == [Fraction(-2), Fraction(0), Fraction(0), Fraction(1)]
-    assert all(type(c) is Fraction for c in _poly_gcd([-1, 0, 1], [1, 1]))
+    """Integer polynomial helpers return plain ints, never Fractions or floats."""
+    assert _squarefree((-2, 0, 0, 1)) == _squarefree((2, 0, 0, -1)) == (-2, 0, 0, 1)
+    results = [_squarefree((1, -2, 1)), _gcd((-1, 0, 1), (1, 1)), _deriv((3, 0, 5))]
+    results += _divmod((1, 2, 3, 4), (3, -2))
+    for pol in results:
+        assert pol and all(type(c) is int for c in pol)
     feasible, point, interval = _system_feasible([[-1, 0, 3]])
     assert feasible and point == 1 and interval is None
     assert not _system_feasible([[-1, 0, 3], [1, -2]])[0]
