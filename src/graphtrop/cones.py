@@ -3,9 +3,10 @@
 Facet normals a mean the halfspace <a, y> >= 0. Rays and facet normals are
 kept as primitive integer vectors. Double description projects and combines
 them in integer arithmetic, and its adjacency test is combinatorial on
-bitsets of the facets tight on each ray (Fukuda and Prodon 1996). Only
-_echelon and the simplex work over Fraction. Every certificate is exact and
-independently re-checked before it is returned.
+bitsets of the facets tight on each ray (Fukuda and Prodon 1996). Echelon
+forms and the membership simplex are division-free as well; only the
+membership coefficients that are reported are rationals. Every certificate is
+exact and independently re-checked before it is returned.
 """
 
 from __future__ import annotations
@@ -35,10 +36,15 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def primitive(vec) -> tuple[int, ...]:
-    """Scale a vector of ints and Fractions to coprime integers, preserving direction."""
+def _integer_scaled(vec) -> tuple[int, list[int]]:
+    """The least s > 0 with s * vec integral, and s * vec, for int and rational entries."""
     den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
+    return den, [x.numerator * (den // x.denominator) for x in vec]
+
+
+def primitive(vec) -> tuple[int, ...]:
+    """Scale a vector of int and rational entries to coprime integers, keeping direction."""
+    _, ints = _integer_scaled(vec)
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
@@ -53,40 +59,31 @@ def _combine(a_pos: int, rn, a_neg: int, rp):
 
 
 def _echelon(rows):
-    """Reduced echelon basis (primitive integer rows, pivot entries positive)."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    basis = []
-    pivots = []
-    for row in work:
-        for pcol, brow in zip(pivots, basis):
-            if row[pcol] != 0:
-                f = row[pcol] / brow[pcol]
-                row = [x - f * y for x, y in zip(row, brow)]
+    """Reduced echelon basis (primitive integer rows, pivot entries positive).
+
+    Division-free; a reduced echelon form is unique for its row space, so the
+    rows are those of rational elimination, normalised.
+    """
+    basis: dict[int, tuple[int, ...]] = {}  # pivot column -> row
+    for raw in rows:
+        row = _reduce_mod_lines(primitive(raw), basis.values())
         pcol = next((i for i, x in enumerate(row) if x != 0), None)
         if pcol is None:
             continue
-        basis.append(row)
-        pivots.append(pcol)
-    # back-substitute for reduced form
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j and basis[i][pivots[j]] != 0:
-                f = basis[i][pivots[j]] / basis[j][pivots[j]]
-                basis[i] = [x - f * y for x, y in zip(basis[i], basis[j])]
-    out = []
-    for row, pcol in sorted(zip(basis, pivots), key=lambda t: t[1]):
-        v = primitive(row)
-        if v[pcol] < 0:
-            v = _neg(v)
-        out.append(v)
-    return out
+        if row[pcol] < 0:
+            row = _neg(row)
+        for c, brow in basis.items():
+            if brow[pcol] != 0:
+                basis[c] = _reduce_mod_lines(brow, (row,))
+        basis[pcol] = row
+    return [basis[c] for c in sorted(basis)]
 
 
 def _reduce_mod_lines(vec, lines):
-    """Normal form of an integer ray modulo the lineality space.
+    """Normal form of an integer vector modulo the span of reduced echelon lines.
 
-    The lines are _echelon's output, so each pivot entry is positive and
-    every elimination step scales the ray by a positive integer.
+    Each line's first nonzero entry is positive and zero in the other lines,
+    so every elimination step scales the vector by a positive integer.
     """
     row = vec
     for line in lines:
@@ -306,67 +303,78 @@ class Membership:
 
 
 def cone_member(target, generators) -> Membership:
-    """Decide target in cone(generators); returns coefficients or a Farkas separator."""
+    """Decide target in cone(generators); returns coefficients or a Farkas separator.
+
+    Phase-1 simplex in integers (Edmonds 1967; Bareiss 1968): each vector is
+    scaled to integers, and the tableau is stored times one positive common
+    denominator d, the last pivot, so each update (p * x - f * y) // d is
+    exact.  Signs and ratios are the rational tableau's, so the pivots, the
+    coefficients and the separator are those of the simplex over rationals.
+    """
     generators = tuple(generators)
-    target = [Fraction(x) for x in target]
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
-    m = len(target)
-    n = len(gens)
-    for g in gens:
+    target = tuple(target)
+    t_scale, t = _integer_scaled(target)
+    scaled = [_integer_scaled(g) for g in generators]
+    m = len(t)
+    n = len(scaled)
+    for _, g in scaled:
         if len(g) != m:
             raise ValueError("generator dimension mismatch")
 
-    sigma = [1 if t >= 0 else -1 for t in target]
+    sigma = [1 if x >= 0 else -1 for x in t]
     # tableau columns: n structural, m artificial, rhs
     rows = []
     for i in range(m):
-        row = [sigma[i] * g[i] for g in gens]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        row.append(sigma[i] * target[i])
+        row = [sigma[i] * g[i] for _, g in scaled]
+        row += [1 if j == i else 0 for j in range(m)]
+        row.append(sigma[i] * t[i])
         rows.append(row)
-    cost = [Fraction(0)] * (n + m + 1)
-    for j in range(n + m + 1):
-        cost[j] = -sum(rows[i][j] for i in range(m))
+    cost = [-sum(row[j] for row in rows) for j in range(n + m + 1)]
     for i in range(m):
         cost[n + i] += 1
     basis = [n + i for i in range(m)]
+    d = 1
 
     while True:
         enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
             break
-        ratios = [
-            (rows[i][-1] / rows[i][enter], basis[i], i)
-            for i in range(m)
-            if rows[i][enter] > 0
-        ]
-        if not ratios:
-            raise CertificateError("phase-1 simplex unbounded; this should not happen")
-        _, _, piv = min(ratios)
-        pv = rows[piv][enter]
-        rows[piv] = [x / pv for x in rows[piv]]
+        piv = None
         for i in range(m):
-            if i != piv and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv])]
+            a = rows[i][enter]
+            if a > 0:
+                b = rows[i][-1]
+                # b / a < pb / pa, compared by cross-multiplying (a, pa > 0)
+                if piv is None or b * pa < pb * a or (b * pa == pb * a and basis[i] < basis[piv]):
+                    piv, pa, pb = i, a, b
+        if piv is None:
+            raise CertificateError("phase-1 simplex unbounded; this should not happen")
+        prow = rows[piv]
+        for i in range(m):
+            if i == piv:
+                continue
+            f = rows[i][enter]
+            if f:
+                rows[i] = [(pa * x - f * y) // d for x, y in zip(rows[i], prow)]
+            elif pa != d:
+                rows[i] = [pa * x // d for x in rows[i]]
         f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, rows[piv])]
+        cost = [(pa * x - f * y) // d for x, y in zip(cost, prow)]
         basis[piv] = enter
+        d = pa
 
-    objective = -cost[-1]
-    if objective == 0:
-        lam = [Fraction(0)] * n
-        for i, b in enumerate(basis):
-            if b < n:
-                lam[b] = rows[i][-1]
-        residual = [sum(l * g[i] for l, g in zip(lam, gens)) for i in range(m)]
-        if residual != target or any(l < 0 for l in lam):
+    if cost[-1] == 0:
+        support = [(b, rows[i][-1]) for i, b in enumerate(basis) if b < n]
+        residual = [sum(v * scaled[b][1][k] for b, v in support) for k in range(m)]
+        if residual != [d * x for x in t] or any(v < 0 for _, v in support):
             raise CertificateError("membership coefficients failed re-verification")
+        lam = [Fraction(0)] * n
+        for b, v in support:
+            lam[b] = Fraction(v * scaled[b][0], d * t_scale)
         return Membership(True, tuple(lam), None)
 
-    # phase-1 dual prices: pi_i = 1 - reduced cost of the i-th artificial
-    pi = [1 - cost[n + i] for i in range(m)]
-    y = primitive([-sigma[i] * pi[i] for i in range(m)])
+    # phase-1 dual prices, times d: d * pi_i = d - reduced cost of the i-th artificial
+    y = primitive([-sigma[i] * (d - cost[n + i]) for i in range(m)])
     if dot(y, target) >= 0 or any(dot(y, g) < 0 for g in generators):
         raise CertificateError("Farkas separator failed re-verification")
     return Membership(False, None, y)

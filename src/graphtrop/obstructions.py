@@ -382,6 +382,8 @@ def counting_obstruction(
     chain_contradiction = k > chain_bound
 
     witness_g = key_graph(witness)
+    # a positive multiple of y in integers: the sign of a pairing is an int sum's
+    weights = dict(zip(y.basis, primitive(y.values)))
     diag = [M.alpha_entry(i, i) for i in range(M.size)]
     generators: dict[tuple[int, ...], None] = {}
     pos_indices = []
@@ -397,7 +399,7 @@ def counting_obstruction(
                 entry[key] = entry.get(key, 0) + c
             for key, c in M.alpha_entry(i, j).items():
                 entry[key] = entry.get(key, 0) - 2 * c
-            if y_pairing(y, entry) < 0:
+            if sum(weights[key] * c for key, c in entry.items()) < 0:
                 raise CertificateError(f"negative weight pairing for basis pair ({i}, {j})")
             vec = tuple(entry.get(b, 0) for b in vbasis)
             if any(vec):
@@ -716,6 +718,13 @@ def _entry_term(counts, fixed_map, free_key) -> tuple[int, int, int]:
     return coeff.numerator, coeff.denominator, power
 
 
+# (permutation, sign) for the Leibniz expansion of minors of size 1 to 3
+_SIGNED_PERMUTATIONS = {
+    k: [(p, (-1) ** sum(i > j for i, j in combinations(p, 2))) for p in permutations(range(k))]
+    for k in (1, 2, 3)
+}
+
+
 def _minor_poly(terms, S):
     """Determinant of the principal minor on S, as a polynomial in the free density.
 
@@ -731,9 +740,7 @@ def _minor_poly(terms, S):
         rows.append([(n * (den // d), w) for n, d, w in row])
         scale *= den
     poly: dict[int, int] = {}
-    for perm in permutations(range(len(S))):
-        inversions = sum(1 for i, j in combinations(perm, 2) if i > j)
-        coeff = -1 if inversions % 2 else 1
+    for perm, coeff in _SIGNED_PERMUTATIONS[len(S)]:
         power = 0
         for i, j in enumerate(perm):
             c, w = rows[i][j]

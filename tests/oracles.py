@@ -13,6 +13,7 @@ from itertools import combinations, permutations, product
 from math import gcd
 from random import Random
 
+from graphtrop.cones import Membership
 from graphtrop.hypergraphs import Hypergraph, _refine_classes
 
 
@@ -69,6 +70,83 @@ def fraction_primitive(vec) -> tuple[int, ...]:
     if g == 0:
         return tuple(0 for _ in ints)
     return tuple(x // g for x in ints)
+
+
+def fraction_echelon(rows):
+    """Reduced echelon basis by Fraction elimination: primitive rows, pivots positive."""
+    basis = []
+    pivots = []
+    for row in [[Fraction(x) for x in r] for r in rows]:
+        for pcol, brow in zip(pivots, basis):
+            if row[pcol] != 0:
+                f = row[pcol] / brow[pcol]
+                row = [x - f * y for x, y in zip(row, brow)]
+        pcol = next((i for i, x in enumerate(row) if x != 0), None)
+        if pcol is None:
+            continue
+        basis.append(row)
+        pivots.append(pcol)
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            if i != j and basis[i][pivots[j]] != 0:
+                f = basis[i][pivots[j]] / basis[j][pivots[j]]
+                basis[i] = [x - f * y for x, y in zip(basis[i], basis[j])]
+    out = []
+    for row, pcol in sorted(zip(basis, pivots), key=lambda t: t[1]):
+        v = fraction_primitive(row)
+        out.append(v if v[pcol] > 0 else tuple(-x for x in v))
+    return out
+
+
+def fraction_cone_member(target, generators) -> Membership:
+    """Phase-1 simplex on a dense Fraction tableau, with the library's pivot rule.
+
+    First negative reduced cost enters; the minimum ratio leaves, ties broken
+    by basis index.  Returns the coefficients, or the separator built from the
+    phase-1 dual prices.
+    """
+    target = [Fraction(x) for x in target]
+    gens = [tuple(Fraction(x) for x in g) for g in generators]
+    m = len(target)
+    n = len(gens)
+    sigma = [1 if t >= 0 else -1 for t in target]
+    rows = []
+    for i in range(m):
+        row = [sigma[i] * g[i] for g in gens]
+        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        row.append(sigma[i] * target[i])
+        rows.append(row)
+    cost = [-sum((rows[i][j] for i in range(m)), Fraction(0)) for j in range(n + m + 1)]
+    for i in range(m):
+        cost[n + i] += 1
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (rows[i][-1] / rows[i][enter], basis[i], i) for i in range(m) if rows[i][enter] > 0
+        ]
+        _, _, piv = min(ratios)
+        pv = rows[piv][enter]
+        rows[piv] = [x / pv for x in rows[piv]]
+        for i in range(m):
+            if i != piv and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv])]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, rows[piv])]
+        basis[piv] = enter
+    if cost[-1] == 0:
+        lam = [Fraction(0)] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                lam[b] = rows[i][-1]
+        residual = [sum((l * g[i] for l, g in zip(lam, gens)), Fraction(0)) for i in range(m)]
+        assert residual == target and all(l >= 0 for l in lam)
+        return Membership(True, tuple(lam), None)
+    pi = [1 - cost[n + i] for i in range(m)]
+    return Membership(False, None, fraction_primitive([-sigma[i] * pi[i] for i in range(m)]))
 
 
 def rank_of(vectors) -> int:

@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphtrop.cones import (
     CertificateError,
     Membership,
     RationalCone,
+    _echelon,
     clique_trop_cone,
     cone_contains,
     cone_from_facets,
@@ -29,7 +30,13 @@ from graphtrop.cones import (
     star_trop_cone,
 )
 from graphtrop.gluing import enumerate_basis, moment_matrix
-from oracles import extreme_rays, fraction_primitive, rank_of
+from oracles import (
+    extreme_rays,
+    fraction_cone_member,
+    fraction_echelon,
+    fraction_primitive,
+    rank_of,
+)
 
 
 def test_primitive_normalization():
@@ -270,6 +277,107 @@ def test_cone_member_random_combinations():
         assert m.inside
         rebuilt = [sum(c * Fraction(g[i]) for c, g in zip(m.coefficients, gens)) for i in range(dim)]
         assert [Fraction(t) for t in target] == rebuilt
+
+
+_rationals = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+)
+
+
+@st.composite
+def _membership_instances(draw):
+    dim = draw(st.integers(0, 5))
+    vectors = st.tuples(*[_rationals] * dim)
+    gens = draw(st.lists(vectors, max_size=7))
+    if draw(st.booleans()):
+        weights = st.sampled_from([0, 0, 1, 2, Fraction(1, 2), Fraction(5, 3)])
+        coeffs = draw(st.lists(weights, min_size=len(gens), max_size=len(gens)))
+        target = tuple(sum((c * g[i] for c, g in zip(coeffs, gens)), 0) for i in range(dim))
+    else:
+        target = draw(vectors)
+    return target, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_membership_instances())
+@example(((0, 0, 0), [(1, -1, 0), (-1, 1, 2)]))
+@example(((Fraction(0), 0), []))
+@example(((2, -3), []))
+@example(((1, 1), [(1, 1)]))
+@example(((2, 2, 1), [(1, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 0)]))
+@example(((Fraction(3, 2), 3, 0), [(Fraction(1, 2), 1, 0), (1, 2, 0), (0, 0, -1)]))
+def test_cone_member_matches_fraction_simplex(case):
+    """The integer simplex gives the Fraction simplex's verdict, coefficients and separator."""
+    target, gens = case
+    assert cone_member(target, gens) == fraction_cone_member(target, gens)
+
+
+@st.composite
+def _row_sets(draw):
+    dim = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.tuples(*[_rationals] * dim), max_size=5))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(_rationals), draw(_rationals)
+        rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_sets())
+@example([(0, 0), (0, 0)])
+@example([(2, 4, 6), (1, 2, 3), (0, 0, 5)])
+def test_echelon_matches_fraction_elimination(rows):
+    """The division-free echelon form equals the Fraction one, row for row."""
+    assert _echelon(rows) == fraction_echelon(rows)
+
+
+def test_cone_member_verdict_matches_linprog():
+    """Inside or outside agrees with a floating-point LP on small integer instances."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(4471)
+    verdicts = set()
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        gens = _random_facets(rng, dim, rng.randint(0, 6))
+        if gens and rng.random() < 0.5:
+            coeffs = [rng.randint(0, 3) for _ in gens]
+            target = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim))
+        else:
+            target = tuple(rng.randint(-3, 3) for _ in range(dim))
+        if gens:
+            res = optimize.linprog(
+                c=[0] * len(gens),
+                A_eq=[[g[i] for g in gens] for i in range(dim)],
+                b_eq=list(target),
+                bounds=(0, None),
+                method="highs",
+            )
+            assert res.status in (0, 2), res.message
+            expected = res.status == 0
+        else:
+            expected = not any(target)
+        assert cone_member(target, gens).inside == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_membership_and_echelon_never_yield_floats():
+    """int / int must not leak a float: coefficients are Fractions, the rest ints."""
+    for target, gens, coeffs in (
+        ((3, 1), [(2, 0), (0, 2)], (Fraction(3, 2), Fraction(1, 2))),
+        ((Fraction(1, 3),), [(Fraction(2, 3),)], (Fraction(1, 2),)),
+        ((0, 0), [(1, 1)], (Fraction(0),)),
+    ):
+        m = cone_member(target, gens)
+        assert m.inside and m.coefficients == coeffs
+        assert all(type(c) is Fraction for c in m.coefficients)
+    for target, gens in (((1, -1), [(2, 0)]), ((Fraction(1, 2), 3), [(Fraction(-1, 3), 0)])):
+        m = cone_member(target, gens)
+        assert not m.inside and type(m.separator) is tuple
+        assert all(type(x) is int for x in m.separator)
+    rows = _echelon([(2, 4, 6), (Fraction(1, 2), 0, 1), (3, 3, 3)])
+    assert rows and all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
 
 
 def test_cone_contains_cross_checks_facets():
