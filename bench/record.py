@@ -6,14 +6,16 @@ Each revision is exported with `git archive` into its own temporary
 directory, and each copy runs its own perfbench/run.py --workload W --seed N
 --seconds S --trace 0, for every workload in BENCHMARK.json and with its
 run_seconds as S.  Ten pairs per workload: pair k runs both sides with
-seed + k, and the side that runs first alternates from pair to pair.  The last line of each run's
-standard output is its JSON result.  For every end-to-end metric that
-BENCHMARK.json names, the record holds both medians, the parent's quartiles
-and IQR / median, how many pairs the change won (ties count for neither),
-whether the change's median stays within the metric's bound, and whether
-the change shows a gain: at least nine tenths of the pairs won and a median
-difference larger than the parent's IQR.  Each run's correct, attempted and
-failed are kept.  The file is written to the root of this checkout.
+seed + k, and the side that runs first alternates from pair to pair.  The
+last line of each run's standard output is its JSON result.
+
+For every end-to-end metric that BENCHMARK.json names, the record holds both
+medians, the parent's quartiles and IQR / median, how many pairs the change
+won (ties count for neither), whether the change's median stays within the
+metric's bound, and whether the change shows a gain: at least nine tenths of
+the pairs won and a median difference larger than the parent's IQR.  Each
+run's correct, attempted, failed and end-to-end values are kept.  The file is
+written to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 600
 
 
@@ -49,11 +52,20 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     the parsed result line of each side; end_to_end is BENCHMARK.json's list
     of metrics, each with its name, unit, direction and bound.
     """
+    names = [spec["name"] for spec in end_to_end]
+    runs = []
+    for p in pairs:
+        run = {"seed": p["seed"], "first": p["first"]}
+        for side in SIDES:
+            line = p[side]
+            run[side] = {k: line[k] for k in ("correct", "attempted", "failed")}
+            run[side]["metrics"] = {name: line["metrics"][name]["value"] for name in names}
+        runs.append(run)
     metrics = {}
     for spec in end_to_end:
         name, sign = spec["name"], 1 if spec["better"] == "lower" else -1
-        parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
-        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        parent = [r["parent"]["metrics"][name] for r in runs]
+        change = [r["change"]["metrics"][name] for r in runs]
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = quartiles(parent)
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
@@ -71,20 +83,7 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "gain_shown": wins >= math.ceil(0.9 * len(pairs))
             and sign * (p_med - c_med) > q3 - q1,
         }
-    runs = [
-        {
-            "seed": p["seed"],
-            "first": p["first"],
-            **{
-                side: {k: p[side][k] for k in ("correct", "attempted", "failed")}
-                for side in ("parent", "change")
-            },
-        }
-        for p in pairs
-    ]
-    correct = all(
-        r[side]["correct"] and r[side]["failed"] == 0 for r in runs for side in ("parent", "change")
-    )
+    correct = all(r[side]["correct"] and r[side]["failed"] == 0 for r in runs for side in SIDES)
     return {"pairs": len(pairs), "all_correct": correct, "metrics": metrics, "runs": runs}
 
 

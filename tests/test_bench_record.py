@@ -61,7 +61,12 @@ def test_summary_medians_spread_and_gain():
     assert rss["change_wins"] == 0 and rss["within_bound"] and not rss["gain_shown"]
     assert out["pairs"] == 10 and out["all_correct"]
     assert [r["first"] for r in out["runs"][:2]] == ["parent", "change"]
-    assert out["runs"][0]["change"] == {"correct": True, "attempted": 6, "failed": 0}
+    assert out["runs"][0]["change"] == {
+        "correct": True,
+        "attempted": 6,
+        "failed": 0,
+        "metrics": {"wall_s": 1.5, "peak_rss_mb": 30.0},
+    }
 
 
 def test_summary_flags_regressions_losses_and_failures():
