@@ -4,8 +4,8 @@ Everything here is deliberately naive: full enumeration over all vertex maps,
 no pruning, no shared code with the library internals beyond the Hypergraph
 and Membership containers.  The one exception is `brute_canonical`, which
 takes the refinement classes from the library because they are part of what a
-key means.  The Fraction simplex and echelon form are the library's former
-implementations, kept as the reference for the integer ones.
+key means.  The Fraction simplex and echelon form are the reference for the
+integer ones in `graphtrop.cones`.
 """
 
 from __future__ import annotations
