@@ -156,6 +156,16 @@ def labeled_components(A: LabeledGraph) -> list[LabeledGraph]:
     return out
 
 
+def labeled_parts(A: LabeledGraph) -> list[tuple[frozenset[int], int, str]]:
+    """Connected components of A as (label set, vertex count, key), without labeled forms."""
+    vlabs = A.vertex_labels()
+    out = []
+    for verts, edges in split_components(A.graph):
+        labs = frozenset(vlabs[v] for v in verts if v in vlabs)
+        out.append((labs, len(verts), component_key(Hypergraph.make(A.r, len(verts), edges))))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Gluing
 # ---------------------------------------------------------------------------
@@ -402,7 +412,7 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
     elements = [unit(r)]
     for shape in _edge_shapes(d, r):
         for L in _labelings(shape, label_budget):
-            if kind == "B_tilde" and any(not comp.labels for comp in labeled_components(L)):
+            if kind == "B_tilde" and any(not labs for labs, _, _ in labeled_parts(L)):
                 continue
             elements.append(L)
     ordered = sorted(elements, key=lambda L: (L.graph.edge_count, L.to_json()))

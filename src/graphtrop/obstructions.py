@@ -19,7 +19,7 @@ import logging
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 
 from .cones import CertificateError, cone_member, dot, primitive
 from .gluing import (
@@ -30,7 +30,7 @@ from .gluing import (
     component_counts,
     enumerate_basis,
     is_trivial_square,
-    labeled_components,
+    labeled_parts,
     moment_matrix,
     product_counts,
 )
@@ -38,7 +38,6 @@ from .hypergraphs import (
     Hypergraph,
     basis_sort_key,
     canonical_form,
-    component_key,
     connected_components,
     fraction_str,
     graph_key,
@@ -150,7 +149,10 @@ class PairStats:
     that label set still spans a copy of C after gluing; unlabeled copies pass
     through unchanged.  Copies of C arising any other way show up as the
     self-glue residuals (in the squares) and the hybrid residual (in the
-    gluing), all of which are provably nonnegative.
+    gluing), all of which are provably nonnegative.  Components are read raw,
+    with their label sets and keys; no labeled canonical form is built.  Inside
+    counting_obstruction the squares' witness counts are the moment matrix's
+    stored diagonal products, and only the raw gluing of A and B is new.
     """
 
     witness: str
@@ -174,55 +176,37 @@ def _witness_graph(C) -> Hypergraph:
     return G
 
 
-def _fully_labeled_copies(X: LabeledGraph, ckey: str) -> dict[frozenset[int], LabeledGraph]:
-    """Fully labeled components of X isomorphic to the witness, by label set."""
-    out: dict[frozenset[int], LabeledGraph] = {}
-    for comp in labeled_components(X):
-        if len(comp.labels) == comp.graph.n and component_key(comp.graph) == ckey:
-            out[frozenset(l for l, _ in comp.labels)] = comp
-    return out
+def _census(ckey: str, aa: int, bb: int, parts_a, parts_b, parts_ab) -> PairStats:
+    """Census of the witness key from the labeled_parts of A, B and their raw gluing.
 
+    aa and bb count the witness among the components of the squares of A and B.
+    """
+    owner = {l: (labs, key) for labs, _, key in parts_ab for l in labs}
 
-def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
-    """Count copies of the witness C in the squares and the gluing of (A, B)."""
-    W = _witness_graph(C)
-    ckey = graph_key(W)
-    aa = product_counts(A, A).get(ckey, 0)
-    bb = product_counts(B, B).get(ckey, 0)
-    gcomps = labeled_components(_glue_raw(A, B))
-    ab = sum(1 for comp in gcomps if component_key(comp.graph) == ckey)
+    def fully_labeled(parts):
+        return [labs for labs, n, key in parts if key == ckey and len(labs) == n]
 
-    owner: dict[int, int] = {}
-    for idx, comp in enumerate(gcomps):
-        for l, _ in comp.labels:
-            owner[l] = idx
-
-    def survivors(copies: dict[frozenset[int], LabeledGraph]) -> set[frozenset[int]]:
+    def survivors(copies):
         alive = set()
-        for labset in copies:
-            comp = gcomps[owner[next(iter(labset))]]
-            if component_key(comp.graph) != ckey:
+        for labs in copies:
+            glabs, gkey = owner[next(iter(labs))]
+            if gkey != ckey:
                 continue
-            if frozenset(l for l, _ in comp.labels) != labset:
+            if glabs != labs:
                 raise CertificateError("surviving copy carries unexpected labels")
-            alive.add(labset)
+            alive.add(labs)
         return alive
 
-    fl_a = _fully_labeled_copies(A, ckey)
-    fl_b = _fully_labeled_copies(B, ckey)
-    surv_a = survivors(fl_a)
-    surv_b = survivors(fl_b)
+    def unlabeled(parts):
+        return sum(1 for labs, _, key in parts if not labs and key == ckey)
+
+    fl_a, fl_b = fully_labeled(parts_a), fully_labeled(parts_b)
+    surv_a, surv_b = survivors(fl_a), survivors(fl_b)
     l_ab = len(surv_a & surv_b)
-    l_a = len(surv_a) - l_ab
-    l_b = len(surv_b) - l_ab
-    z_a = len(fl_a) - len(surv_a)
-    z_b = len(fl_b) - len(surv_b)
-    u_a = sum(
-        1 for c in labeled_components(A) if not c.labels and component_key(c.graph) == ckey
-    )
-    u_b = sum(
-        1 for c in labeled_components(B) if not c.labels and component_key(c.graph) == ckey
-    )
+    l_a, l_b = len(surv_a) - l_ab, len(surv_b) - l_ab
+    z_a, z_b = len(fl_a) - len(surv_a), len(fl_b) - len(surv_b)
+    u_a, u_b = unlabeled(parts_a), unlabeled(parts_b)
+    ab = sum(1 for _, _, key in parts_ab if key == ckey)
     self_glue_a = aa - len(fl_a) - 2 * u_a
     self_glue_b = bb - len(fl_b) - 2 * u_b
     hybrid = ab - (l_a + l_b + l_ab) - u_a - u_b
@@ -232,6 +216,15 @@ def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
     return PairStats(
         ckey, z_a, z_b, l_a, l_b, l_ab, u_a, u_b, self_glue_a, self_glue_b, hybrid, coordinate
     )
+
+
+def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
+    """Count copies of the witness C in the squares and the gluing of (A, B)."""
+    ckey = graph_key(_witness_graph(C))
+    aa = product_counts(A, A).get(ckey, 0)
+    bb = product_counts(B, B).get(ckey, 0)
+    glued = labeled_parts(_glue_raw(A, B))
+    return _census(ckey, aa, bb, labeled_parts(A), labeled_parts(B), glued)
 
 
 @dataclass(frozen=True)
@@ -246,6 +239,15 @@ class PairVerdict:
     passed: bool
 
 
+def _verdict(stats: PairStats, pairing: Fraction) -> PairVerdict:
+    zsum = stats.z_a + stats.z_b
+    applies = stats.coordinate > 0
+    coordinate_bound_ok = stats.coordinate <= zsum
+    pairing_bound_ok = pairing >= Fraction(zsum, 2)
+    passed = (not applies) or (coordinate_bound_ok and pairing_bound_ok)
+    return PairVerdict(stats, pairing, applies, coordinate_bound_ok, pairing_bound_ok, passed)
+
+
 def positive_pair_check(A: LabeledGraph, B: LabeledGraph, C, p: int = 1) -> PairVerdict:
     """Check the two census bounds that drive the counting argument.
 
@@ -253,15 +255,8 @@ def positive_pair_check(A: LabeledGraph, B: LabeledGraph, C, p: int = 1) -> Pair
     z_a + z_b, and the pairing with the weight vector must be at least half
     of z_a + z_b; for nonpositive coordinates the bounds are not required.
     """
-    stats = pair_stats(A, B, C)
     m = m_vector(A, B)
-    pairing = y_pairing(y_vector(m.basis, p), m)
-    zsum = stats.z_a + stats.z_b
-    applies = stats.coordinate > 0
-    coordinate_bound_ok = stats.coordinate <= zsum
-    pairing_bound_ok = pairing >= Fraction(zsum, 2)
-    passed = (not applies) or (coordinate_bound_ok and pairing_bound_ok)
-    return PairVerdict(stats, pairing, applies, coordinate_bound_ok, pairing_bound_ok, passed)
+    return _verdict(pair_stats(A, B, C), y_pairing(y_vector(m.basis, p), m))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +376,10 @@ def counting_obstruction(
     chain_bound = 2 * target_pairing / upper_counts[witness]
     chain_contradiction = k > chain_bound
 
-    witness_g = key_graph(witness)
     # a positive multiple of y in integers: the sign of a pairing is an int sum's
     weights = dict(zip(y.basis, primitive(y.values)))
     diag = [M.alpha_entry(i, i) for i in range(M.size)]
+    parts = [labeled_parts(L) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
     pos_indices = []
     verdicts = []
@@ -401,11 +396,14 @@ def counting_obstruction(
                 entry[key] = entry.get(key, 0) - 2 * c
             if sum(weights[key] * c for key, c in entry.items()) < 0:
                 raise CertificateError(f"negative weight pairing for basis pair ({i}, {j})")
-            vec = tuple(entry.get(b, 0) for b in vbasis)
-            if any(vec):
-                generators.setdefault(primitive(vec))
+            g = gcd(*entry.values())
+            if g:
+                generators.setdefault(tuple(entry.get(b, 0) // g for b in vbasis))
             if entry.get(witness, 0) > 0:
-                verdict = positive_pair_check(M.basis[i], M.basis[j], witness_g, p)
+                glued = labeled_parts(_glue_raw(M.basis[i], M.basis[j]))
+                aa, bb = diag[i].get(witness, 0), diag[j].get(witness, 0)
+                stats = _census(witness, aa, bb, parts[i], parts[j], glued)
+                verdict = _verdict(stats, y_pairing(y, entry))
                 if not verdict.passed:
                     raise CertificateError(f"census bounds failed for basis pair ({i}, {j})")
                 pos_indices.append((i, j))

@@ -5,7 +5,9 @@ no pruning, no shared code with the library internals beyond the Hypergraph
 and Membership containers.  The one exception is `brute_canonical`, which
 takes the refinement classes from the library because they are part of what a
 key means.  The Fraction simplex and echelon form are the reference for the
-integer ones in `graphtrop.cones`.
+integer ones in `graphtrop.cones`.  `reference_pair_stats` is the census
+as it was first written, over labeled canonical components, and is the
+reference for the raw-component census in `graphtrop.obstructions`.
 """
 
 from __future__ import annotations
@@ -342,3 +344,71 @@ def random_labeled(rng: Random, max_n: int, p: float, label_budget: int):
     labs = rng.sample(range(1, label_budget + 1), count)
     pairs = tuple(sorted(zip(labs, verts[:count])))
     return labeled_canonical_form(LabeledGraph(G, pairs))
+
+
+def reference_pair_stats(A, B, C):
+    """The pair census read from labeled canonical components: the reference for pair_stats.
+
+    Every component of A, B and their raw gluing is put in labeled canonical
+    form and keyed on its own, and the squares' witness counts come from fresh
+    products.  Imports are deferred for layering.
+    """
+    from graphtrop.cones import CertificateError
+    from graphtrop.gluing import _glue_raw, labeled_components, product_counts
+    from graphtrop.hypergraphs import component_key, graph_key
+    from graphtrop.obstructions import PairStats
+
+    ckey = graph_key(C)
+    aa = product_counts(A, A).get(ckey, 0)
+    bb = product_counts(B, B).get(ckey, 0)
+    gcomps = labeled_components(_glue_raw(A, B))
+    ab = sum(1 for comp in gcomps if component_key(comp.graph) == ckey)
+    owner = {l: idx for idx, comp in enumerate(gcomps) for l, _ in comp.labels}
+
+    def fully_labeled(X):
+        return {
+            frozenset(l for l, _ in comp.labels)
+            for comp in labeled_components(X)
+            if len(comp.labels) == comp.graph.n and component_key(comp.graph) == ckey
+        }
+
+    def survivors(copies):
+        alive = set()
+        for labset in copies:
+            comp = gcomps[owner[next(iter(labset))]]
+            if component_key(comp.graph) != ckey:
+                continue
+            if frozenset(l for l, _ in comp.labels) != labset:
+                raise CertificateError("surviving copy carries unexpected labels")
+            alive.add(labset)
+        return alive
+
+    def unlabeled(X):
+        return sum(
+            1 for c in labeled_components(X) if not c.labels and component_key(c.graph) == ckey
+        )
+
+    fl_a, fl_b = fully_labeled(A), fully_labeled(B)
+    surv_a, surv_b = survivors(fl_a), survivors(fl_b)
+    l_ab = len(surv_a & surv_b)
+    l_a, l_b = len(surv_a) - l_ab, len(surv_b) - l_ab
+    u_a, u_b = unlabeled(A), unlabeled(B)
+    self_glue_a = aa - len(fl_a) - 2 * u_a
+    self_glue_b = bb - len(fl_b) - 2 * u_b
+    hybrid = ab - (l_a + l_b + l_ab) - u_a - u_b
+    if self_glue_a < 0 or self_glue_b < 0 or hybrid < 0:
+        raise CertificateError("pair census produced a negative residual")
+    return PairStats(
+        ckey,
+        len(fl_a) - len(surv_a),
+        len(fl_b) - len(surv_b),
+        l_a,
+        l_b,
+        l_ab,
+        u_a,
+        u_b,
+        self_glue_a,
+        self_glue_b,
+        hybrid,
+        aa + bb - 2 * ab,
+    )

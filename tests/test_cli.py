@@ -378,6 +378,8 @@ OUTPUT_SHA256 = {
         "4ae29f5a5255da563b866865c9b9016ac92cc19177358e86ddc72b404fd85121",
     "obstruction P3 edge^3 --k 7 --d 2 --labels 4":
         "31798689815242873bedd2ce83ab667e82cd3bee41404c59bb16a012e9d5fd6c",
+    'obstruction {"r":2,"n":6,"edges":[[0,1],[2,3],[3,4],[4,5]]} P4 --k 3 --d 2 --labels 3':
+        "11aa72b272943365752b0d5cf55995db060ec9a79e55100fe449fcc847102912",
     "test-binomial star path2 edge^2 --r 2 --c 1 --l 2":
         "364eb4ba02d6c8f129f8ac2f6d3b7e8502de6c984063bbea2c40d1f90d0dfc5d",
     "test-binomial clique edge^3 K3^2 --r 2 --l 3":

@@ -16,10 +16,12 @@ from graphtrop.gluing import (
     unit,
 )
 from graphtrop.hypergraphs import (
+    Hypergraph,
     canonical_form,
     complete_graph,
     disjoint_union,
     empty_graph,
+    key_graph,
     longbroom,
     path_graph,
     single_edge,
@@ -45,7 +47,14 @@ from graphtrop.obstructions import (
     y_pairing,
     y_vector,
 )
-from oracles import _poly_eval, _poly_gcd, _poly_mul, _poly_squarefree, fraction_sign_at_root
+from oracles import (
+    _poly_eval,
+    _poly_gcd,
+    _poly_mul,
+    _poly_squarefree,
+    fraction_sign_at_root,
+    reference_pair_stats,
+)
 
 
 def edge_power(k):
@@ -269,6 +278,39 @@ def test_pair_stats_rejects_bad_witness():
         pair_stats(labeled_edge(1), labeled_edge(2), edge_power(2))
     with pytest.raises(ValueError):
         pair_stats(labeled_edge(1), labeled_edge(2), path_graph(0))
+
+
+def test_pair_stats_matches_reference_census_on_b_tilde():
+    """Every ordered B_tilde pair (d=2, labels=3) has the reference census."""
+    elems = enumerate_basis("B_tilde", 2, 3).elements
+    for C in (single_edge(), path_graph(2), path_graph(3)):
+        for A in elems:
+            for B in elems:
+                assert pair_stats(A, B, C) == reference_pair_stats(A, B, C)
+
+
+def test_pair_stats_matches_reference_census_with_unlabeled_copies():
+    """Basis elements with unlabeled components (B, d=2, labels=2) keep the reference census."""
+    elems = enumerate_basis("B", 2, 2).elements
+    unlabeled = 0
+    for C in (single_edge(), path_graph(2)):
+        for A in elems:
+            for B in elems:
+                st = pair_stats(A, B, C)
+                assert st == reference_pair_stats(A, B, C)
+                unlabeled += st.u_a
+    assert unlabeled > 0
+
+
+def test_report_verdicts_match_positive_pair_check():
+    """Each census verdict of the e+P3 vs P4 report is positive_pair_check's on its pair."""
+    upper = Hypergraph.make(2, 6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    rep = counting_obstruction(upper, path_graph(4), 3, 2, 3)
+    M = moment_matrix(enumerate_basis("B_tilde", 2, 3).elements)
+    assert len(rep.positive_pair_verdicts) == len(rep.positive_pair_indices) == 102
+    W = key_graph(rep.witness)
+    for (i, j), verdict in zip(rep.positive_pair_indices, rep.positive_pair_verdicts):
+        assert verdict == positive_pair_check(M.basis[i], M.basis[j], W, rep.p)
 
 
 def test_positive_pair_check_edge_witness():
