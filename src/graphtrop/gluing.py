@@ -146,16 +146,6 @@ def labeled_isomorphic(A: LabeledGraph, B: LabeledGraph) -> bool:
     return labeled_canonical_form(A) == labeled_canonical_form(B)
 
 
-def labeled_components(A: LabeledGraph) -> list[LabeledGraph]:
-    """Connected components of A, each keeping its labels, in canonical form."""
-    vlabs = A.vertex_labels()
-    out = []
-    for verts, edges in split_components(A.graph):
-        labels = {vlabs[v]: i for i, v in enumerate(verts) if v in vlabs}
-        out.append(labeled_graph(A.r, len(verts), edges, labels))
-    return out
-
-
 def labeled_parts(A: LabeledGraph) -> list[tuple[frozenset[int], int, str]]:
     """Connected components of A as (label set, vertex count, key), without labeled forms."""
     vlabs = A.vertex_labels()

@@ -15,16 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-
-import numpy as np
+from operator import itemgetter
 
 MAX_CANON_VERTICES = 20
 _SEARCH_NODE_CAP = 100_000
-
-# einsum is exact in int64 as long as every partial count stays below 2^63;
-# partial counts are bounded by n^|V(H)|, so this is the safe ceiling.
-_EXACT_COUNT_LIMIT = 2**62
-_TENSOR_CELL_LIMIT = 40_000_000
 
 
 @dataclass(frozen=True)
@@ -430,86 +424,82 @@ def fraction_str(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency_tensor(G: Hypergraph) -> np.ndarray:
-    A = np.zeros((G.n,) * G.r, dtype=np.int64)
-    for e in G.edges:
-        for p in permutations(e):
-            A[p] = 1
-    return A
+def _hom_plan(H: Hypergraph):
+    """The steps of the frontier count for H, one per vertex in placement order.
 
-
-def _hom_backtrack(H: Hypergraph, G: Hypergraph) -> int:
-    """Plain backtracking count; exact for any size, used when tensors would overflow."""
-    adj = {e: True for e in G.edges}
-    order = []
-    seen: set[int] = set()
-    hedges = H.sorted_edges()
-    for e in hedges:
-        for v in e:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    for v in range(H.n):
-        if v not in seen:
-            order.append(v)
+    The state before a step is the images of the placed vertices that lie on
+    an edge closed at that step or later.  Each step holds a getter, per edge
+    closed there, for the images of the edge's other vertices in the state;
+    the positions that make the next state out of the state extended by the
+    new image; and whether that new image is kept at all.
+    """
+    order: list[int] = []
+    placed: set[int] = set()
+    for _ in range(H.n):
+        v = max(
+            (v for v in range(H.n) if v not in placed),
+            key=lambda v: (sum(v in e and not placed.isdisjoint(e) for e in H.edges), -v),
+        )
+        order.append(v)
+        placed.add(v)
     pos = {v: i for i, v in enumerate(order)}
-    # edges become checkable once their last vertex (in assignment order) is placed
-    ready: dict[int, list[tuple[int, ...]]] = {i: [] for i in range(H.n)}
-    for e in hedges:
-        ready[max(pos[v] for v in e)].append(e)
-
-    count = 0
-    image = [0] * H.n
-
-    def rec(i: int) -> None:
-        nonlocal count
-        if i == H.n:
-            count += 1
-            return
-        v = order[i]
-        for g in range(G.n):
-            image[v] = g
-            ok = True
-            for e in ready[i]:
-                t = tuple(sorted(image[u] for u in e))
-                if len(set(t)) != H.r or t not in adj:
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1)
-
-    rec(0)
-    return count
-
-
-def _hom_connected(H: Hypergraph, G: Hypergraph) -> int:
-    if H.n == 0:
-        return 1
-    if G.n == 0:
-        return 0
-    if not H.edges:
-        return G.n ** H.n
-    if G.n**H.n >= _EXACT_COUNT_LIMIT or G.n**G.r > _TENSOR_CELL_LIMIT:
-        return _hom_backtrack(H, G)
-    A = _adjacency_tensor(G)
-    operands = []
-    for e in H.sorted_edges():
-        operands.append(A)
-        operands.append(list(e))
-    result = np.einsum(*operands, [], optimize="greedy")
-    return int(result)
+    closes: list[list[tuple[int, ...]]] = [[] for _ in range(H.n)]
+    last = list(range(H.n))  # the last step that reads each placed vertex's image
+    for e in H.edges:
+        step = max(pos[v] for v in e)
+        closes[step].append(e)
+        for v in e:
+            last[pos[v]] = max(last[pos[v]], step)
+    frontier = [[j for j in range(i) if last[j] >= i] for i in range(H.n + 1)]
+    steps = []
+    for i in range(H.n):
+        index = {j: k for k, j in enumerate(frontier[i] + [i])}
+        closing = [itemgetter(*(index[pos[u]] for u in e if pos[u] != i)) for e in closes[i]]
+        steps.append((closing, [index[j] for j in frontier[i + 1]], last[i] > i))
+    return steps
 
 
 def hom_count(H: Hypergraph, G: Hypergraph) -> int:
-    """Number of maps V(H) -> V(G) sending every edge of H onto an edge of G."""
+    """Number of maps V(H) -> V(G) sending every edge of H onto an edge of G.
+
+    Exact in Python ints.  H's vertices are placed one at a time, each next
+    one the vertex on the most edges that meet the placed set (ties to the
+    lowest id), and each edge of H is checked when its last vertex is placed:
+    the new vertex's candidates are all of V(G) ANDed, over the edges closing
+    there, with the link mask in G of their other vertices' images (the
+    adjacency mask when r = 2).  A missing link is 0, which also rejects
+    repeated images.  Partial maps are merged by their frontier, the images
+    of the placed vertices still on an edge not yet checked, so the count is
+    dynamic programming along the order.  A vertex whose image is never read
+    again, the last one among them, is counted with `int.bit_count`.
+    """
     if H.r != G.r:
         raise ValueError(f"uniformity mismatch: {H.r} vs {G.r}")
-    total = 1
-    for comp in connected_components(H):
-        total *= _hom_connected(comp, G)
-        if total == 0:
-            return 0
-    return total
+    link: dict = {}
+    for e in G.edges:
+        for p in permutations(e):
+            key = p[0] if G.r == 2 else p[:-1]
+            link[key] = link.get(key, 0) | (1 << p[-1])
+    full = (1 << G.n) - 1
+    states = {(): 1}
+    for closing, keep, kept in _hom_plan(H):
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, ways in states.items():
+            mask = full
+            for others in closing:
+                mask &= link.get(others(state), 0)
+            if not kept:
+                new = tuple([state[k] for k in keep])
+                nxt[new] = nxt.get(new, 0) + ways * mask.bit_count()
+                continue
+            while mask:
+                low = mask & -mask
+                ext = state + (low.bit_length() - 1,)
+                new = tuple([ext[k] for k in keep])
+                nxt[new] = nxt.get(new, 0) + ways
+                mask ^= low
+        states = nxt
+    return states.get((), 0)
 
 
 def density(H: Hypergraph, G: Hypergraph) -> Fraction:

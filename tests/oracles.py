@@ -5,9 +5,11 @@ no pruning, no shared code with the library internals beyond the Hypergraph
 and Membership containers.  The one exception is `brute_canonical`, which
 takes the refinement classes from the library because they are part of what a
 key means.  The Fraction simplex and echelon form are the reference for the
-integer ones in `graphtrop.cones`.  `reference_pair_stats` is the census
-as it was first written, over labeled canonical components, and is the
-reference for the raw-component census in `graphtrop.obstructions`.
+integer ones in `graphtrop.cones`.  `einsum_hom` is the numpy tensor count
+graphtrop once used, and is the reference for its exact frontier count.
+`reference_pair_stats` is the census as it was first written, over labeled
+canonical components (`labeled_components`), and is the reference for the
+raw-component census in `graphtrop.obstructions`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ from itertools import combinations, permutations, product
 from math import gcd
 from random import Random
 
+import numpy as np
+
 from graphtrop.cones import Membership
-from graphtrop.hypergraphs import Hypergraph, _refine_classes
+from graphtrop.gluing import labeled_graph
+from graphtrop.hypergraphs import Hypergraph, _refine_classes, split_components
 
 
 def brute_hom(H: Hypergraph, G: Hypergraph) -> int:
@@ -37,6 +42,29 @@ def brute_hom(H: Hypergraph, G: Hypergraph) -> int:
 
 def brute_density(H: Hypergraph, G: Hypergraph) -> Fraction:
     return Fraction(brute_hom(H, G), G.n**H.n)
+
+
+def einsum_hom(H: Hypergraph, G: Hypergraph) -> int:
+    """hom(H, G) as one numpy einsum over G's adjacency tensor, one operand per edge of H.
+
+    Exact in int64 only while every partial count stays below 2^63, so it
+    refuses inputs with G.n ** H.n >= 2^62.  Vertices of H on no edge are
+    not einsum indices and contribute a factor G.n each.
+    """
+    if G.n**H.n >= 2**62:
+        raise ValueError("einsum count could overflow int64")
+    covered = {v for e in H.edges for v in e}
+    free = G.n ** (H.n - len(covered))
+    if not H.edges:
+        return free
+    A = np.zeros((G.n,) * G.r, dtype=np.int64)
+    for e in G.edges:
+        for p in permutations(e):
+            A[p] = 1
+    operands = []
+    for e in H.sorted_edges():
+        operands += [A, list(e)]
+    return free * int(np.einsum(*operands, [], optimize="greedy"))
 
 
 def brute_canonical(G: Hypergraph, pinned=()) -> tuple[tuple[int, ...], ...]:
@@ -346,6 +374,16 @@ def random_labeled(rng: Random, max_n: int, p: float, label_budget: int):
     return labeled_canonical_form(LabeledGraph(G, pairs))
 
 
+def labeled_components(A):
+    """Components of a labeled graph, each keeping its labels, in labeled canonical form."""
+    vlabs = A.vertex_labels()
+    out = []
+    for verts, edges in split_components(A.graph):
+        labels = {vlabs[v]: i for i, v in enumerate(verts) if v in vlabs}
+        out.append(labeled_graph(A.r, len(verts), edges, labels))
+    return out
+
+
 def reference_pair_stats(A, B, C):
     """The pair census read from labeled canonical components: the reference for pair_stats.
 
@@ -354,7 +392,7 @@ def reference_pair_stats(A, B, C):
     products.  Imports are deferred for layering.
     """
     from graphtrop.cones import CertificateError
-    from graphtrop.gluing import _glue_raw, labeled_components, product_counts
+    from graphtrop.gluing import _glue_raw, product_counts
     from graphtrop.hypergraphs import component_key, graph_key
     from graphtrop.obstructions import PairStats
 

@@ -7,18 +7,27 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
+from math import prod
 from pathlib import Path
 from random import Random
+
+import pytest
 
 from graphtrop.cli import main
 from graphtrop.hypergraphs import (
     complete_bipartite,
     complete_graph,
+    density,
+    disjoint_union,
+    empty_graph,
     graph_key,
     path_graph,
     single_edge,
+    star_hypergraph,
 )
 from graphtrop.obstructions import minor_certificate
+from oracles import random_graph
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +222,52 @@ def test_binomial_graph_outside_basis_exit_2(capsys):
     assert run_cli(capsys, "test-binomial", "clique", "P3", "edge^3", "--l", "3")[0] == 2
 
 
+def _monomial(graphs, exponents):
+    """The disjoint union of exponents[j] copies of graphs[j]: its density is the monomial."""
+    out = empty_graph(0)
+    for g, a in zip(graphs, exponents):
+        for _ in range(a):
+            out = disjoint_union(out, g)
+    return out
+
+
+@pytest.mark.parametrize(
+    "family, graphs, box",
+    [
+        ("clique", [complete_graph(2), complete_graph(3)], range(-3, 4)),
+        ("star", [star_hypergraph(b, 1, 2) for b in (1, 2, 3)], range(-2, 3)),
+    ],
+    ids=["clique", "star"],
+)
+def test_binomial_never_valid_when_a_sampled_graph_violates_it(capsys, family, graphs, box):
+    """test-binomial never calls t(H1) >= t(H2) valid on trop if a sampled graph violates it.
+
+    A pure binomial inequality is valid on the profile exactly when its linear
+    form is valid on the tropicalization, so a graph violating it refutes a
+    "valid on trop" verdict.  H1 and H2 range over the monomials in the K2, K3
+    (or 1- to 3-branch star) densities whose exponent difference lies in the
+    box; the densities come from seeded random graphs on 3 to 8 vertices.
+    """
+    rng = Random(20261018)
+    samples = []
+    for _ in range(12):
+        G = random_graph(rng, rng.randint(3, 8), rng.choice([0.3, 0.5, 0.7]))
+        samples.append([density(g, G) for g in graphs])
+    violated = 0
+    for diff in product(box, repeat=len(graphs)):
+        up = [max(a, 0) for a in diff]
+        down = [max(-a, 0) for a in diff]
+        if not any(
+            prod(t**a for t, a in zip(ts, up)) < prod(t**a for t, a in zip(ts, down))
+            for ts in samples
+        ):
+            continue
+        H1, H2 = _monomial(graphs, up).to_json(), _monomial(graphs, down).to_json()
+        code, obj = run_json(capsys, "test-binomial", family, H1, H2, "--l", "3")
+        assert code == 0
+        assert obj["verdict"] == "not valid", diff
+        violated += 1
+    assert violated > 0
 def test_obstruction_command(capsys):
     """The degree-1 obstruction run reports a validated obstruction."""
     code, obj = run_json(capsys, "obstruction", "P3", "edge^3", "--k", "1", "--d", "1")
@@ -348,22 +403,23 @@ def test_module_entry_point():
 
 
 def test_runtime_imports_no_test_only_library():
-    """The CLI and a minor certificate run without sympy, networkx, hypothesis or scipy."""
+    """The CLI, a density and a minor certificate run without numpy or a test-only library."""
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
         "import graphtrop.cli\n"
-        "from graphtrop.hypergraphs import path_graph, single_edge\n"
+        "from graphtrop.hypergraphs import complete_graph, density, path_graph, single_edge\n"
         "from graphtrop.obstructions import minor_certificate\n"
+        "t = density(complete_graph(3), complete_graph(4))\n"
         "cert = minor_certificate({single_edge(): Fraction(1, 2)}, path_graph(2), 1)\n"
-        "test_only = ('sympy', 'networkx', 'hypothesis', 'scipy')\n"
-        "print(cert.status, [m for m in test_only if m in sys.modules])\n"
+        "test_only = ('numpy', 'sympy', 'networkx', 'hypothesis', 'scipy')\n"
+        "print(t, cert.status, [m for m in test_only if m in sys.modules])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "inconclusive []\n"
+    assert proc.stdout == "3/8 inconclusive []\n"
 
 
 # sha256 of the stdout of fast runs.  Refactors of keys, products and cone

@@ -24,7 +24,6 @@ from graphtrop.gluing import (
     graph_key,
     is_trivial_square,
     labeled_canonical_form,
-    labeled_components,
     labeled_edge,
     labeled_graph,
     labeled_isomorphic,
@@ -48,7 +47,7 @@ from graphtrop.hypergraphs import (
     single_edge,
     star_hypergraph,
 )
-from oracles import random_graph, random_labeled, random_permuted
+from oracles import labeled_components, random_graph, random_labeled, random_permuted
 
 
 def K(name):

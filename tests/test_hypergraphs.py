@@ -1,15 +1,17 @@
 """Tests for exact hypergraph densities, products, canonical forms and families."""
 
+import time
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphtrop.hypergraphs import (
-    _EXACT_COUNT_LIMIT,
     DensityVector,
     Hypergraph,
-    _hom_backtrack,
     canonical_form,
     clique_plus_turan,
     clique_turan_density,
@@ -33,7 +35,14 @@ from graphtrop.hypergraphs import (
     star_limit_density,
     turan_hypergraph,
 )
-from oracles import brute_density, brute_hom, clique_count, random_graph, random_permuted
+from oracles import (
+    brute_density,
+    brute_hom,
+    clique_count,
+    einsum_hom,
+    random_graph,
+    random_permuted,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +124,69 @@ def test_hom_count_matches_oracle():
         H = random_graph(rng, rng.randint(1, 4), 0.6, r)
         G = random_graph(rng, rng.randint(1, 5), 0.6, r)
         assert hom_count(H, G) == brute_hom(H, G)
-        # the backtracking count, used beyond the tensor limits
-        assert _hom_backtrack(H, G) == brute_hom(H, G)
 
 
 def test_hom_count_beyond_exact_count_limit():
-    """P19 into one edge among 9 vertices: 9**20 maps exceed the limit, 2 are homomorphisms."""
+    """P19 into one edge among 9 vertices: 9**20 maps overflow int64, 2 are homomorphisms."""
     G = Hypergraph.make(2, 9, [(0, 1)])
-    assert G.n ** path_graph(19).n >= _EXACT_COUNT_LIMIT
+    assert 9**20 > 2**62
     assert hom_count(path_graph(19), G) == 2
     assert density(path_graph(19), G) == Fraction(2, 9**20)
+
+
+@st.composite
+def hom_instances(draw):
+    """(H, G) with r in {2, 3}: H has at most 5 vertices and may be disconnected, G at most 5."""
+    r = draw(st.sampled_from([2, 3]))
+
+    def graph(max_n):
+        n = draw(st.integers(0, max_n))
+        tuples = [tuple(c) for c in combinations(range(n), r)]
+        edges = draw(st.lists(st.sampled_from(tuples), unique=True)) if tuples else []
+        return Hypergraph.make(r, n, edges)
+
+    return graph(5), graph(5)
+
+
+TWO_TRIPLES = Hypergraph.make(3, 5, [(0, 1, 2), (2, 3, 4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hom_instances())
+# disconnected H; a 3-edge whose first two vertices close no edge; two 3-edges on one vertex
+@example((Hypergraph.make(2, 5, [(0, 1), (2, 3)]), complete_bipartite(2, 2)))
+@example((single_edge(3), TWO_TRIPLES))
+@example((TWO_TRIPLES, Hypergraph.make(3, 5, [(0, 1, 2), (1, 2, 3), (0, 3, 4)])))
+def test_hom_count_matches_brute_force_property(instance):
+    H, G = instance
+    assert hom_count(H, G) == brute_hom(H, G)
+
+
+def test_hom_count_matches_einsum_reference():
+    rng = Random(20261018)
+    for r, max_h, max_g in ((2, 7, 9), (3, 6, 8), (4, 6, 7)):
+        for _ in range(40):
+            H = random_graph(rng, rng.randint(1, max_h), rng.choice([0.3, 0.6]), r)
+            G = random_graph(rng, rng.randint(1, max_g), rng.choice([0.4, 0.8]), r)
+            assert hom_count(H, G) == einsum_hom(H, G), (H, G)
+
+
+def test_long_path_count_within_budget():
+    """P15 into a seeded G(20, 0.4) against a walk count in Python ints, within 1 s.
+
+    The 20**16 maps overflow int64, so a tensor count could not take this case.
+    """
+    rng = Random(15)
+    G = random_graph(rng, 20, 0.4)
+    adj = [[v for v in range(G.n) if tuple(sorted((u, v))) in G.edges] for u in range(G.n)]
+    walks = [1] * G.n
+    for _ in range(15):
+        walks = [sum(walks[v] for v in adj[u]) for u in range(G.n)]
+    start = time.perf_counter()
+    count = hom_count(path_graph(15), G)
+    elapsed = time.perf_counter() - start
+    assert count == sum(walks)
+    assert elapsed < 1.0, f"P15 count took {elapsed:.2f} s"
 
 
 def test_hom_count_multiplicative_over_components():

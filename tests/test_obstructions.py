@@ -19,6 +19,7 @@ from graphtrop.hypergraphs import (
     Hypergraph,
     canonical_form,
     complete_graph,
+    density,
     disjoint_union,
     empty_graph,
     key_graph,
@@ -53,6 +54,7 @@ from oracles import (
     _poly_mul,
     _poly_squarefree,
     fraction_sign_at_root,
+    random_graph,
     reference_pair_stats,
 )
 
@@ -696,6 +698,37 @@ def test_minor_certificate_degree_one_consistent_point():
     """A realizable degree-1 point is inconclusive."""
     cert = minor_certificate({single_edge(): Fraction(1, 2)}, path_graph(2), 1)
     assert cert.status == "inconclusive"
+
+
+def test_minor_constraints_nonnegative_at_realised_points(monkeypatch):
+    """At the densities of an actual graph every eligible minor is >= 0 and nothing is refuted.
+
+    The moment matrix of a graph's densities is positive semidefinite
+    (reflection positivity), so each principal-minor polynomial, with edge and
+    K3 fixed at their densities in G, is >= 0 at the true t(path2; G).  The
+    constraints are read where the certificate hands them to the solver.
+    """
+    import graphtrop.obstructions as obstructions
+
+    solver = obstructions._system_feasible
+    handed = []
+
+    def recording(polys, roots=None):
+        handed.append(list(polys))
+        return solver(polys, roots)
+
+    monkeypatch.setattr(obstructions, "_system_feasible", recording)
+    rng = random.Random(20261018)
+    for _ in range(6):
+        G = random_graph(rng, rng.randint(3, 9), rng.choice([0.3, 0.5, 0.8]))
+        fixed = {g: density(g, G) for g in (single_edge(), complete_graph(3))}
+        handed.clear()
+        cert = minor_certificate(fixed, path_graph(2), 2)
+        assert cert.status == "inconclusive", G
+        constraints = handed[0]
+        assert len(constraints) == cert.constraints
+        point = density(path_graph(2), G)
+        assert all(_poly_eval(pol, point) >= 0 for pol in constraints), G
 
 
 def test_minor_certificate_validation():
