@@ -36,7 +36,7 @@ from .hypergraphs import (
     named_graph,
     star_limit_density,
 )
-from .obstructions import counting_obstruction
+from .obstructions import counting_obstruction, minor_certificate
 
 
 class GraphInputError(ValueError):
@@ -188,6 +188,17 @@ def cmd_obstruction(cfg: RunConfig) -> tuple[str, int]:
     return report.to_json() + "\n", code
 
 
+def cmd_minor_cert(cfg: RunConfig) -> tuple[str, int]:
+    fixed: dict[str, Fraction] = {}
+    for spec, value in cfg.args.fixed:
+        key = graph_key(load_graph(spec))
+        if key in fixed:
+            raise ValueError(f"duplicate fixed coordinate {key}")
+        fixed[key] = parse_fraction(value)
+    cert = minor_certificate(fixed, load_graph(cfg.args.free), cfg.args.d, cfg.args.labels)
+    return cert.to_json() + "\n", 0
+
+
 def trajectory_setup(cfg: RunConfig):
     """Column names, target ray, and the exact density evaluator for a family."""
     if cfg.args.family == "clique":
@@ -267,6 +278,7 @@ COMMANDS = {
     "star-cone": cmd_star_cone,
     "test-binomial": cmd_test_binomial,
     "obstruction": cmd_obstruction,
+    "minor-cert": cmd_minor_cert,
     "family-trajectory": cmd_family_trajectory,
 }
 
@@ -322,6 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="relaxation degree")
     p.add_argument("--labels", type=int, default=None, help="label budget (default 2d)")
     p.add_argument("--p", type=int, default=1, help="degree threshold of the vertex weight")
+
+    p = sub.add_parser("minor-cert", help="principal-minor certificate for one density point")
+    p.add_argument("free", help="free coordinate: " + GRAPH_HELP)
+    p.add_argument(
+        "--fixed", nargs=2, action="append", required=True, metavar=("GRAPH", "VALUE"),
+        help="a fixed coordinate and its rational density; repeatable",
+    )
+    p.add_argument("--d", type=int, required=True, help="relaxation degree")
+    p.add_argument("--labels", type=int, default=None, help="label budget (default 2d)")
 
     p = sub.add_parser("family-trajectory", help="extremal family log-density trajectory as CSV")
     p.add_argument("family", choices=("clique", "star"))

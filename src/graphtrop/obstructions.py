@@ -18,8 +18,10 @@ import json
 import logging
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cmp_to_key, reduce
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
+from operator import and_
 
 from .cones import CertificateError, cone_member, dot, primitive
 from .gluing import (
@@ -169,10 +171,10 @@ class PairStats:
     coordinate: int
 
 
-def _witness_graph(C) -> Hypergraph:
+def _witness_graph(C, role: str = "witness") -> Hypergraph:
     G = key_graph(C) if isinstance(C, str) else canonical_form(C)
     if G.edge_count == 0 or len(connected_components(G)) != 1:
-        raise ValueError("witness must be a connected graph with at least one edge")
+        raise ValueError(f"{role} must be a connected graph with at least one edge: {graph_key(G)}")
     return G
 
 
@@ -472,16 +474,6 @@ def _deriv(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i * c for i, c in enumerate(a))[1:]
 
 
-def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, z in enumerate(b):
-            out[i + j] += x * z
-    return tuple(out)
-
-
 def _divmod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Pseudo-division: (q, r) with s * a = q * b + r, deg r < deg b, for an integer s > 0.
 
@@ -531,16 +523,12 @@ def _sign_at(a: tuple[int, ...], x: Fraction) -> int:
     return (total > 0) - (total < 0)
 
 
-def _remainder_chain(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Signed remainder chain a, b, -rem(a, b), ... up to the last nonzero member."""
-    chain = [a, b]
+def _sturm_chain(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Signed remainder chain a, a', -rem(a, a'), ... up to the last nonzero member."""
+    chain = [a, primitive(_deriv(a))]
     while chain[-1]:
         chain.append(tuple(-c for c in primitive(_divmod(chain[-2], chain[-1])[1])))
     return chain[:-1]
-
-
-def _sturm_chain(a: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return _remainder_chain(a, primitive(_deriv(a)))
 
 
 def _sign_variations(chain, x: Fraction) -> int:
@@ -553,16 +541,12 @@ def _roots_within(chain, a: Fraction, b: Fraction) -> int:
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
-class _RationalRootFound(Exception):
-    def __init__(self, root: Fraction) -> None:
-        self.root = root
-
-
 def _isolate_core_roots(chain):
     """Isolating intervals with non-root endpoints for all roots of chain[0] in (0, 1).
 
     The chain's head is squarefree and nonzero at 0 and 1.  Bisection that
-    lands exactly on a root reports it instead, so the caller can deflate.
+    lands exactly on a root returns that rational root instead, so the caller
+    can deflate.
     """
     core = chain[0]
     intervals = []
@@ -577,14 +561,14 @@ def _isolate_core_roots(chain):
             continue
         mid = (lo + hi) / 2
         if _sign_at(core, mid) == 0:
-            raise _RationalRootFound(mid)
+            return mid
         stack.append((lo, mid))
         stack.append((mid, hi))
     return sorted(intervals)
 
 
 class _RootData:
-    """Root isolation for one polynomial over (0, 1), reusable across systems.
+    """Root isolation for one polynomial over (0, 1).
 
     ipol is the primitive polynomial; core is its squarefree part stripped of
     the roots at 0, 1 and the rational roots met by bisection, so every root
@@ -600,75 +584,120 @@ class _RootData:
         if sum(core) == 0:
             core = primitive(_divmod(core, (-1, 1))[0])
         rational = []
-        while True:
-            chain = _sturm_chain(core)
-            try:
-                intervals = _isolate_core_roots(chain)
-                break
-            except _RationalRootFound as hit:
-                rational.append(hit.root)
-                root = (-hit.root.numerator, hit.root.denominator)
-                core = primitive(_divmod(core, root)[0])
+        while isinstance(found := _isolate_core_roots(_sturm_chain(core)), Fraction):
+            rational.append(found)
+            core = primitive(_divmod(core, (-found.numerator, found.denominator))[0])
         self.core = core
         self.rational = sorted(rational)
-        self.intervals = intervals
+        self.intervals = found
 
 
-def _sign_at_root(p: tuple[int, ...], q: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
-    """Sign of p at the one root of the squarefree q in (lo, hi), by a Tarski query.
+def _compare(a, b, gcds: dict) -> int:
+    """Order two roots, -1, 0 or 1, refining their intervals until they are apart.
 
-    With q nonzero at lo and hi, the signed remainder chain of
-    (q, rem(q' * p, q)) loses Var(lo) - Var(hi) sign variations, which sums
-    the sign of p over the roots of q in (lo, hi) (Basu, Pollack and Roy,
-    Algorithms in Real Algebraic Geometry, Thm 2.58).  It is 0 when p
-    vanishes at that root.
+    A root is a list [lo, hi, core, sign of core at lo]: the one root of the
+    squarefree core in (lo, hi), or the rational lo == hi when core is None.
+    Apart roots have disjoint intervals, or algebraic ones that only touch.
     """
-    chain = _remainder_chain(q, primitive(_divmod(_mul(_deriv(q), p), q)[1]))
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    checked = False
+    while True:
+        (alo, ahi, acore, _), (blo, bhi, bcore, _) = a, b
+        if ahi < blo or (ahi == blo and acore and bcore):
+            return -1
+        if bhi < alo or (bhi == alo and acore and bcore):
+            return 1
+        if acore == bcore:  # equal rationals, or one root of one core
+            return 0
+        if not checked:
+            checked = True
+            if acore is None or bcore is None:
+                shared = _sign_at(acore or bcore, blo if acore else alo) == 0
+            else:
+                key = min(acore, bcore), max(acore, bcore)
+                if key not in gcds:
+                    gcds[key] = _sturm_chain(_gcd(*key))
+                shared = _roots_within(gcds[key], max(alo, blo), min(ahi, bhi)) > 0
+            if shared:
+                return 0
+        x = a if ahi - alo >= bhi - blo else b
+        mid = (x[0] + x[1]) / 2
+        s = _sign_at(x[2], mid)
+        if s == 0:
+            x[:] = [mid, mid, None, 0]
+        else:
+            x[0 if s == x[3] else 1] = mid
 
 
-def _system_feasible(polys, roots: dict | None = None):
+def _sign_table(polys):
+    """Masks of the sorted candidate points of [0, 1] where each polynomial is >= 0.
+
+    The candidates, 0, 1 and every root in (0, 1), are merged into one order
+    on copies of their isolating intervals: the 1-D case of Collins'
+    cylindrical algebraic decomposition.  A polynomial is 0 at its own roots
+    and keeps, up to the next one, its sign at the separator after the last.
+    A subset is feasible exactly when the AND of its masks is nonzero: its
+    own candidates are complete (see _system_feasible) and lie among these.
+    Returns the masks and the witness of the whole system, searched in the
+    order 0, 1, rational roots, isolating intervals.
+    """
+    ipols = [primitive(p[: max((i + 1 for i, c in enumerate(p) if c), default=0)]) for p in polys]
+    datas = {ipol: _RootData(ipol) for ipol in ipols if ipol}
+    # (root, its key in the witness search, the polynomial it is a root of)
+    roots = [([r, r, None, 0], r, d.ipol) for d in datas.values() for r in d.rational]
+    roots += [
+        ([lo, hi, d.core, _sign_at(d.core, lo)], (d.core, lo, hi), d.ipol)
+        for d in datas.values()
+        for lo, hi in d.intervals
+    ]
+    gcds: dict = {}
+    roots.sort(key=cmp_to_key(lambda u, v: _compare(u[0], v[0], gcds)))
+    where = {Fraction(0): 0}
+    own: dict[tuple[int, ...], list[int]] = {ipol: [] for ipol in datas}
+    separators = []
+    prev = [Fraction(0), Fraction(0), None, 0]
+    for root, key, ipol in roots + [([Fraction(1), Fraction(1), None, 0], Fraction(1), None)]:
+        if _compare(prev, root, gcds):
+            separators.append(prev[1] if prev[1] == root[0] else (prev[1] + root[0]) / 2)
+        where[key] = len(separators)
+        own.get(ipol, []).append(len(separators))  # the point 1 has no owner
+        prev = root
+    top = len(separators)  # the index of the point 1
+    masks = {}
+    for ipol, ks in own.items():
+        bits = (_sign_at(ipol, Fraction(0)) >= 0) | (_sign_at(ipol, Fraction(1)) >= 0) << top
+        last = 0
+        for j in ks + [top]:
+            if j - last > 1 and _sign_at(ipol, separators[last]) > 0:
+                bits |= ((1 << (j - last - 1)) - 1) << (last + 1)
+            bits |= (j < top) << j
+            last = j
+        masks[ipol] = bits
+    points = [Fraction(0), Fraction(1)] + [r for d in datas.values() for r in d.rational]
+    candidates = [(where[x], x, None) for x in points]
+    candidates += [(where[(d.core, *iv)], None, iv) for d in datas.values() for iv in d.intervals]
+    out = [masks.get(ipol, -1) for ipol in ipols]
+    mask = reduce(and_, out, -1)
+    witness = next(((True, x, iv) for k, x, iv in candidates if mask >> k & 1), (False, None, None))
+    return out, witness
+
+
+def _system_feasible(polys):
     """Decide whether all polynomials are simultaneously >= 0 somewhere on [0, 1].
 
     Returns (feasible, point, interval): a rational witness point, or an
     interval isolating an algebraic witness root of one constraint.  The
     candidate set {0, 1, roots of the constraints} is complete: a nonempty
     feasible set is closed, and each of its boundary points inside (0, 1)
-    zeroes some constraint.  Exact throughout.  roots maps primitive
-    polynomials to their root data and may be shared across calls.
+    zeroes some constraint.  Exact throughout.
     """
-    if roots is None:
-        roots = {}
-    datas = []
-    for p in polys:
-        ipol = primitive(p)
-        while ipol and ipol[-1] == 0:
-            ipol = ipol[:-1]
-        if ipol:
-            if ipol not in roots:
-                roots[ipol] = _RootData(ipol)
-            datas.append(roots[ipol])
-    if not datas:
-        return True, Fraction(0), None
-    points = [Fraction(0), Fraction(1)]
-    seen_points = set(points)
-    for d in datas:
-        for r in d.rational:
-            if r not in seen_points:
-                seen_points.add(r)
-                points.append(r)
-    for x in points:
-        if all(_sign_at(p.ipol, x) >= 0 for p in datas):
-            return True, x, None
-    seen_ivs = set()
-    for d in datas:
-        for lo, hi in d.intervals:
-            if (d.core, lo, hi) in seen_ivs:
-                continue
-            seen_ivs.add((d.core, lo, hi))
-            if all(_sign_at_root(p.ipol, d.core, lo, hi) >= 0 for p in datas):
-                return True, None, (lo, hi)
-    return False, None, None
+    return _sign_table(polys)[1]
+
+
+def _refuting_subset(masks) -> tuple[int, ...]:
+    """Indices of the first infeasible constraint, else the first infeasible pair, else all."""
+    every = range(len(masks))
+    subsets = [(i,) for i in every] + list(combinations(every, 2)) + [tuple(every)]
+    return next(S for S in subsets if not reduce(and_, (masks[i] for i in S), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -757,13 +786,15 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
     entries involve only the fixed graphs and the free one become univariate
     polynomial constraints >= 0; their joint solvability over [0, 1] is decided
     exactly.  An empty solution set is reported with a minimal refuting
-    constraint set (a single minor or a pair where possible).
+    constraint set (a single minor or a pair where possible).  Only the entries
+    the minors read are built.  Every coordinate must be a connected graph
+    with at least one edge.
     """
-    free_c = canonical_form(free)
+    free_c = _witness_graph(free, "free coordinate")
     free_key = graph_key(free_c)
     fixed_map: dict[str, Fraction] = {}
     for g, value in fixed.items():
-        key = g if isinstance(g, str) else graph_key(g)
+        key = graph_key(_witness_graph(g, "fixed coordinate"))
         if key in fixed_map:
             raise ValueError("duplicate fixed coordinate")
         fixed_map[key] = Fraction(value)
@@ -771,23 +802,20 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         raise ValueError("the free coordinate is also fixed")
     if label_budget is None:
         label_budget = 2 * degree
-    basis = enumerate_basis("B_tilde", degree, label_budget, free_c.r)
-    M = moment_matrix(basis.elements)
+    elems = enumerate_basis("B_tilde", degree, label_budget, free_c.r).elements
     allowed = set(fixed_map) | {free_key}
     # the monomial of every eligible entry (i <= j), derived once per certificate
     terms: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def eligible(i: int, j: int) -> bool:
-        counts = M.alpha_entry(i, j)
+        counts = product_counts(elems[i], elems[j])
         if not counts.keys() <= allowed:
             return False
         terms[(i, j)] = _entry_term(counts, fixed_map, free_key)
         return True
 
-    diag = [i for i in range(M.size) if eligible(i, i)]
-    pair_ok = {
-        (i, j) for i, j in combinations(diag, 2) if eligible(i, j)
-    }
+    diag = [i for i in range(len(elems)) if eligible(i, i)]
+    pair_ok = {(i, j) for i, j in combinations(diag, 2) if eligible(i, j)}
     index_sets = [(i,) for i in diag]
     index_sets += sorted(pair_ok)
     index_sets += [
@@ -795,14 +823,18 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         for i, j, k in combinations(diag, 3)
         if (i, j) in pair_ok and (i, k) in pair_ok and (j, k) in pair_ok
     ]
+    # a minor is fixed by its entries' terms: expand each signature once
+    signatures: set[tuple[tuple[int, int, int], ...]] = set()
     constraints: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
     for S in index_sets:
-        pol = _minor_poly(terms, S)
-        if pol:
-            constraints.setdefault(pol, S)
+        sig = tuple(terms[ij] for ij in combinations_with_replacement(S, 2))
+        if sig not in signatures:
+            signatures.add(sig)
+            pol = _minor_poly(terms, S)
+            if pol:
+                constraints.setdefault(pol, S)
 
-    roots: dict[tuple[int, ...], _RootData] = {}
-    feasible, point, interval = _system_feasible(list(constraints), roots)
+    masks, (feasible, point, interval) = _sign_table(list(constraints))
     fixed_out = tuple(sorted(fixed_map.items(), key=lambda kv: basis_sort_key(kv[0])))
     base = dict(
         free=free_key,
@@ -816,21 +848,9 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         return MinorCertificate(
             status="inconclusive", witness_point=point, witness_interval=interval, **base
         )
-    ordered = [(pol, constraints[pol]) for pol in constraints]
-    refutation = None
-    for pol, S in ordered:
-        if not _system_feasible([pol], roots)[0]:
-            refutation = ((pol, S),)
-            break
-    if refutation is None:
-        for (p1, s1), (p2, s2) in combinations(ordered, 2):
-            if not _system_feasible([p1, p2], roots)[0]:
-                refutation = ((p1, s1), (p2, s2))
-                break
-    if refutation is None:
-        refutation = tuple(ordered)
+    ordered = [MinorConstraint(S, pol) for pol, S in constraints.items()]
     return MinorCertificate(
         status="refuted",
-        refutation=tuple(MinorConstraint(S, pol) for pol, S in refutation),
+        refutation=tuple(ordered[i] for i in _refuting_subset(masks)),
         **base,
     )

@@ -9,7 +9,10 @@ integer ones in `graphtrop.cones`.  `einsum_hom` is the numpy tensor count
 graphtrop once used, and is the reference for its exact frontier count.
 `reference_pair_stats` is the census as it was first written, over labeled
 canonical components (`labeled_components`), and is the reference for the
-raw-component census in `graphtrop.obstructions`.
+raw-component census in `graphtrop.obstructions`.  `reference_system_feasible`
+and `reference_refutation` are the Sturm feasibility searches as first
+written, with a Tarski query per candidate root (`_sign_at_root`), and are
+the reference for the merged sign table.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from random import Random
 
 import numpy as np
 
-from graphtrop.cones import Membership
+from graphtrop.cones import Membership, primitive
 from graphtrop.gluing import labeled_graph
 from graphtrop.hypergraphs import Hypergraph, _refine_classes, split_components
+from graphtrop.obstructions import _RootData, _deriv, _divmod, _sign_at, _sign_variations
 
 
 def brute_hom(H: Hypergraph, G: Hypergraph) -> int:
@@ -450,3 +454,93 @@ def reference_pair_stats(A, B, C):
         hybrid,
         aa + bb - 2 * ab,
     )
+
+
+# ---------------------------------------------------------------------------
+# Sturm feasibility by one Tarski query per candidate root
+# ---------------------------------------------------------------------------
+# The feasibility search and minimal-refutation search minor certificates used
+# before the merged sign table.  They share the library's integer root
+# isolation (_RootData), whose interval endpoints are printed, and decide the
+# sign of each constraint at each algebraic candidate with its own query.
+
+
+def _int_mul(a, b) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i + j] += x * z
+    return tuple(out)
+
+
+def _remainder_chain(a, b) -> list[tuple[int, ...]]:
+    """Signed remainder chain a, b, -rem(a, b), ... up to the last nonzero member."""
+    chain = [a, b]
+    while chain[-1]:
+        chain.append(tuple(-c for c in primitive(_divmod(chain[-2], chain[-1])[1])))
+    return chain[:-1]
+
+
+def _sign_at_root(p, q, lo: Fraction, hi: Fraction) -> int:
+    """Sign of p at the one root of the squarefree q in (lo, hi), by a Tarski query.
+
+    With q nonzero at lo and hi, the signed remainder chain of
+    (q, rem(q' * p, q)) loses Var(lo) - Var(hi) sign variations, which sums
+    the sign of p over the roots of q in (lo, hi) (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, Thm 2.58).  It is 0 when p
+    vanishes at that root.
+    """
+    chain = _remainder_chain(q, primitive(_divmod(_int_mul(_deriv(q), p), q)[1]))
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+
+
+def reference_system_feasible(polys, roots: dict | None = None):
+    """(feasible, point, interval) for all polys >= 0 somewhere on [0, 1]: the reference
+    for graphtrop.obstructions._system_feasible.
+
+    Candidates are tried in order: 0, 1, the rational roots, then each
+    isolating interval, with the sign of every constraint evaluated at each.
+    roots maps primitive polynomials to their root data across calls.
+    """
+    if roots is None:
+        roots = {}
+    datas = []
+    for p in polys:
+        ipol = primitive(p)
+        while ipol and ipol[-1] == 0:
+            ipol = ipol[:-1]
+        if ipol:
+            if ipol not in roots:
+                roots[ipol] = _RootData(ipol)
+            datas.append(roots[ipol])
+    if not datas:
+        return True, Fraction(0), None
+    points = [Fraction(0), Fraction(1)]
+    for d in datas:
+        points += [r for r in d.rational if r not in points]
+    for x in points:
+        if all(_sign_at(p.ipol, x) >= 0 for p in datas):
+            return True, x, None
+    seen = set()
+    for d in datas:
+        for lo, hi in d.intervals:
+            if (d.core, lo, hi) in seen:
+                continue
+            seen.add((d.core, lo, hi))
+            if all(_sign_at_root(p.ipol, d.core, lo, hi) >= 0 for p in datas):
+                return True, None, (lo, hi)
+    return False, None, None
+
+
+def reference_refutation(polys) -> tuple[int, ...]:
+    """Indices of the first infeasible polynomial, else the first infeasible pair, else all."""
+    roots: dict = {}
+    for i, p in enumerate(polys):
+        if not reference_system_feasible([p], roots)[0]:
+            return (i,)
+    for i, j in combinations(range(len(polys)), 2):
+        if not reference_system_feasible([polys[i], polys[j]], roots)[0]:
+            return (i, j)
+    return tuple(range(len(polys)))

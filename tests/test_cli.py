@@ -448,6 +448,19 @@ OUTPUT_SHA256 = {
         "31725d2c8d6b8db5322edcd5fefa5a528fc2aade0a51f0367276699665f7b55b",
 }
 MINOR_CERTIFICATE_SHA256 = "6bbd213b620e8d647e46950f5015ab79ee6330ac43e481d533b226cb56931bf2"
+# sha256 of minor_certificate(...).to_json() for edge = 7/10, free path2, d = 2,
+# at the benchmark's two K3 densities: a refutation by a pair of minors, and
+# the moment point of the constant graphon.
+C06_CERTIFICATE_SHA256 = {
+    "3/25": "5e131de1aa862f54f6252229f977e423e7508595c32b76f245e9c5fb6d298e05",
+    "343/1000": "6ac2808f5ae4b4e69c96ac8663f626e9209a5346f91eb02039b7ab1cd0d8837f",
+}
+# sha256 of the minor-cert command's stdout at the same points, as the
+# benchmark records them (perfbench/expected.json).
+C06_CLI_SHA256 = {
+    "3/25": "562f88895cfab81ab116565773c937f0f544629576fc6df51db5256aa32efcd0",
+    "343/1000": "f3b4005c168dd904484edae672298ab3f3295d981a2b94d4df2a124c6fc0c2a6",
+}
 
 
 def _sha256(text):
@@ -463,3 +476,43 @@ def test_outputs_byte_identical_to_recorded_hashes(capsys):
     fixed = {single_edge(): Fraction(7, 10), complete_graph(3): Fraction(1, 5)}
     cert = minor_certificate(fixed, path_graph(2), 2)
     assert _sha256(cert.to_json()) == MINOR_CERTIFICATE_SHA256
+
+
+def test_c06_certificates_byte_identical_to_recorded_hashes():
+    """The refuted and the moment point of c06 keep their recorded certificate bytes."""
+    for k3, digest in C06_CERTIFICATE_SHA256.items():
+        fixed = {single_edge(): Fraction(7, 10), complete_graph(3): Fraction(k3)}
+        cert = minor_certificate(fixed, path_graph(2), 2)
+        assert _sha256(cert.to_json()) == digest, k3
+
+
+def test_minor_cert_command_prints_the_certificate(capsys):
+    """minor-cert prints to_json() and a newline, and exits 0 whether refuted or not."""
+    statuses = set()
+    for k3, digest in C06_CLI_SHA256.items():
+        argv = ["path2", "--fixed", "edge", "7/10", "--fixed", "K3", k3, "--d", "2"]
+        code, out = run_cli(capsys, "minor-cert", *argv)
+        assert code == 0 and _sha256(out) == digest, k3
+        statuses.add(json.loads(out)["status"])
+    assert statuses == {"refuted", "inconclusive"}
+    code, out = run_cli(capsys, "minor-cert", "path2", "--fixed", "edge", "1/2", "--d", "1")
+    cert = minor_certificate({single_edge(): Fraction(1, 2)}, path_graph(2), 1)
+    assert code == 0 and out == cert.to_json() + "\n"
+
+
+def test_minor_cert_command_exit_codes(capsys):
+    """Bad graphs and rationals exit 4; coordinates the certificate refuses exit 2."""
+    base = ["--d", "1"]
+    assert main(["minor-cert", "nosuch", "--fixed", "edge", "1/2", *base]) == 4
+    assert main(["minor-cert", "path2", "--fixed", "edge", "1/x", *base]) == 4
+    assert main(["minor-cert", "path2", "--fixed", "edge", "1/0", *base]) == 4
+    empty = '{"r":2,"n":1,"edges":[]}'
+    assert main(["minor-cert", "path2", "--fixed", empty, "1/2", *base]) == 2
+    assert main(["minor-cert", "edge^2", "--fixed", "edge", "1/2", *base]) == 2
+    assert main(["minor-cert", "path2", "--fixed", "edge^2", "1/4", *base]) == 2
+    assert main(["minor-cert", "path2", "--fixed", "path2", "1/4", *base]) == 2
+    twice = ["--fixed", "edge", "1/2", "--fixed", "edge", "1/3"]
+    assert main(["minor-cert", "path2", *twice, *base]) == 2
+    err = capsys.readouterr().err
+    assert "fixed coordinate must be a connected graph with at least one edge" in err
+    assert "free coordinate must be a connected graph with at least one edge" in err

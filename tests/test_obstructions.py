@@ -2,9 +2,12 @@
 
 import json
 import random
+import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphtrop.cones import primitive
 from graphtrop.gluing import (
@@ -32,9 +35,10 @@ from graphtrop.obstructions import (
     _deriv,
     _divmod,
     _gcd,
+    _refuting_subset,
     _roots_within,
     _sign_at,
-    _sign_at_root,
+    _sign_table,
     _squarefree,
     _sturm_chain,
     _system_feasible,
@@ -52,10 +56,14 @@ from oracles import (
     _poly_eval,
     _poly_gcd,
     _poly_mul,
+    _int_mul,
     _poly_squarefree,
+    _sign_at_root,
     fraction_sign_at_root,
     random_graph,
     reference_pair_stats,
+    reference_refutation,
+    reference_system_feasible,
 )
 
 
@@ -647,6 +655,119 @@ def test_system_feasible_pinned_pair():
     assert not _system_feasible([quadratic, cubic])[0]
 
 
+def _within_seconds(seconds, fn, *args):
+    """fn(*args), failing instead of hanging when it takes longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Integer factors with roots at 0, 1 and 1/2, at rationals bisection does not
+# meet, at irrational points of (0, 1), and with no root there.  Products of
+# them share roots across constraints; a factor drawn twice is a double root.
+_FACTORS = (
+    (0, 1), (-1, 1), (-1, 2), (-1, 3), (-2, 5),
+    (-1, 0, 2), (1, -5, 5), (1, -3, 1), (1, 0, 1), (3, 1),
+)
+
+
+@st.composite
+def _systems(draw):
+    """1 to 6 integer polynomials of degree at most 4, some proportional to others."""
+    quadratic = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9))
+    pool = list(_FACTORS) + draw(st.lists(quadratic, max_size=2))
+    polys = []
+    for _ in range(draw(st.integers(1, 6))):
+        if polys and draw(st.integers(0, 3)) == 0:
+            scale = draw(st.sampled_from((-2, -1, 3)))
+            polys.append(tuple(scale * c for c in draw(st.sampled_from(polys))))
+            continue
+        pol = (draw(st.sampled_from((-2, -1, 1, 3))),)
+        for f in draw(st.lists(st.sampled_from(pool), max_size=4)):
+            if len(pol) + len(f) - 2 <= 4:
+                pol = _int_mul(pol, f)
+        polys.append(pol)
+    return polys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+@example([_int_mul((-1, 0, 2), (-1, 3)), _int_mul((1, 0, -2), (-2, 5))])
+@example([_int_mul((1, -3), (-1, 3)), _int_mul((-1, 3), (2, -1))])
+@example([(0, 0), (1, -2)])
+@example([(-2401, 0, 10000), (-504, 0, 47000, -100000)])
+def test_sign_table_matches_tarski_reference(polys):
+    """Witness, pair feasibility and refutation agree with one Tarski query per candidate.
+
+    The examples: an irrational root shared by two different cores, a double
+    root at 1/3 where the only feasible point is, a zero polynomial, and the
+    c06 pair.
+    """
+    witness = _within_seconds(5, _system_feasible, polys)
+    assert witness == reference_system_feasible(polys)
+    masks = _sign_table(polys)[0]
+    for i in range(len(polys)):
+        for j in range(i, len(polys)):
+            pair = [polys[i], polys[j]]
+            assert bool(masks[i] & masks[j]) == reference_system_feasible(pair)[0], pair
+    if not witness[0]:
+        assert _refuting_subset(masks) == reference_refutation(polys)
+
+
+def test_sign_table_matches_sympy_intervals():
+    """Mask bits follow the roots sympy.Poly.intervals isolates, in order, with true signs.
+
+    The candidates are 0, the roots in (0, 1) of the squarefree product of
+    all constraints and 1; a constraint's bit is set where it vanishes or is
+    positive.  sympy's intervals are closed and may share an endpoint.
+    Constraints share irrational roots through common factors, so the merge
+    must identify equal roots of different cores (without that check it
+    would refine forever, which the alarm turns into a failure).
+    """
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(1414)
+    for _ in range(60):
+        shared = [rng.choice(_FACTORS) for _ in range(2)]
+        polys = []
+        for _ in range(rng.randint(2, 5)):
+            pol = (rng.choice((-2, -1, 1, 3)),)
+            for f in rng.sample(shared, rng.randint(0, 2)) + [rng.choice(_FACTORS)]:
+                pol = _int_mul(pol, f)
+            polys.append(pol)
+        masks = _within_seconds(5, _sign_table, polys)[0]
+        P = [sympy.Poly(list(reversed(p)), x) for p in polys]
+        product = sympy.Poly(1, x)
+        for q in P:
+            product *= q
+        product = product.sqf_part()
+        for end in (0, 1):
+            while product.eval(end) == 0:
+                product = product.exquo(sympy.Poly(x - end, x))
+        # an interval may end at the next one's rational root: count inside only
+        roots = sorted(iv for iv, _ in product.intervals(inf=0, sup=1))
+        for q, mask in zip(P, masks):
+            common = sympy.gcd(q, product)
+            bits = [q.eval(0) >= 0]
+            for a, b in roots:
+                if a == b:
+                    vanishes = common.eval(a) == 0
+                else:
+                    ends = (common.eval(a) == 0) + (common.eval(b) == 0)
+                    vanishes = common.count_roots(a, b) > ends
+                bits.append(vanishes or q.eval((a + b) / 2) > 0)
+            bits.append(q.eval(1) >= 0)
+            assert mask == sum(1 << k for k, bit in enumerate(bits) if bit), (polys, q)
+
+
 # ---------------------------------------------------------------------------
 # Minor certificates
 # ---------------------------------------------------------------------------
@@ -710,14 +831,14 @@ def test_minor_constraints_nonnegative_at_realised_points(monkeypatch):
     """
     import graphtrop.obstructions as obstructions
 
-    solver = obstructions._system_feasible
+    solver = obstructions._sign_table
     handed = []
 
-    def recording(polys, roots=None):
+    def recording(polys):
         handed.append(list(polys))
-        return solver(polys, roots)
+        return solver(polys)
 
-    monkeypatch.setattr(obstructions, "_system_feasible", recording)
+    monkeypatch.setattr(obstructions, "_sign_table", recording)
     rng = random.Random(20261018)
     for _ in range(6):
         G = random_graph(rng, rng.randint(3, 9), rng.choice([0.3, 0.5, 0.8]))
@@ -735,6 +856,27 @@ def test_minor_certificate_validation():
     """Fixing the free coordinate is rejected."""
     with pytest.raises(ValueError):
         minor_certificate({path_graph(2): Fraction(1, 2)}, path_graph(2), 1)
+
+
+def test_minor_certificate_rejects_disconnected_or_edgeless_coordinates():
+    """A fixed or free coordinate that is not a connected graph with an edge is named.
+
+    Such a coordinate never appears among the moment entries' components, so
+    it used to be dropped without a word: K1 fixed at 1/2 came out
+    inconclusive although t(K1) = 1.
+    """
+    edge = {single_edge(): Fraction(1, 2)}
+    cases = (
+        ({empty_graph(1): Fraction(1, 2)}, path_graph(2)),
+        ({**edge, edge_power(2): Fraction(1, 4)}, path_graph(2)),
+        (edge, edge_power(2)),
+        (edge, empty_graph(2)),
+    )
+    for fixed, free in cases:
+        bad = next(g for g in [*fixed, free] if g.edge_count == 0 or g == edge_power(2))
+        with pytest.raises(ValueError, match="connected graph with at least one edge") as err:
+            minor_certificate(fixed, free, 1)
+        assert graph_key(bad) in str(err.value)
 
 
 def test_minor_certificate_json_roundtrip():
