@@ -866,14 +866,13 @@ def test_minor_certificate_rejects_disconnected_or_edgeless_coordinates():
     inconclusive although t(K1) = 1.
     """
     edge = {single_edge(): Fraction(1, 2)}
-    cases = (
-        ({empty_graph(1): Fraction(1, 2)}, path_graph(2)),
-        ({**edge, edge_power(2): Fraction(1, 4)}, path_graph(2)),
-        (edge, edge_power(2)),
-        (edge, empty_graph(2)),
+    cases = (  # (fixed, free, the graph the error must name)
+        ({empty_graph(1): Fraction(1, 2)}, path_graph(2), empty_graph(1)),
+        ({**edge, edge_power(2): Fraction(1, 4)}, path_graph(2), edge_power(2)),
+        (edge, edge_power(2), edge_power(2)),
+        (edge, empty_graph(2), empty_graph(2)),
     )
-    for fixed, free in cases:
-        bad = next(g for g in [*fixed, free] if g.edge_count == 0 or g == edge_power(2))
+    for fixed, free, bad in cases:
         with pytest.raises(ValueError, match="connected graph with at least one edge") as err:
             minor_certificate(fixed, free, 1)
         assert graph_key(bad) in str(err.value)
