@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import (
@@ -41,16 +40,6 @@ from .obstructions import counting_obstruction, minor_certificate
 
 class GraphInputError(ValueError):
     """A graph argument could not be read or parsed."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: command, parameters, and output routing."""
-
-    command: str
-    args: argparse.Namespace
-    out: str | None
-    fmt: str
 
 
 def load_graph(spec: str) -> Hypergraph:
@@ -94,22 +83,25 @@ def log_fraction(x: Fraction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cmd_density(cfg: RunConfig) -> tuple[str, int]:
-    H = load_graph(cfg.args.H)
-    G = load_graph(cfg.args.G)
+def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
+    H = load_graph(args.H)
+    G = load_graph(args.G)
     value = density(H, G)
     return dump_json(
         {"H": graph_key(H), "G": graph_key(G), "density": fraction_str(value)}
     ), 0
 
 
-def cmd_trop_sos(cfg: RunConfig) -> tuple[str, int]:
-    d, budget = cfg.args.d, cfg.args.labels
+def trop_sos_cone(d: int, label_budget: int | None):
+    """The degree-d moment matrix over B_tilde and its minor cone."""
     if d < 1:
         raise ValueError("degree must be positive")
-    basis = enumerate_basis("B_tilde", d, budget)
-    M = moment_matrix(basis.elements)
-    cone = minor_cone(M)
+    M = moment_matrix(enumerate_basis("B_tilde", d, label_budget))
+    return M, minor_cone(M)
+
+
+def cmd_trop_sos(args: argparse.Namespace) -> tuple[str, int]:
+    M, cone = trop_sos_cone(args.d, args.labels)
     obj = {
         "basis": list(cone.basis),
         "facets": [list(f) for f in cone.facets],
@@ -122,35 +114,34 @@ def cmd_trop_sos(cfg: RunConfig) -> tuple[str, int]:
     return dump_json(obj), 0
 
 
-def cmd_clique_cone(cfg: RunConfig) -> tuple[str, int]:
-    return clique_trop_cone(cfg.args.r, cfg.args.l).to_json(), 0
+def cmd_clique_cone(args: argparse.Namespace) -> tuple[str, int]:
+    return clique_trop_cone(args.r, args.l).to_json(), 0
 
 
-def cmd_star_cone(cfg: RunConfig) -> tuple[str, int]:
-    return star_trop_cone(cfg.args.r, cfg.args.c, cfg.args.l).to_json(), 0
+def cmd_star_cone(args: argparse.Namespace) -> tuple[str, int]:
+    return star_trop_cone(args.r, args.c, args.l).to_json(), 0
 
 
-def build_cone(cfg: RunConfig):
-    source = cfg.args.cone
+def build_cone(args: argparse.Namespace):
+    source = args.cone
     if source == "clique":
-        cone = clique_trop_cone(cfg.args.r, cfg.args.l)
-        descriptor = {"source": "clique", "r": cfg.args.r, "l": cfg.args.l}
+        cone = clique_trop_cone(args.r, args.l)
+        descriptor = {"source": "clique", "r": args.r, "l": args.l}
     elif source == "star":
-        cone = star_trop_cone(cfg.args.r, cfg.args.c, cfg.args.l)
-        descriptor = {"source": "star", "r": cfg.args.r, "c": cfg.args.c, "l": cfg.args.l}
+        cone = star_trop_cone(args.r, args.c, args.l)
+        descriptor = {"source": "star", "r": args.r, "c": args.c, "l": args.l}
     else:
-        basis = enumerate_basis("B_tilde", cfg.args.d, cfg.args.labels)
-        cone = minor_cone(moment_matrix(basis.elements))
-        descriptor = {"source": "trop-sos", "d": cfg.args.d, "labels": cfg.args.labels}
+        cone = trop_sos_cone(args.d, args.labels)[1]
+        descriptor = {"source": "trop-sos", "d": args.d, "labels": args.labels}
     return cone, descriptor
 
 
-def cmd_test_binomial(cfg: RunConfig) -> tuple[str, int]:
-    H1 = load_graph(cfg.args.H1)
-    H2 = load_graph(cfg.args.H2)
-    cone, descriptor = build_cone(cfg)
-    a1 = alpha_vector(H1, cone.basis).exponents
-    a2 = alpha_vector(H2, cone.basis).exponents
+def cmd_test_binomial(args: argparse.Namespace) -> tuple[str, int]:
+    H1 = load_graph(args.H1)
+    H2 = load_graph(args.H2)
+    cone, descriptor = build_cone(args)
+    a1 = alpha_vector(H1, cone.basis)
+    a2 = alpha_vector(H2, cone.basis)
     diff = tuple(x - y for x, y in zip(a1, a2))
     membership = cone_member(diff, cone.facets)
     obj = {
@@ -178,31 +169,31 @@ def cmd_test_binomial(cfg: RunConfig) -> tuple[str, int]:
     return dump_json(obj), 0
 
 
-def cmd_obstruction(cfg: RunConfig) -> tuple[str, int]:
-    upper = load_graph(cfg.args.upper)
-    lower = load_graph(cfg.args.lower)
+def cmd_obstruction(args: argparse.Namespace) -> tuple[str, int]:
+    upper = load_graph(args.upper)
+    lower = load_graph(args.lower)
     report = counting_obstruction(
-        upper, lower, cfg.args.k, cfg.args.d, cfg.args.labels, cfg.args.p
+        upper, lower, args.k, args.d, args.labels, args.p
     )
     code = 2 if report.status == "precondition-failure" else 0
     return report.to_json() + "\n", code
 
 
-def cmd_minor_cert(cfg: RunConfig) -> tuple[str, int]:
+def cmd_minor_cert(args: argparse.Namespace) -> tuple[str, int]:
     fixed: dict[str, Fraction] = {}
-    for spec, value in cfg.args.fixed:
+    for spec, value in args.fixed:
         key = graph_key(load_graph(spec))
         if key in fixed:
             raise ValueError(f"duplicate fixed coordinate {key}")
         fixed[key] = parse_fraction(value)
-    cert = minor_certificate(fixed, load_graph(cfg.args.free), cfg.args.d, cfg.args.labels)
+    cert = minor_certificate(fixed, load_graph(args.free), args.d, args.labels)
     return cert.to_json() + "\n", 0
 
 
-def trajectory_setup(cfg: RunConfig):
+def trajectory_setup(args: argparse.Namespace):
     """Column names, target ray, and the exact density evaluator for a family."""
-    if cfg.args.family == "clique":
-        r, l, i = cfg.args.r, cfg.args.l, cfg.args.k
+    if args.family == "clique":
+        r, l, i = args.r, args.l, args.k
         span = l - r + 1
         if not 1 <= i <= span:
             raise ValueError(f"ray index must lie in 1..{span}, got {i}")
@@ -217,7 +208,7 @@ def trajectory_setup(cfg: RunConfig):
             return [clique_turan_density(q, param, parts, r) for q in range(r, l + 1)]
 
     else:
-        r, c, l, m = cfg.args.r, cfg.args.c, cfg.args.l, cfg.args.k
+        r, c, l, m = args.r, args.c, args.l, args.k
         if l < 1:
             raise ValueError("need at least one branch count")
         names = [f"S{b}" for b in range(1, l + 1)]
@@ -229,20 +220,20 @@ def trajectory_setup(cfg: RunConfig):
     return names, target, evaluate
 
 
-def cmd_family_trajectory(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.args.schedule:
-        schedule = [parse_fraction(tok) for tok in cfg.args.schedule.split(",")]
-    elif cfg.args.family == "clique" and cfg.args.alpha is not None:
-        schedule = [parse_fraction(cfg.args.alpha)]
-    elif cfg.args.family == "star" and cfg.args.rho is not None:
-        schedule = [parse_fraction(cfg.args.rho)]
+def cmd_family_trajectory(args: argparse.Namespace) -> tuple[str, int]:
+    if args.schedule:
+        schedule = [parse_fraction(tok) for tok in args.schedule.split(",")]
+    elif args.family == "clique" and args.alpha is not None:
+        schedule = [parse_fraction(args.alpha)]
+    elif args.family == "star" and args.rho is not None:
+        schedule = [parse_fraction(args.rho)]
     else:
         raise ValueError("a --schedule or a single parameter value is required")
     for param in schedule:
         if not 0 < param < 1:
             raise ValueError(f"schedule values must lie strictly between 0 and 1: {param}")
 
-    names, target, evaluate = trajectory_setup(cfg)
+    names, target, evaluate = trajectory_setup(args)
     tnorm = math.sqrt(sum(t * t for t in target))
     rows = []
     for param in schedule:
@@ -258,7 +249,7 @@ def cmd_family_trajectory(cfg: RunConfig) -> tuple[str, int]:
         )
 
     header = ["parameter"] + names + ["distance"]
-    if cfg.fmt == "json":
+    if args.format == "json":
         return dump_json({"columns": header, "rows": rows}), 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -359,32 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def validate(cfg: RunConfig) -> None:
-    args = cfg.args
-    if cfg.command == "test-binomial":
+def validate(args: argparse.Namespace) -> None:
+    if args.command == "test-binomial":
         if args.cone in ("clique", "star") and args.l is None:
             raise ValueError(f"--l is required for the {args.cone} cone")
         if args.cone == "trop-sos" and args.d is None:
             raise ValueError("--d is required for the trop-sos cone")
-    if cfg.fmt == "csv" and cfg.command != "family-trajectory":
-        raise ValueError(f"command {cfg.command} only emits JSON")
+    if args.format == "csv" and args.command != "family-trajectory":
+        raise ValueError(f"command {args.command} only emits JSON")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    default_fmt = "csv" if args.command == "family-trajectory" else "json"
-    cfg = RunConfig(
-        command=args.command,
-        args=args,
-        out=args.out,
-        fmt=args.format or default_fmt,
-    )
+    if args.format is None:
+        args.format = "csv" if args.command == "family-trajectory" else "json"
     try:
-        validate(cfg)
-        text, code = COMMANDS[cfg.command](cfg)
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+        validate(args)
+        text, code = COMMANDS[args.command](args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

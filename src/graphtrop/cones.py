@@ -466,16 +466,13 @@ def minor_cone(M: MomentMatrix) -> RationalCone:
     rows = {}
     for i in range(M.size):
         for j in range(i + 1, M.size):
-            vec = {}
-            for (a, b), s in (((i, i), 1), ((j, j), 1), ((i, j), -2)):
-                for k, cnt in M.alpha_entry(a, b).items():
-                    vec[k] = vec.get(k, 0) + s * cnt
-            row = primitive([vec.get(k, 0) for k in vbasis])
-            if not any(row):
+            vec = M.generator(i, j)
+            if not vec:
                 raise ValueError(
                     f"symbolically zero 2x2 minor for basis pair ({i}, {j}); "
                     "use a basis whose components are all labeled"
                 )
+            row = primitive([vec.get(k, 0) for k in vbasis])
             rows.setdefault(row, row)
     facets = tuple(sorted(rows))
     lines, rays = dd_rays(facets, len(vbasis))

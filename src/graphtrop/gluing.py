@@ -75,22 +75,6 @@ class LabeledGraph:
         obj["labels"] = {str(l): v for l, v in self.labels}
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
-    @staticmethod
-    def from_json(text: str) -> "LabeledGraph":
-        obj = json.loads(text)
-        return labeled_graph_from_obj(obj)
-
-
-def labeled_graph_from_obj(obj) -> LabeledGraph:
-    if not isinstance(obj, dict) or "labels" not in obj:
-        raise ValueError("labeled graph JSON must be an object with a 'labels' key")
-    base = {k: obj[k] for k in ("r", "n", "edges") if k in obj}
-    if len(base) != 3:
-        raise ValueError("labeled graph JSON missing r/n/edges")
-    G = Hypergraph.make(base["r"], base["n"], base["edges"])
-    labels = tuple(sorted((int(l), v) for l, v in obj["labels"].items()))
-    return LabeledGraph(G, labels)
-
 
 def unit(r: int = 2) -> LabeledGraph:
     """The empty labeled graph, the multiplicative unit of gluing."""
@@ -292,25 +276,8 @@ def eval_combination(a: Combination, G: Hypergraph) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exponent vectors
+# Component counts and minor generators
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """Integer multiplicities of connected graphs, over an explicit ordered basis."""
-
-    basis: tuple[str, ...]
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.basis) != len(self.exponents):
-            raise ValueError("basis and exponents must have equal length")
-        if len(set(self.basis)) != len(self.basis):
-            raise ValueError("basis entries must be distinct")
-
-    def as_dict(self) -> dict[str, int]:
-        return {b: e for b, e in zip(self.basis, self.exponents) if e}
 
 
 def component_counts(G: Hypergraph) -> dict[str, int]:
@@ -322,31 +289,32 @@ def component_counts(G: Hypergraph) -> dict[str, int]:
     return out
 
 
-def alpha_vector(G: Hypergraph, basis) -> ExponentVector:
-    """Multiplicity vector of G's connected components over the given basis."""
-    keys = tuple(b if isinstance(b, str) else graph_key(b) for b in basis)
+def alpha_vector(G: Hypergraph, basis) -> tuple[int, ...]:
+    """Multiplicities of G's connected components over the given keys, in their order."""
     counts = component_counts(G)
-    unknown = set(counts) - set(keys)
+    unknown = set(counts) - set(basis)
     if unknown:
         raise ValueError(f"components outside basis: {sorted(unknown)}")
-    return ExponentVector(keys, tuple(counts.get(k, 0) for k in keys))
+    return tuple(counts.get(k, 0) for k in basis)
+
+
+def minor_counts(aa, bb, ab) -> dict[str, int]:
+    """The 2x2-minor generator alpha([[A^2]]) + alpha([[B^2]]) - 2 alpha([[AB]]).
+
+    aa, bb and ab are the component counts of the three products; the result
+    holds the nonzero counts by key.
+    """
+    out = dict(aa)
+    for key, c in bb.items():
+        out[key] = out.get(key, 0) + c
+    for key, c in ab.items():
+        out[key] = out.get(key, 0) - 2 * c
+    return {key: c for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
 # Bases of partially labeled graphs
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Basis:
-    kind: str
-    d: int
-    label_budget: int
-    r: int
-    elements: tuple
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def _edge_shapes(d: int, r: int) -> list[Hypergraph]:
@@ -373,11 +341,12 @@ def _labelings(shape: Hypergraph, label_budget: int) -> list[LabeledGraph]:
     return list(out)
 
 
-def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int = 2) -> Basis:
+def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int = 2) -> tuple:
     """Enumerate a gluing basis: "B" (all), "B_tilde" (every component labeled), or "V".
 
-    "V" is the set of connected unlabeled graphs arising as unlabeled products
-    of two "B" elements; it indexes moment matrix entries.
+    "B" and "B_tilde" hold labeled graphs.  "V" holds the keys of the
+    connected unlabeled graphs arising as unlabeled products of two "B"
+    elements; it indexes moment matrix entries.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -389,15 +358,14 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
         raise ValueError(f"unknown basis kind {kind!r}")
 
     if kind == "V":
-        elems = enumerate_basis("B", d, label_budget, r).elements
+        elems = enumerate_basis("B", d, label_budget, r)
         keys: set[str] = set()
         for i in range(len(elems)):
             for j in range(i, len(elems)):
                 counts = product_counts(elems[i], elems[j])
                 if list(counts.values()) == [1]:  # a connected, nonempty product
                     keys.update(counts)
-        ordered = sorted(keys, key=basis_sort_key)
-        return Basis("V", d, label_budget, r, tuple(key_graph(k) for k in ordered))
+        return tuple(sorted(keys, key=basis_sort_key))
 
     elements = [unit(r)]
     for shape in _edge_shapes(d, r):
@@ -405,8 +373,7 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
             if kind == "B_tilde" and any(not labs for labs, _, _ in labeled_parts(L)):
                 continue
             elements.append(L)
-    ordered = sorted(elements, key=lambda L: (L.graph.edge_count, L.to_json()))
-    return Basis(kind, d, label_budget, r, tuple(ordered))
+    return tuple(sorted(elements, key=lambda L: (L.graph.edge_count, L.to_json())))
 
 
 # ---------------------------------------------------------------------------
@@ -419,33 +386,30 @@ class MomentMatrix:
     """Symmetric matrix of unlabeled gluing products over a labeled basis.
 
     Only the component counts of each product are stored, for i <= j; they
-    are read-only and shared by every caller of alpha_entry.  The product
-    graph itself is rebuilt on demand by entry_graph.
+    are read-only and shared by every caller of alpha_entry.  vbasis holds
+    the sorted keys of every component that occurs.
     """
 
     basis: tuple[LabeledGraph, ...]
     vbasis: tuple[str, ...]
-    extensions: tuple[str, ...]
     counts: dict[tuple[int, int], Mapping[str, int]]
 
     @property
     def size(self) -> int:
         return len(self.basis)
 
-    def entry_graph(self, i: int, j: int) -> Hypergraph:
-        return unlabeled_product(self.basis[i], self.basis[j])
-
     def alpha_entry(self, i: int, j: int) -> Mapping[str, int]:
         return self.counts[(i, j) if i <= j else (j, i)]
 
-    def exponent_vector(self, i: int, j: int) -> ExponentVector:
-        counts = self.alpha_entry(i, j)
-        return ExponentVector(self.vbasis, tuple(counts.get(k, 0) for k in self.vbasis))
+    def generator(self, i: int, j: int) -> dict[str, int]:
+        """minor_counts of the basis pair (i, j), from the stored entries."""
+        c = self.counts
+        return minor_counts(c[(i, i)], c[(j, j)], c[(i, j) if i <= j else (j, i)])
 
 
-def moment_matrix(basis, vbasis=None) -> MomentMatrix:
-    """Products of all basis pairs; the V-basis is extended as needed and reported."""
-    elems = tuple(basis.elements if isinstance(basis, Basis) else basis)
+def moment_matrix(basis) -> MomentMatrix:
+    """Component counts of the unlabeled products of all pairs of labeled graphs."""
+    elems = tuple(basis)
     counts: dict[tuple[int, int], Mapping[str, int]] = {}
     needed: set[str] = set()
     for i in range(len(elems)):
@@ -453,12 +417,7 @@ def moment_matrix(basis, vbasis=None) -> MomentMatrix:
             entry = product_counts(elems[i], elems[j])
             counts[(i, j)] = MappingProxyType(entry)
             needed.update(entry)
-    provided = set()
-    if vbasis is not None:
-        provided = {b if isinstance(b, str) else graph_key(b) for b in vbasis}
-    extensions = tuple(sorted(needed - provided, key=basis_sort_key)) if vbasis is not None else ()
-    allkeys = sorted(needed | provided, key=basis_sort_key)
-    return MomentMatrix(elems, tuple(allkeys), extensions, counts)
+    return MomentMatrix(elems, tuple(sorted(needed, key=basis_sort_key)), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ inside the degree-d relaxation; an exact LP over the generators acts as an
 independent oracle, and every verdict ships with a re-verified certificate.
 Minor certificates exclude single density points by exact sign analysis of
 univariate principal-minor polynomials, kept as integer polynomials: Sturm
-chains isolate their roots, and Tarski queries give the sign of a constraint at
-an algebraic root of another.
+chains isolate their roots, and one merged order of every constraint's roots,
+refined by bisection, gives each constraint's sign at every candidate point.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from operator import and_
 
 from .cones import CertificateError, cone_member, dot, primitive
 from .gluing import (
-    ExponentVector,
     LabeledGraph,
     _glue_raw,
     alpha_vector,
@@ -33,6 +32,7 @@ from .gluing import (
     enumerate_basis,
     is_trivial_square,
     labeled_parts,
+    minor_counts,
     moment_matrix,
     product_counts,
 )
@@ -69,46 +69,30 @@ def l_value(F: Hypergraph, p: int) -> Fraction:
     return sum((g_eval(m, p) for m in F.degrees()), Fraction(0))
 
 
-@dataclass(frozen=True)
-class YVector:
-    """Total vertex weights over an ordered basis of connected graphs."""
+def y_vector(basis, p: int) -> dict[str, Fraction]:
+    """The total vertex weight of every graph of the basis, by key, in basis order.
 
-    basis: tuple[str, ...]
-    p: int
-    values: tuple[Fraction, ...]
-
-
-def y_vector(basis, p: int) -> YVector:
-    """Evaluate the total vertex weight on every graph of the basis.
-
-    Entries may be canonical JSON keys or graphs; each must be nonempty and
-    connected so that componentwise evaluation is well defined.
+    Each key must name a nonempty connected graph, so that componentwise
+    evaluation is well defined.
     """
-    keys = []
-    values = []
-    for b in basis:
-        G = key_graph(b) if isinstance(b, str) else b
+    y = {}
+    for key in basis:
+        G = key_graph(key)
         if G.n == 0 or len(connected_components(G)) != 1:
             raise ValueError("y-vector basis entries must be nonempty connected graphs")
-        keys.append(graph_key(G))
-        values.append(l_value(G, p))
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate y-vector basis entries")
-    return YVector(tuple(keys), p, tuple(values))
+        if key in y:
+            raise ValueError("duplicate y-vector basis entries")
+        y[key] = l_value(G, p)
+    return y
 
 
-def y_pairing(y: YVector, v) -> Fraction:
-    """Exact inner product of a y-vector with an exponent vector or count dict."""
-    if isinstance(v, ExponentVector):
-        if v.basis != y.basis:
-            raise ValueError("exponent vector basis does not match the y-vector basis")
-        return sum((val * e for val, e in zip(y.values, v.exponents)), Fraction(0))
-    lookup = dict(zip(y.basis, y.values))
+def y_pairing(y: dict[str, Fraction], v) -> Fraction:
+    """Exact inner product of a y-vector with a count dict."""
     total = Fraction(0)
     for key, e in v.items():
-        if key not in lookup:
+        if key not in y:
             raise ValueError(f"coordinate outside the y-vector basis: {key}")
-        total += lookup[key] * e
+        total += y[key] * e
     return total
 
 
@@ -117,25 +101,13 @@ def y_pairing(y: YVector, v) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def m_vector(A: LabeledGraph, B: LabeledGraph, basis=None) -> ExponentVector:
+def m_vector(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
     """Generator alpha([[A^2]]) + alpha([[B^2]]) - 2 alpha([[AB]]) of the dual cone.
 
-    With an explicit basis the result is reported over it, extended in sorted
-    order by any support falling outside; with none, over the sorted support.
+    The nonzero counts by key, in sorted key order.
     """
-    counts: dict[str, int] = {}
-    for X, Y, w in ((A, A, 1), (B, B, 1), (A, B, -2)):
-        for key, c in product_counts(X, Y).items():
-            counts[key] = counts.get(key, 0) + w * c
-    if basis is None:
-        keys = tuple(sorted(counts, key=basis_sort_key))
-    else:
-        keys = tuple(b if isinstance(b, str) else graph_key(b) for b in basis)
-        extra = sorted(set(counts) - set(keys), key=basis_sort_key)
-        if extra:
-            log.info("m_vector basis extended by %d component(s)", len(extra))
-            keys = keys + tuple(extra)
-    return ExponentVector(keys, tuple(counts.get(k, 0) for k in keys))
+    counts = minor_counts(product_counts(A, A), product_counts(B, B), product_counts(A, B))
+    return {key: counts[key] for key in sorted(counts, key=basis_sort_key)}
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +230,7 @@ def positive_pair_check(A: LabeledGraph, B: LabeledGraph, C, p: int = 1) -> Pair
     of z_a + z_b; for nonpositive coordinates the bounds are not required.
     """
     m = m_vector(A, B)
-    return _verdict(pair_stats(A, B, C), y_pairing(y_vector(m.basis, p), m))
+    return _verdict(pair_stats(A, B, C), y_pairing(y_vector(m, p), m))
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +335,22 @@ def counting_obstruction(
             status="precondition-failure", conclusion="precondition failure", **base
         )
 
-    basis = enumerate_basis("B_tilde", degree, label_budget, upper_c.r)
-    M = moment_matrix(basis.elements)
+    M = moment_matrix(enumerate_basis("B_tilde", degree, label_budget, upper_c.r))
     vkeys = set(M.vbasis) | set(upper_counts) | set(lower_counts)
     vbasis = tuple(sorted(vkeys, key=basis_sort_key))
     extensions = tuple(sorted(vkeys - set(M.vbasis), key=basis_sort_key))
     if extensions:
         log.info("moment basis extended by %d component(s) for the target", len(extensions))
     y = y_vector(vbasis, p)
-    up = alpha_vector(upper_c, vbasis).exponents
-    low = alpha_vector(lower_c, vbasis).exponents
+    up = alpha_vector(upper_c, vbasis)
+    low = alpha_vector(lower_c, vbasis)
     target = tuple(k * a - (k + 1) * b for a, b in zip(up, low))
-    target_pairing = y_pairing(y, ExponentVector(vbasis, target))
+    target_pairing = y_pairing(y, dict(zip(vbasis, target)))
     chain_bound = 2 * target_pairing / upper_counts[witness]
     chain_contradiction = k > chain_bound
 
     # a positive multiple of y in integers: the sign of a pairing is an int sum's
-    weights = dict(zip(y.basis, primitive(y.values)))
+    weights = dict(zip(y, primitive(y.values())))
     diag = [M.alpha_entry(i, i) for i in range(M.size)]
     parts = [labeled_parts(L) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
@@ -389,13 +360,7 @@ def counting_obstruction(
     for i in range(M.size):
         for j in range(i + 1, M.size):
             pair_count += 1
-            entry: dict[str, int] = {}
-            for key, c in diag[i].items():
-                entry[key] = entry.get(key, 0) + c
-            for key, c in diag[j].items():
-                entry[key] = entry.get(key, 0) + c
-            for key, c in M.alpha_entry(i, j).items():
-                entry[key] = entry.get(key, 0) - 2 * c
+            entry = M.generator(i, j)
             if sum(weights[key] * c for key, c in entry.items()) < 0:
                 raise CertificateError(f"negative weight pairing for basis pair ({i}, {j})")
             g = gcd(*entry.values())
@@ -466,8 +431,8 @@ def counting_obstruction(
 # ---------------------------------------------------------------------------
 # A polynomial is a tuple of ints, ascending powers, no trailing zeros.  Every
 # helper returns a nonzero integer multiple of the rational polynomial it
-# stands for; remainders are positive multiples, so Sturm and Tarski chains
-# keep their signs and counts of sign variations.
+# stands for; remainders are positive multiples, so Sturm chains keep their
+# signs and counts of sign variations.
 
 
 def _deriv(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -636,9 +601,12 @@ def _sign_table(polys):
     cylindrical algebraic decomposition.  A polynomial is 0 at its own roots
     and keeps, up to the next one, its sign at the separator after the last.
     A subset is feasible exactly when the AND of its masks is nonzero: its
-    own candidates are complete (see _system_feasible) and lie among these.
-    Returns the masks and the witness of the whole system, searched in the
-    order 0, 1, rational roots, isolating intervals.
+    own candidates lie among these, and they are complete, because a nonempty
+    feasible set is closed and each of its boundary points inside (0, 1)
+    zeroes some constraint.  Returns the masks and the witness of the whole
+    system, (feasible, point, interval): a rational witness point, or an
+    interval isolating an algebraic witness root of one constraint, searched
+    in the order 0, 1, rational roots, isolating intervals.
     """
     ipols = [primitive(p[: max((i + 1 for i, c in enumerate(p) if c), default=0)]) for p in polys]
     datas = {ipol: _RootData(ipol) for ipol in ipols if ipol}
@@ -679,18 +647,6 @@ def _sign_table(polys):
     mask = reduce(and_, out, -1)
     witness = next(((True, x, iv) for k, x, iv in candidates if mask >> k & 1), (False, None, None))
     return out, witness
-
-
-def _system_feasible(polys):
-    """Decide whether all polynomials are simultaneously >= 0 somewhere on [0, 1].
-
-    Returns (feasible, point, interval): a rational witness point, or an
-    interval isolating an algebraic witness root of one constraint.  The
-    candidate set {0, 1, roots of the constraints} is complete: a nonempty
-    feasible set is closed, and each of its boundary points inside (0, 1)
-    zeroes some constraint.  Exact throughout.
-    """
-    return _sign_table(polys)[1]
 
 
 def _refuting_subset(masks) -> tuple[int, ...]:
@@ -802,7 +758,7 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         raise ValueError("the free coordinate is also fixed")
     if label_budget is None:
         label_budget = 2 * degree
-    elems = enumerate_basis("B_tilde", degree, label_budget, free_c.r).elements
+    elems = enumerate_basis("B_tilde", degree, label_budget, free_c.r)
     allowed = set(fixed_map) | {free_key}
     # the monomial of every eligible entry (i <= j), derived once per certificate
     terms: dict[tuple[int, int], tuple[int, int, int]] = {}

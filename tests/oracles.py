@@ -12,7 +12,8 @@ canonical components (`labeled_components`), and is the reference for the
 raw-component census in `graphtrop.obstructions`.  `reference_system_feasible`
 and `reference_refutation` are the Sturm feasibility searches as first
 written, with a Tarski query per candidate root (`_sign_at_root`), and are
-the reference for the merged sign table.
+the reference for the merged sign table: its witness, `_sign_table(polys)[1]`,
+and its refuting subset.
 """
 
 from __future__ import annotations
@@ -498,7 +499,7 @@ def _sign_at_root(p, q, lo: Fraction, hi: Fraction) -> int:
 
 def reference_system_feasible(polys, roots: dict | None = None):
     """(feasible, point, interval) for all polys >= 0 somewhere on [0, 1]: the reference
-    for graphtrop.obstructions._system_feasible.
+    for graphtrop.obstructions._sign_table(polys)[1].
 
     Candidates are tried in order: 0, 1, the rational roots, then each
     isolating interval, with the sign of every constraint evaluated at each.

@@ -217,6 +217,13 @@ def test_binomial_missing_parameters_exit_2(capsys):
     assert run_cli(capsys, "test-binomial", "trop-sos", "edge", "edge")[0] == 2
 
 
+def test_trop_sos_cone_refuses_nonpositive_degree(capsys):
+    """trop-sos and test-binomial trop-sos refuse d < 1 with one message."""
+    for argv in (["trop-sos", "--d", "0"], ["test-binomial", "trop-sos", "edge", "path2", "--d", "0"]):
+        assert main(argv) == 2
+        assert "precondition failure: degree must be positive" in capsys.readouterr().err
+
+
 def test_binomial_graph_outside_basis_exit_2(capsys):
     """Graphs with components outside the cone basis are a precondition failure."""
     assert run_cli(capsys, "test-binomial", "clique", "P3", "edge^3", "--l", "3")[0] == 2

@@ -76,7 +76,7 @@ def test_dot_of_int_vectors_is_int():
 
 def test_minor_cone_entries_are_int():
     """Double description keeps every facet, ray and lineality entry a plain int."""
-    cone = minor_cone(moment_matrix(enumerate_basis("B_tilde", 2, 2).elements))
+    cone = minor_cone(moment_matrix(enumerate_basis("B_tilde", 2, 2)))
     vectors = cone.facets + cone.rays + cone.lineality
     assert vectors
     assert all(type(x) is int for v in vectors for x in v)
@@ -451,7 +451,7 @@ def test_minor_cone_rejects_unlabeled_components():
 def test_minor_cone_requires_unit():
     """The empty graph must be part of the moment basis."""
     B = enumerate_basis("B_tilde", 1, 2)
-    M = moment_matrix(B.elements[1:])
+    M = moment_matrix(B[1:])
     with pytest.raises(ValueError):
         minor_cone(M)
 

@@ -20,6 +20,7 @@ from graphtrop.gluing import (
 )
 from graphtrop.hypergraphs import (
     Hypergraph,
+    basis_sort_key,
     canonical_form,
     complete_graph,
     density,
@@ -41,7 +42,6 @@ from graphtrop.obstructions import (
     _sign_table,
     _squarefree,
     _sturm_chain,
-    _system_feasible,
     counting_obstruction,
     g_eval,
     l_value,
@@ -134,8 +134,9 @@ def test_y_vector_values():
     """Weights are nonpositive and equal -2|E| whenever max degree is small."""
     graphs = [single_edge(), path_graph(2), path_graph(3), complete_graph(3), complete_graph(4)]
     for p in (1, 2):
-        y = y_vector(graphs, p)
-        for G, val in zip(graphs, y.values):
+        y = y_vector([graph_key(G) for G in graphs], p)
+        assert list(y) == [graph_key(G) for G in graphs]
+        for G, val in zip(graphs, y.values()):
             assert val <= 0
             if max(G.degrees()) <= p + 1:
                 assert val == -2 * G.edge_count
@@ -144,25 +145,25 @@ def test_y_vector_values():
 def test_y_vector_rejects_bad_entries():
     """Disconnected, empty, or duplicate basis entries are rejected."""
     with pytest.raises(ValueError):
-        y_vector([edge_power(2)], 1)
+        y_vector([graph_key(edge_power(2))], 1)
     with pytest.raises(ValueError):
-        y_vector([empty_graph(0)], 1)
+        y_vector([graph_key(empty_graph(0))], 1)
     with pytest.raises(ValueError):
-        y_vector([single_edge(), single_edge()], 1)
+        y_vector([graph_key(single_edge()), graph_key(single_edge())], 1)
 
 
 def test_y_pairing_forms():
-    """Pairing accepts matching exponent vectors and plain count dicts."""
-    y = y_vector([single_edge(), path_graph(2)], 1)
+    """Pairing reads count dicts, and refuses coordinates outside the y-vector."""
+    y = y_vector([graph_key(single_edge()), graph_key(path_graph(2))], 1)
     assert y_pairing(y, {graph_key(single_edge()): 3}) == Fraction(-6)
     m = m_vector(labeled_edge(1), labeled_edge(2))
-    assert m.as_dict() == {graph_key(path_graph(2)): 2, graph_key(single_edge()): -4}
+    assert m == {graph_key(path_graph(2)): 2, graph_key(single_edge()): -4}
     assert y_pairing(y, m) == Fraction(0)
     with pytest.raises(ValueError):
         y_pairing(y, {graph_key(complete_graph(3)): 1})
     other = m_vector(labeled_edge(1), labeled_edge(1, 2))
     with pytest.raises(ValueError):
-        y_pairing(y_vector([single_edge()], 1), other)
+        y_pairing(y_vector([graph_key(single_edge())], 1), other)
 
 
 # ---------------------------------------------------------------------------
@@ -179,38 +180,36 @@ def test_m_vector_worked_example():
         graph_key(longbroom()): 1,
         graph_key(path_graph(4)): -2,
     }
-    assert m.as_dict() == expected
-    assert graph_key(single_edge()) in m.basis
+    assert m == expected
+    # the edge cancels, and zero counts are dropped
+    assert graph_key(single_edge()) not in m
 
 
 def test_m_vector_of_pair_with_itself_is_zero():
     """m(A, A) vanishes identically."""
     for A in (labeled_edge(1), labeled_edge(1, 2), unit(), example_pair()[0]):
-        assert not any(m_vector(A, A).exponents)
+        assert m_vector(A, A) == {}
 
 
 def test_m_vector_unit_row():
     """Against the unit, m reduces to alpha of the square minus twice alpha."""
     m = m_vector(unit(), labeled_edge(1))
-    assert m.as_dict() == {graph_key(path_graph(2)): 1, graph_key(single_edge()): -2}
+    assert m == {graph_key(path_graph(2)): 1, graph_key(single_edge()): -2}
 
 
-def test_m_vector_explicit_basis_is_extended():
-    """A basis missing support keys is extended in sorted order."""
+def test_m_vector_keys_are_sorted_support():
+    """The generator's keys are its nonzero support, in sorted key order."""
     A, B = example_pair()
-    m = m_vector(A, B, [single_edge()])
-    assert m.basis[0] == graph_key(single_edge())
-    assert m.exponents[0] == 0
-    assert set(m.as_dict()) == {
-        graph_key(path_graph(3)), graph_key(longbroom()), graph_key(path_graph(4))
-    }
+    m = m_vector(A, B)
+    support = [graph_key(path_graph(3)), graph_key(longbroom()), graph_key(path_graph(4))]
+    assert list(m) == sorted(support, key=basis_sort_key)
 
 
 def test_worked_example_pairing():
     """The weight pairing of the worked pair equals 1/2 at p = 1."""
     A, B = example_pair()
     m = m_vector(A, B)
-    assert y_pairing(y_vector(m.basis, 1), m) == Fraction(1, 2)
+    assert y_pairing(y_vector(m, 1), m) == Fraction(1, 2)
 
 
 def test_binomial_target_pairing_is_twice_edge_count():
@@ -223,13 +222,14 @@ def test_binomial_target_pairing_is_twice_edge_count():
 
 
 def test_m_vector_matches_moment_entries_degree_two():
-    """m_vector agrees with the moment-matrix entry identity on all pairs."""
-    M = moment_matrix(enumerate_basis("B_tilde", 2, 4).elements)
+    """m_vector and M.generator agree with the moment-matrix entry identity on all pairs."""
+    M = moment_matrix(enumerate_basis("B_tilde", 2, 4))
     for i in range(M.size):
         for j in range(i + 1, M.size):
-            mv = m_vector(M.basis[i], M.basis[j], M.vbasis)
-            entry = pair_entry(M, i, j)
-            assert mv.exponents == tuple(entry.get(b, 0) for b in mv.basis)
+            entry = {key: c for key, c in pair_entry(M, i, j).items() if c}
+            assert m_vector(M.basis[i], M.basis[j]) == entry
+            assert M.generator(i, j) == entry
+            assert M.generator(j, i) == entry
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_pair_stats_rejects_bad_witness():
 
 def test_pair_stats_matches_reference_census_on_b_tilde():
     """Every ordered B_tilde pair (d=2, labels=3) has the reference census."""
-    elems = enumerate_basis("B_tilde", 2, 3).elements
+    elems = enumerate_basis("B_tilde", 2, 3)
     for C in (single_edge(), path_graph(2), path_graph(3)):
         for A in elems:
             for B in elems:
@@ -301,7 +301,7 @@ def test_pair_stats_matches_reference_census_on_b_tilde():
 
 def test_pair_stats_matches_reference_census_with_unlabeled_copies():
     """Basis elements with unlabeled components (B, d=2, labels=2) keep the reference census."""
-    elems = enumerate_basis("B", 2, 2).elements
+    elems = enumerate_basis("B", 2, 2)
     unlabeled = 0
     for C in (single_edge(), path_graph(2)):
         for A in elems:
@@ -316,7 +316,7 @@ def test_report_verdicts_match_positive_pair_check():
     """Each census verdict of the e+P3 vs P4 report is positive_pair_check's on its pair."""
     upper = Hypergraph.make(2, 6, [(0, 1), (2, 3), (3, 4), (4, 5)])
     rep = counting_obstruction(upper, path_graph(4), 3, 2, 3)
-    M = moment_matrix(enumerate_basis("B_tilde", 2, 3).elements)
+    M = moment_matrix(enumerate_basis("B_tilde", 2, 3))
     assert len(rep.positive_pair_verdicts) == len(rep.positive_pair_indices) == 102
     W = key_graph(rep.witness)
     for (i, j), verdict in zip(rep.positive_pair_indices, rep.positive_pair_verdicts):
@@ -344,7 +344,7 @@ def test_positive_pair_check_needs_trivial_square_witness():
 
 def test_exhaustive_edge_witness_bounds_degree_two():
     """Every degree-2 pair with positive edge coordinate passes both bounds."""
-    M = moment_matrix(enumerate_basis("B_tilde", 2, 4).elements)
+    M = moment_matrix(enumerate_basis("B_tilde", 2, 4))
     ekey = graph_key(single_edge())
     positives = 0
     for i in range(M.size):
@@ -357,7 +357,7 @@ def test_exhaustive_edge_witness_bounds_degree_two():
 
 def test_exhaustive_nonnegative_pairings_degree_two():
     """All degree-2 pair generators pair nonnegatively with y at p = 1 and 2."""
-    M = moment_matrix(enumerate_basis("B_tilde", 2, 4).elements)
+    M = moment_matrix(enumerate_basis("B_tilde", 2, 4))
     for p in (1, 2):
         y = y_vector(M.vbasis, p)
         for i in range(M.size):
@@ -616,11 +616,11 @@ def test_sign_at_root_matches_reference_and_sympy():
 
 def test_system_feasible_simple_cases():
     """Point witnesses, zero touching, and empty systems behave."""
-    assert _system_feasible([])[0]
-    feasible, point, _ = _system_feasible([[Fraction(-1, 2), Fraction(1)]])
+    assert _sign_table([])[1][0]
+    feasible, point, _ = _sign_table([[Fraction(-1, 2), Fraction(1)]])[1]
     assert feasible and point == 1
-    assert not _system_feasible([[Fraction(-1)]])[0]
-    feasible, point, _ = _system_feasible([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(-1)]])
+    assert not _sign_table([[Fraction(-1)]])[1][0]
+    feasible, point, _ = _sign_table([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(-1)]])[1]
     assert feasible and point == 0
 
 
@@ -631,28 +631,28 @@ def test_integer_coefficients_stay_exact():
     results += _divmod((1, 2, 3, 4), (3, -2))
     for pol in results:
         assert pol and all(type(c) is int for c in pol)
-    feasible, point, interval = _system_feasible([[-1, 0, 3]])
+    feasible, point, interval = _sign_table([[-1, 0, 3]])[1]
     assert feasible and point == 1 and interval is None
-    assert not _system_feasible([[-1, 0, 3], [1, -2]])[0]
+    assert not _sign_table([[-1, 0, 3], [1, -2]])[1][0]
 
 
 def test_system_feasible_algebraic_witness():
     """A constraint positive only between irrational roots is satisfiable."""
     pol = [Fraction(-1, 5), Fraction(1), Fraction(-1)]
-    feasible, point, interval = _system_feasible([pol])
+    feasible, point, interval = _sign_table([pol])[1]
     assert feasible and point is None
     lo, hi = interval
     assert 0 <= lo < hi <= 1
-    assert not _system_feasible([pol, [Fraction(-1, 2), Fraction(1)], [Fraction(2, 5), Fraction(-1)]])[0]
+    assert not _sign_table([pol, [Fraction(-1, 2), Fraction(1)], [Fraction(2, 5), Fraction(-1)]])[1][0]
 
 
 def test_system_feasible_pinned_pair():
     """The pinned quadratic and cubic exclude each other on the unit interval."""
     quadratic = [Fraction(-2401, 10000), Fraction(0), Fraction(1)]
     cubic = [Fraction(-63, 6250), Fraction(0), Fraction(47, 50), Fraction(-2)]
-    assert _system_feasible([quadratic])[0]
-    assert _system_feasible([cubic])[0]
-    assert not _system_feasible([quadratic, cubic])[0]
+    assert _sign_table([quadratic])[1][0]
+    assert _sign_table([cubic])[1][0]
+    assert not _sign_table([quadratic, cubic])[1][0]
 
 
 def _within_seconds(seconds, fn, *args):
@@ -711,9 +711,8 @@ def test_sign_table_matches_tarski_reference(polys):
     root at 1/3 where the only feasible point is, a zero polynomial, and the
     c06 pair.
     """
-    witness = _within_seconds(5, _system_feasible, polys)
+    masks, witness = _within_seconds(5, _sign_table, polys)
     assert witness == reference_system_feasible(polys)
-    masks = _sign_table(polys)[0]
     for i in range(len(polys)):
         for j in range(i, len(polys)):
             pair = [polys[i], polys[j]]
@@ -787,7 +786,7 @@ def test_minor_certificate_refutes_pinned_point():
         (Fraction(-49, 100), Fraction(1)),
         (Fraction(-63, 6250), Fraction(0), Fraction(47, 50), Fraction(-2)),
     }
-    assert not _system_feasible([list(mc.coefficients) for mc in cert.refutation])[0]
+    assert not _sign_table([list(mc.coefficients) for mc in cert.refutation])[1][0]
 
 
 def test_minor_certificate_moment_point_is_inconclusive():
