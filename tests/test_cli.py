@@ -219,7 +219,8 @@ def test_binomial_missing_parameters_exit_2(capsys):
 
 def test_trop_sos_cone_refuses_nonpositive_degree(capsys):
     """trop-sos and test-binomial trop-sos refuse d < 1 with one message."""
-    for argv in (["trop-sos", "--d", "0"], ["test-binomial", "trop-sos", "edge", "path2", "--d", "0"]):
+    binomial = ["test-binomial", "trop-sos", "edge", "path2", "--d", "0"]
+    for argv in (["trop-sos", "--d", "0"], binomial):
         assert main(argv) == 2
         assert "precondition failure: degree must be positive" in capsys.readouterr().err
 
