@@ -242,15 +242,6 @@ class RationalCone:
                         raise CertificateError(f"lineality {l} not tight on facet {a}")
 
 
-def cone_from_facets(basis, facets) -> RationalCone:
-    facets = tuple(primitive(f) for f in facets)
-    facets = tuple(f for f in _dedupe(list(facets)) if any(f))
-    lines, rays = dd_rays(facets, len(basis))
-    cone = RationalCone(tuple(basis), facets, tuple(sorted(rays)), tuple(lines))
-    cone.validate()
-    return cone
-
-
 def cone_from_rays(basis, rays, lineality=()) -> RationalCone:
     dim = len(basis)
     rays = [r for r in (primitive(v) for v in rays) if any(r)]
@@ -268,12 +259,6 @@ def rays_from_facets(cone: RationalCone) -> RationalCone:
     out = RationalCone(cone.basis, cone.facets, tuple(sorted(rays)), tuple(lines))
     out.validate()
     return out
-
-
-def facets_from_rays(cone: RationalCone) -> RationalCone:
-    if cone.rays is None:
-        raise ValueError("cone has no ray representation")
-    return cone_from_rays(cone.basis, cone.rays, cone.lineality)
 
 
 def project_cone(cone: RationalCone, coords) -> RationalCone:
@@ -390,17 +375,6 @@ def cone_contains(cone: RationalCone, target) -> Membership:
     return result
 
 
-def cones_equal(c1: RationalCone, c2: RationalCone) -> bool:
-    """Equality as sets, by mutual membership of generators."""
-    if c1.dim != c2.dim:
-        return False
-    a = c1 if c1.rays is not None else rays_from_facets(c1)
-    b = c2 if c2.rays is not None else rays_from_facets(c2)
-    return all(cone_contains(b, g).inside for g in a.generators()) and all(
-        cone_contains(a, g).inside for g in b.generators()
-    )
-
-
 # ---------------------------------------------------------------------------
 # Formula cones
 # ---------------------------------------------------------------------------
@@ -466,6 +440,8 @@ def minor_cone(M: MomentMatrix) -> RationalCone:
     rows = {}
     for i in range(M.size):
         for j in range(i + 1, M.size):
+            if M.orbit[(i, j)] != (i, j):  # same generator as its orbit's first pair
+                continue
             vec = M.generator(i, j)
             if not vec:
                 raise ValueError(

@@ -18,6 +18,7 @@ from types import MappingProxyType
 
 from .hypergraphs import (
     Hypergraph,
+    _find,
     _min_relabeling,
     _refine_classes,
     basis_sort_key,
@@ -123,11 +124,6 @@ def labeled_canonical_form(A: LabeledGraph) -> LabeledGraph:
     enc = _min_relabeling(G.n, G.sorted_edges(), classes, fixed)
     new_labels = tuple((l, i) for i, (l, _) in enumerate(in_order))
     return LabeledGraph(Hypergraph(G.r, G.n, frozenset(enc)), new_labels)
-
-
-def labeled_isomorphic(A: LabeledGraph, B: LabeledGraph) -> bool:
-    """Isomorphism fixing every label pointwise."""
-    return labeled_canonical_form(A) == labeled_canonical_form(B)
 
 
 def labeled_parts(A: LabeledGraph) -> list[tuple[frozenset[int], int, str]]:
@@ -242,16 +238,6 @@ class Combination:
 
 def lift(key) -> Combination:
     return Combination({key: 1})
-
-
-def glue_product(a: Combination, b: Combination) -> Combination:
-    """Bilinear extension of gluing to combinations of labeled graphs."""
-    out: dict = {}
-    for A, ca in a.terms.items():
-        for B, cb in b.terms.items():
-            P = glue(A, B)
-            out[P] = out.get(P, Fraction(0)) + ca * cb
-    return Combination(out)
 
 
 def square_expand(a: Combination) -> Combination:
@@ -386,13 +372,16 @@ class MomentMatrix:
     """Symmetric matrix of unlabeled gluing products over a labeled basis.
 
     Only the component counts of each product are stored, for i <= j; they
-    are read-only and shared by every caller of alpha_entry.  vbasis holds
-    the sorted keys of every component that occurs.
+    are read-only and shared by every caller of alpha_entry.  orbit maps each
+    such pair to the first pair, in row-major order, of its orbit under the
+    permutations of the labels; every pair of an orbit holds the same entry.
+    vbasis holds the sorted keys of every component that occurs.
     """
 
     basis: tuple[LabeledGraph, ...]
     vbasis: tuple[str, ...]
     counts: dict[tuple[int, int], Mapping[str, int]]
+    orbit: dict[tuple[int, int], tuple[int, int]]
 
     @property
     def size(self) -> int:
@@ -407,17 +396,62 @@ class MomentMatrix:
         return minor_counts(c[(i, i)], c[(j, j)], c[(i, j) if i <= j else (j, i)])
 
 
+def _label_action(elems) -> list[list[int]]:
+    """Index images of the basis under the swap of the two smallest labels and the cycle of all.
+
+    The two permutations generate the symmetric group of the labels used.
+    Returns no images when some relabeled element is missing from the basis.
+    """
+    labels = sorted({l for A in elems for l, _ in A.labels})
+    if len(labels) < 2:
+        return []
+    index = {A: i for i, A in enumerate(elems)}
+    swap = dict(zip(labels, labels))
+    swap[labels[0]], swap[labels[1]] = labels[1], labels[0]
+    images = []
+    for sigma in (swap, dict(zip(labels, labels[1:] + labels[:1]))):
+        image = []
+        for A in elems:
+            moved = tuple(sorted((sigma[l], v) for l, v in A.labels))
+            i = index.get(labeled_canonical_form(LabeledGraph(A.graph, moved)))
+            if i is None:
+                return []
+            image.append(i)
+        images.append(image)
+    return images
+
+
 def moment_matrix(basis) -> MomentMatrix:
-    """Component counts of the unlabeled products of all pairs of labeled graphs."""
+    """Component counts of the unlabeled products of all pairs of labeled graphs.
+
+    Gluing reads only which labels are equal, so relabeling both factors by
+    one permutation keeps their product.  Pairs are merged into orbits under
+    the label permutations that map the basis onto itself, and each orbit's
+    product is built once, at its first pair.  A basis not closed under them
+    gets the trivial group: every pair is its own orbit.
+    """
     elems = tuple(basis)
+    n = len(elems)
+    parent = list(range(n * n))  # union-find over pairs i * n + j, rooted at the least
+    for image in _label_action(elems):
+        for i in range(n):
+            for j in range(i, n):
+                a, b = sorted((image[i], image[j]))
+                x, y = _find(parent, i * n + j), _find(parent, a * n + b)
+                parent[max(x, y)] = min(x, y)
     counts: dict[tuple[int, int], Mapping[str, int]] = {}
+    orbit: dict[tuple[int, int], tuple[int, int]] = {}
     needed: set[str] = set()
-    for i in range(len(elems)):
-        for j in range(i, len(elems)):
-            entry = product_counts(elems[i], elems[j])
-            counts[(i, j)] = MappingProxyType(entry)
-            needed.update(entry)
-    return MomentMatrix(elems, tuple(sorted(needed, key=basis_sort_key)), counts)
+    for i in range(n):
+        for j in range(i, n):
+            rep = orbit[(i, j)] = divmod(_find(parent, i * n + j), n)
+            if rep == (i, j):
+                entry = product_counts(elems[i], elems[j])
+                counts[rep] = MappingProxyType(entry)
+                needed.update(entry)
+            else:
+                counts[(i, j)] = counts[rep]
+    return MomentMatrix(elems, tuple(sorted(needed, key=basis_sort_key)), counts, orbit)
 
 
 # ---------------------------------------------------------------------------

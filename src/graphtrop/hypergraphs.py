@@ -531,30 +531,6 @@ def star_density_fast(G: Hypergraph, b: int, c: int) -> Fraction:
     return Fraction(math.factorial(c) * total, G.n ** (b * (r - c) + c))
 
 
-@dataclass(frozen=True)
-class DensityVector:
-    """Densities of a fixed list of connected graphs in one target graph."""
-
-    basis: tuple[str, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.basis) != len(self.values):
-            raise ValueError("basis and values must have equal length")
-        if len(set(self.basis)) != len(self.basis):
-            raise ValueError("basis entries must be distinct")
-        for v in self.values:
-            if not 0 <= v <= 1:
-                raise ValueError(f"density {v} outside [0, 1]")
-
-
-def density_vector(basis: list[Hypergraph], G: Hypergraph) -> DensityVector:
-    for B in basis:
-        if len(connected_components(B)) != 1:
-            raise ValueError("density vector basis graphs must be connected")
-    return DensityVector(tuple(graph_key(B) for B in basis), tuple(density(B, G) for B in basis))
-
-
 # ---------------------------------------------------------------------------
 # Extremal families
 # ---------------------------------------------------------------------------
@@ -631,42 +607,3 @@ def star_limit_density(b: int, r: int, c: int, rho: Fraction, m: int) -> Fractio
         )
         total += coeff * base**b
     return total
-
-
-def regular_plus_clique(n: int, rho: Fraction, m: int, r: int = 2, c: int = 1) -> Hypergraph:
-    """Clique on rho^m * n vertices joined completely to a rho*n'-regular circulant.
-
-    Only the graph case (r=2, c=1) admits this explicit construction; the
-    closed-form limit is available for general parameters via
-    star_limit_density.
-    """
-    if (r, c) != (2, 1):
-        raise ValueError("explicit construction only available for r=2, c=1")
-    rho = Fraction(rho)
-    if not 0 < rho < 1:
-        raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
-    alpha = rho**m
-    a = alpha * n
-    if a.denominator != 1:
-        raise ValueError(f"alpha*n must be an integer, got {a}")
-    a = int(a)
-    nb = n - a
-    if a < 1 or nb < 1:
-        raise ValueError("both the clique part and the regular part must be nonempty")
-    kf = rho * nb
-    if kf.denominator != 1:
-        raise ValueError(f"regular degree rho*(n - alpha*n) must be an integer, got {kf}")
-    k = int(kf)
-    if k % 2 == 1 and nb % 2 == 1:
-        raise ValueError("odd regular degree requires an even number of vertices")
-    if k >= nb:
-        raise ValueError(f"regular degree {k} must be below part size {nb}")
-
-    edges = list(combinations(range(a), 2))
-    edges += [(i, a + j) for i in range(a) for j in range(nb)]
-    for j in range(nb):
-        for off in range(1, k // 2 + 1):
-            edges.append(tuple(sorted((a + j, a + (j + off) % nb))))
-        if k % 2 == 1:
-            edges.append(tuple(sorted((a + j, a + (j + nb // 2) % nb))))
-    return Hypergraph.make(2, n, edges)

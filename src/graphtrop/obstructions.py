@@ -339,6 +339,10 @@ def counting_obstruction(
     vkeys = set(M.vbasis) | set(upper_counts) | set(lower_counts)
     vbasis = tuple(sorted(vkeys, key=basis_sort_key))
     extensions = tuple(sorted(vkeys - set(M.vbasis), key=basis_sort_key))
+    log.info(
+        "moment matrix over %d basis elements: %d entries in %d orbits",
+        M.size, len(M.counts), len(set(M.orbit.values())),
+    )
     if extensions:
         log.info("moment basis extended by %d component(s) for the target", len(extensions))
     y = y_vector(vbasis, p)
@@ -354,18 +358,23 @@ def counting_obstruction(
     diag = [M.alpha_entry(i, i) for i in range(M.size)]
     parts = [labeled_parts(L) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
+    entries: dict[tuple[int, int], dict[str, int]] = {}  # the generator of each orbit
     pos_indices = []
     verdicts = []
     pair_count = 0
     for i in range(M.size):
         for j in range(i + 1, M.size):
             pair_count += 1
-            entry = M.generator(i, j)
-            if sum(weights[key] * c for key, c in entry.items()) < 0:
-                raise CertificateError(f"negative weight pairing for basis pair ({i}, {j})")
-            g = gcd(*entry.values())
-            if g:
-                generators.setdefault(tuple(entry.get(b, 0) // g for b in vbasis))
+            rep = M.orbit[(i, j)]
+            if rep != (i, j):  # checked and added at the orbit's first pair
+                entry = entries[rep]
+            else:
+                entry = entries[rep] = M.generator(i, j)
+                if sum(weights[key] * c for key, c in entry.items()) < 0:
+                    raise CertificateError(f"negative weight pairing for basis pair ({i}, {j})")
+                g = gcd(*entry.values())
+                if g:
+                    generators.setdefault(tuple(entry.get(b, 0) // g for b in vbasis))
             if entry.get(witness, 0) > 0:
                 glued = labeled_parts(_glue_raw(M.basis[i], M.basis[j]))
                 aa, bb = diag[i].get(witness, 0), diag[j].get(witness, 0)

@@ -13,11 +13,19 @@ raw-component census in `graphtrop.obstructions`.  `reference_system_feasible`
 and `reference_refutation` are the Sturm feasibility searches as first
 written, with a Tarski query per candidate root (`_sign_at_root`), and are
 the reference for the merged sign table: its witness, `_sign_table(polys)[1]`,
-and its refuting subset.
+and its refuting subset.  `reference_moment_matrix` builds every moment entry
+on its own, through the canonical form of the whole product, and is the
+reference for the orbit-shared `moment_matrix`.
+
+The last section holds helpers that only the tests use, kept out of the
+package: cones from facets and their equality, labeled isomorphism, the
+bilinear gluing of combinations, density vectors, and the explicit clique
+joined to a regular graph.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
@@ -25,9 +33,34 @@ from random import Random
 
 import numpy as np
 
-from graphtrop.cones import Membership, primitive
-from graphtrop.gluing import labeled_graph
-from graphtrop.hypergraphs import Hypergraph, _refine_classes, split_components
+from graphtrop.cones import (
+    Membership,
+    RationalCone,
+    _dedupe,
+    cone_contains,
+    cone_from_rays,
+    dd_rays,
+    primitive,
+    rays_from_facets,
+)
+from graphtrop.gluing import (
+    Combination,
+    LabeledGraph,
+    component_counts,
+    glue,
+    labeled_canonical_form,
+    labeled_graph,
+    unlabeled_product,
+)
+from graphtrop.hypergraphs import (
+    Hypergraph,
+    _refine_classes,
+    basis_sort_key,
+    connected_components,
+    density,
+    graph_key,
+    split_components,
+)
 from graphtrop.obstructions import _RootData, _deriv, _divmod, _sign_at, _sign_variations
 
 
@@ -363,9 +396,7 @@ def clique_count(G: Hypergraph, j: int) -> int:
 
 
 def random_labeled(rng: Random, max_n: int, p: float, label_budget: int):
-    """Random labeled graph with no isolated vertices (import deferred for layering)."""
-    from graphtrop.gluing import LabeledGraph, labeled_canonical_form
-
+    """Random labeled graph with no isolated vertices."""
     n = rng.randint(2, max_n)
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     used = sorted({v for e in edges for v in e})
@@ -545,3 +576,127 @@ def reference_refutation(polys) -> tuple[int, ...]:
         if not reference_system_feasible([polys[i], polys[j]], roots)[0]:
             return (i, j)
     return tuple(range(len(polys)))
+
+
+def reference_moment_matrix(basis):
+    """Every entry (i, j), i <= j, of the moment matrix built on its own, and the sorted keys.
+
+    Each entry is the component counts of the canonical form of the whole
+    unlabeled product, with no sharing between pairs.
+    """
+    elems = tuple(basis)
+    counts = {}
+    for i in range(len(elems)):
+        for j in range(i, len(elems)):
+            counts[(i, j)] = component_counts(unlabeled_product(elems[i], elems[j]))
+    keys = {key for entry in counts.values() for key in entry}
+    return counts, tuple(sorted(keys, key=basis_sort_key))
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers
+# ---------------------------------------------------------------------------
+
+
+def cone_from_facets(basis, facets) -> RationalCone:
+    facets = tuple(primitive(f) for f in facets)
+    facets = tuple(f for f in _dedupe(list(facets)) if any(f))
+    lines, rays = dd_rays(facets, len(basis))
+    cone = RationalCone(tuple(basis), facets, tuple(sorted(rays)), tuple(lines))
+    cone.validate()
+    return cone
+
+
+def facets_from_rays(cone: RationalCone) -> RationalCone:
+    if cone.rays is None:
+        raise ValueError("cone has no ray representation")
+    return cone_from_rays(cone.basis, cone.rays, cone.lineality)
+
+
+def cones_equal(c1: RationalCone, c2: RationalCone) -> bool:
+    """Equality as sets, by mutual membership of generators."""
+    if c1.dim != c2.dim:
+        return False
+    a = c1 if c1.rays is not None else rays_from_facets(c1)
+    b = c2 if c2.rays is not None else rays_from_facets(c2)
+    return all(cone_contains(b, g).inside for g in a.generators()) and all(
+        cone_contains(a, g).inside for g in b.generators()
+    )
+
+
+def labeled_isomorphic(A: LabeledGraph, B: LabeledGraph) -> bool:
+    """Isomorphism fixing every label pointwise."""
+    return labeled_canonical_form(A) == labeled_canonical_form(B)
+
+
+def glue_product(a: Combination, b: Combination) -> Combination:
+    """Bilinear extension of gluing to combinations of labeled graphs."""
+    out: dict = {}
+    for A, ca in a.terms.items():
+        for B, cb in b.terms.items():
+            P = glue(A, B)
+            out[P] = out.get(P, Fraction(0)) + ca * cb
+    return Combination(out)
+
+
+@dataclass(frozen=True)
+class DensityVector:
+    """Densities of a fixed list of connected graphs in one target graph."""
+
+    basis: tuple[str, ...]
+    values: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.basis) != len(self.values):
+            raise ValueError("basis and values must have equal length")
+        if len(set(self.basis)) != len(self.basis):
+            raise ValueError("basis entries must be distinct")
+        for v in self.values:
+            if not 0 <= v <= 1:
+                raise ValueError(f"density {v} outside [0, 1]")
+
+
+def density_vector(basis: list[Hypergraph], G: Hypergraph) -> DensityVector:
+    for B in basis:
+        if len(connected_components(B)) != 1:
+            raise ValueError("density vector basis graphs must be connected")
+    return DensityVector(tuple(graph_key(B) for B in basis), tuple(density(B, G) for B in basis))
+
+
+def regular_plus_clique(n: int, rho: Fraction, m: int, r: int = 2, c: int = 1) -> Hypergraph:
+    """Clique on rho^m * n vertices joined completely to a rho*n'-regular circulant.
+
+    Only the graph case (r=2, c=1) admits this explicit construction; the
+    closed-form limit is available for general parameters via
+    star_limit_density.
+    """
+    if (r, c) != (2, 1):
+        raise ValueError("explicit construction only available for r=2, c=1")
+    rho = Fraction(rho)
+    if not 0 < rho < 1:
+        raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
+    alpha = rho**m
+    a = alpha * n
+    if a.denominator != 1:
+        raise ValueError(f"alpha*n must be an integer, got {a}")
+    a = int(a)
+    nb = n - a
+    if a < 1 or nb < 1:
+        raise ValueError("both the clique part and the regular part must be nonempty")
+    kf = rho * nb
+    if kf.denominator != 1:
+        raise ValueError(f"regular degree rho*(n - alpha*n) must be an integer, got {kf}")
+    k = int(kf)
+    if k % 2 == 1 and nb % 2 == 1:
+        raise ValueError("odd regular degree requires an even number of vertices")
+    if k >= nb:
+        raise ValueError(f"regular degree {k} must be below part size {nb}")
+
+    edges = list(combinations(range(a), 2))
+    edges += [(i, a + j) for i in range(a) for j in range(nb)]
+    for j in range(nb):
+        for off in range(1, k // 2 + 1):
+            edges.append(tuple(sorted((a + j, a + (j + off) % nb))))
+        if k % 2 == 1:
+            edges.append(tuple(sorted((a + j, a + (j + nb // 2) % nb))))
+    return Hypergraph.make(2, n, edges)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -285,6 +286,16 @@ def test_obstruction_command(capsys):
     assert obj["lp_separator"] == [0, 0, -1]
 
 
+def test_obstruction_logs_moment_orbits_and_keeps_stdout(capsys, caplog):
+    """One info record gives the basis size, entries and orbits; stdout is the same with it on."""
+    argv = ("obstruction", "P3", "edge^3", "--k", "1", "--d", "1", "--labels", "2")
+    quiet = run_cli(capsys, *argv)
+    caplog.set_level(logging.INFO, logger="graphtrop.obstructions")
+    assert run_cli(capsys, *argv) == quiet
+    messages = [r.getMessage() for r in caplog.records if r.name == "graphtrop.obstructions"]
+    assert "moment matrix over 4 basis elements: 10 entries in 7 orbits" in messages
+
+
 def test_obstruction_precondition_exit_2(capsys):
     """A precondition failure is reported in full and exits with code 2."""
     code, obj = run_json(capsys, "obstruction", "edge", "edge", "--k", "2", "--d", "1")
@@ -444,6 +455,10 @@ OUTPUT_SHA256 = {
         "31798689815242873bedd2ce83ab667e82cd3bee41404c59bb16a012e9d5fd6c",
     'obstruction {"r":2,"n":6,"edges":[[0,1],[2,3],[3,4],[4,5]]} P4 --k 3 --d 2 --labels 3':
         "11aa72b272943365752b0d5cf55995db060ec9a79e55100fe449fcc847102912",
+    "obstruction P3 edge^3 --k 7 --d 3 --labels 3":
+        "00299bc85b607248f63bf987f52265a157e8085384dd3d33426787173d4738e8",
+    'obstruction {"r":2,"n":6,"edges":[[0,1],[2,3],[3,4],[4,5]]} P4 --k 3 --d 2 --labels 4':
+        "0ec138f5a20a54e9dcb8ba5cb27ab561471e51e7bf709f0a717eef86a49573a5",
     "test-binomial star path2 edge^2 --r 2 --c 1 --l 2":
         "364eb4ba02d6c8f129f8ac2f6d3b7e8502de6c984063bbea2c40d1f90d0dfc5d",
     "test-binomial clique edge^3 K3^2 --r 2 --l 3":

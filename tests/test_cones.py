@@ -11,18 +11,14 @@ from hypothesis import strategies as st
 
 from graphtrop.cones import (
     CertificateError,
-    Membership,
     RationalCone,
     _echelon,
     clique_trop_cone,
     cone_contains,
-    cone_from_facets,
     cone_from_rays,
     cone_member,
-    cones_equal,
     dd_rays,
     dot,
-    facets_from_rays,
     minor_cone,
     primitive,
     project_cone,
@@ -31,7 +27,10 @@ from graphtrop.cones import (
 )
 from graphtrop.gluing import enumerate_basis, moment_matrix
 from oracles import (
+    cone_from_facets,
+    cones_equal,
     extreme_rays,
+    facets_from_rays,
     fraction_cone_member,
     fraction_echelon,
     fraction_primitive,

@@ -18,13 +18,11 @@ from graphtrop.gluing import (
     enumerate_basis,
     eval_combination,
     glue,
-    glue_product,
     graph_key,
     is_trivial_square,
     labeled_canonical_form,
     labeled_edge,
     labeled_graph,
-    labeled_isomorphic,
     lift,
     moment_matrix,
     square_expand,
@@ -41,12 +39,19 @@ from graphtrop.hypergraphs import (
     disjoint_union,
     is_isomorphic,
     key_graph,
-    longbroom,
     path_graph,
     single_edge,
     star_hypergraph,
 )
-from oracles import labeled_components, random_graph, random_labeled, random_permuted
+from oracles import (
+    glue_product,
+    labeled_components,
+    labeled_isomorphic,
+    random_graph,
+    random_labeled,
+    random_permuted,
+    reference_moment_matrix,
+)
 
 
 def K(name):
@@ -387,6 +392,61 @@ def test_moment_matrix_unit_row():
     M = moment_matrix(enumerate_basis("B_tilde", 1, 2))
     for j, el in enumerate(M.basis):
         assert M.alpha_entry(0, j) == component_counts(unlabel(el))
+
+
+def _assert_matches_full_build(basis):
+    """moment_matrix equals the full build entry by entry, with one shared entry per orbit."""
+    M = moment_matrix(basis)
+    counts, vbasis = reference_moment_matrix(basis)
+    assert M.counts.keys() == counts.keys() == M.orbit.keys()
+    for pair, entry in counts.items():
+        assert M.counts[pair] == entry, pair
+        rep = M.orbit[pair]
+        assert rep <= pair and M.orbit[rep] == rep, pair
+        assert M.counts[pair] is M.counts[rep], pair
+    assert M.vbasis == vbasis
+    return M
+
+
+@pytest.mark.parametrize(
+    "d, labels", [(d, labels) for d in (1, 2, 3) for labels in (1, 2, 3, 4) if (d, labels) != (3, 4)]
+)
+def test_orbit_moment_matrix_matches_full_build(d, labels):
+    """B_tilde at each degree and label budget whose full build stays small (d=3, L=4 has 64,261 entries)."""
+    _assert_matches_full_build(enumerate_basis("B_tilde", d, labels))
+
+
+def test_orbit_moment_matrix_matches_full_build_other_bases():
+    """An r=3 basis and a "B" basis, both closed under the label permutations."""
+    for basis in (enumerate_basis("B_tilde", 2, 3, r=3), enumerate_basis("B", 2, 3)):
+        M = _assert_matches_full_build(basis)
+        assert len(set(M.orbit.values())) < len(M.counts)
+
+
+def test_orbit_moment_matrix_basis_not_closed():
+    """Dropping the edge labeled 2 breaks the swap of labels 1 and 2: every pair is its own orbit."""
+    basis = [unit(), labeled_edge(1), labeled_edge(1, 2), cherry(1, 2, 3), cherry(3, 1, 2)]
+    M = _assert_matches_full_build(basis)
+    assert all(rep == pair for pair, rep in M.orbit.items())
+
+
+def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
+    """d=3, L=3 builds 1,420 of its 7,381 products; d=2, L=4 builds 178 of 2,485."""
+    import graphtrop.gluing as gluing
+
+    calls = []
+
+    def counted(A, B):
+        calls.append((A, B))
+        return product_counts(A, B)
+
+    product_counts = gluing.product_counts
+    monkeypatch.setattr(gluing, "product_counts", counted)
+    for d, labels, entries, orbits in ((3, 3, 7381, 1420), (2, 4, 2485, 178)):
+        basis = enumerate_basis("B_tilde", d, labels)
+        calls.clear()
+        M = moment_matrix(basis)
+        assert (len(M.counts), len(calls), len(set(M.orbit.values()))) == (entries, orbits, orbits)
 
 
 def test_symbolically_zero_minor_needs_shared_labeled_components():

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphtrop.hypergraphs import (
-    DensityVector,
     Hypergraph,
     canonical_form,
     clique_plus_turan,
@@ -19,7 +18,6 @@ from graphtrop.hypergraphs import (
     complete_graph,
     connected_components,
     density,
-    density_vector,
     direct_product,
     disjoint_union,
     empty_graph,
@@ -28,7 +26,6 @@ from graphtrop.hypergraphs import (
     longbroom,
     named_graph,
     path_graph,
-    regular_plus_clique,
     single_edge,
     star_density_fast,
     star_hypergraph,
@@ -36,12 +33,14 @@ from graphtrop.hypergraphs import (
     turan_hypergraph,
 )
 from oracles import (
-    brute_density,
+    DensityVector,
     brute_hom,
     clique_count,
+    density_vector,
     einsum_hom,
     random_graph,
     random_permuted,
+    regular_plus_clique,
 )
 
 
