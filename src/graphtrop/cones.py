@@ -365,16 +365,6 @@ def cone_member(target, generators) -> Membership:
     return Membership(False, None, y)
 
 
-def cone_contains(cone: RationalCone, target) -> Membership:
-    full = cone if cone.rays is not None else rays_from_facets(cone)
-    result = cone_member(target, full.generators())
-    if cone.facets is not None:
-        by_facets = all(dot(a, target) >= 0 for a in cone.facets)
-        if by_facets != result.inside:
-            raise CertificateError("facet check disagrees with membership certificate")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Formula cones
 # ---------------------------------------------------------------------------

@@ -330,9 +330,9 @@ def _labelings(shape: Hypergraph, label_budget: int) -> list[LabeledGraph]:
 def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int = 2) -> tuple:
     """Enumerate a gluing basis: "B" (all), "B_tilde" (every component labeled), or "V".
 
-    "B" and "B_tilde" hold labeled graphs.  "V" holds the keys of the
+    "B" and "B_tilde" hold labeled graphs.  "V" holds the sorted keys of the
     connected unlabeled graphs arising as unlabeled products of two "B"
-    elements; it indexes moment matrix entries.
+    elements: the single-component entries of the moment matrix over "B".
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -344,13 +344,9 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
         raise ValueError(f"unknown basis kind {kind!r}")
 
     if kind == "V":
-        elems = enumerate_basis("B", d, label_budget, r)
-        keys: set[str] = set()
-        for i in range(len(elems)):
-            for j in range(i, len(elems)):
-                counts = product_counts(elems[i], elems[j])
-                if list(counts.values()) == [1]:  # a connected, nonempty product
-                    keys.update(counts)
+        M = moment_matrix(enumerate_basis("B", d, label_budget, r))
+        # a connected, nonempty product has exactly one component
+        keys = {key for counts in M.counts.values() if list(counts.values()) == [1] for key in counts}
         return tuple(sorted(keys, key=basis_sort_key))
 
     elements = [unit(r)]

@@ -751,9 +751,8 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
     entries involve only the fixed graphs and the free one become univariate
     polynomial constraints >= 0; their joint solvability over [0, 1] is decided
     exactly.  An empty solution set is reported with a minimal refuting
-    constraint set (a single minor or a pair where possible).  Only the entries
-    the minors read are built.  Every coordinate must be a connected graph
-    with at least one edge.
+    constraint set (a single minor or a pair where possible).  Every coordinate
+    must be a connected graph with at least one edge.
     """
     free_c = _witness_graph(free, "free coordinate")
     free_key = graph_key(free_c)
@@ -767,26 +766,21 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         raise ValueError("the free coordinate is also fixed")
     if label_budget is None:
         label_budget = 2 * degree
-    elems = enumerate_basis("B_tilde", degree, label_budget, free_c.r)
+    M = moment_matrix(enumerate_basis("B_tilde", degree, label_budget, free_c.r))
     allowed = set(fixed_map) | {free_key}
-    # the monomial of every eligible entry (i <= j), derived once per certificate
-    terms: dict[tuple[int, int], tuple[int, int, int]] = {}
-
-    def eligible(i: int, j: int) -> bool:
-        counts = product_counts(elems[i], elems[j])
-        if not counts.keys() <= allowed:
-            return False
-        terms[(i, j)] = _entry_term(counts, fixed_map, free_key)
-        return True
-
-    diag = [i for i in range(len(elems)) if eligible(i, i)]
-    pair_ok = {(i, j) for i, j in combinations(diag, 2) if eligible(i, j)}
+    # the monomial of every entry (i <= j) whose graphs are all coordinates
+    terms = {
+        ij: _entry_term(counts, fixed_map, free_key)
+        for ij, counts in M.counts.items()
+        if counts.keys() <= allowed
+    }
+    diag = [i for i in range(M.size) if (i, i) in terms]
     index_sets = [(i,) for i in diag]
-    index_sets += sorted(pair_ok)
+    index_sets += [S for S in combinations(diag, 2) if S in terms]
     index_sets += [
         (i, j, k)
         for i, j, k in combinations(diag, 3)
-        if (i, j) in pair_ok and (i, k) in pair_ok and (j, k) in pair_ok
+        if (i, j) in terms and (i, k) in terms and (j, k) in terms
     ]
     # a minor is fixed by its entries' terms: expand each signature once
     signatures: set[tuple[tuple[int, int, int], ...]] = set()

@@ -15,12 +15,14 @@ written, with a Tarski query per candidate root (`_sign_at_root`), and are
 the reference for the merged sign table: its witness, `_sign_table(polys)[1]`,
 and its refuting subset.  `reference_moment_matrix` builds every moment entry
 on its own, through the canonical form of the whole product, and is the
-reference for the orbit-shared `moment_matrix`.
+reference for the orbit-shared `moment_matrix`.  `reference_v_basis` glues
+every pair of the "B" basis on its own and is the reference for the "V"
+basis, which `enumerate_basis` reads off the moment matrix.
 
 The last section holds helpers that only the tests use, kept out of the
-package: cones from facets and their equality, labeled isomorphism, the
-bilinear gluing of combinations, density vectors, and the explicit clique
-joined to a regular graph.
+package: cones from facets, membership checked against the facets, cone
+equality, labeled isomorphism, the bilinear gluing of combinations, density
+vectors, and the explicit clique joined to a regular graph.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ from random import Random
 import numpy as np
 
 from graphtrop.cones import (
+    CertificateError,
     Membership,
     RationalCone,
     _dedupe,
-    cone_contains,
     cone_from_rays,
+    cone_member,
     dd_rays,
+    dot,
     primitive,
     rays_from_facets,
 )
@@ -47,9 +51,11 @@ from graphtrop.gluing import (
     Combination,
     LabeledGraph,
     component_counts,
+    enumerate_basis,
     glue,
     labeled_canonical_form,
     labeled_graph,
+    product_counts,
     unlabeled_product,
 )
 from graphtrop.hypergraphs import (
@@ -593,6 +599,21 @@ def reference_moment_matrix(basis):
     return counts, tuple(sorted(keys, key=basis_sort_key))
 
 
+def reference_v_basis(d: int, label_budget: int | None = None, r: int = 2) -> tuple[str, ...]:
+    """The "V" basis by gluing every pair of "B" elements on its own.
+
+    Keeps the sorted keys of the products that are connected and nonempty.
+    """
+    elems = enumerate_basis("B", d, label_budget, r)
+    keys: set[str] = set()
+    for i in range(len(elems)):
+        for j in range(i, len(elems)):
+            counts = product_counts(elems[i], elems[j])
+            if list(counts.values()) == [1]:
+                keys.update(counts)
+    return tuple(sorted(keys, key=basis_sort_key))
+
+
 # ---------------------------------------------------------------------------
 # Test-only helpers
 # ---------------------------------------------------------------------------
@@ -611,6 +632,17 @@ def facets_from_rays(cone: RationalCone) -> RationalCone:
     if cone.rays is None:
         raise ValueError("cone has no ray representation")
     return cone_from_rays(cone.basis, cone.rays, cone.lineality)
+
+
+def cone_contains(cone: RationalCone, target) -> Membership:
+    """Membership by simplex over the cone's generators, checked against its facets."""
+    full = cone if cone.rays is not None else rays_from_facets(cone)
+    result = cone_member(target, full.generators())
+    if cone.facets is not None:
+        by_facets = all(dot(a, target) >= 0 for a in cone.facets)
+        if by_facets != result.inside:
+            raise CertificateError("facet check disagrees with membership certificate")
+    return result
 
 
 def cones_equal(c1: RationalCone, c2: RationalCone) -> bool:

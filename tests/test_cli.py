@@ -539,3 +539,11 @@ def test_minor_cert_command_exit_codes(capsys):
     err = capsys.readouterr().err
     assert "fixed coordinate must be a connected graph with at least one edge" in err
     assert "free coordinate must be a connected graph with at least one edge" in err
+
+
+def test_minor_cert_value_is_read_unsigned(capsys):
+    """argparse reads a VALUE that starts with "-" as a flag: usage error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["minor-cert", "path2", "--fixed", "edge", "-1/2", "--d", "1"])
+    assert exc.value.code == 2
+    assert "expected 2 arguments" in capsys.readouterr().err

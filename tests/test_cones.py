@@ -14,7 +14,6 @@ from graphtrop.cones import (
     RationalCone,
     _echelon,
     clique_trop_cone,
-    cone_contains,
     cone_from_rays,
     cone_member,
     dd_rays,
@@ -27,6 +26,7 @@ from graphtrop.cones import (
 )
 from graphtrop.gluing import enumerate_basis, moment_matrix
 from oracles import (
+    cone_contains,
     cone_from_facets,
     cones_equal,
     extreme_rays,

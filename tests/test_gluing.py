@@ -51,6 +51,7 @@ from oracles import (
     random_labeled,
     random_permuted,
     reference_moment_matrix,
+    reference_v_basis,
 )
 
 
@@ -431,8 +432,14 @@ def test_orbit_moment_matrix_basis_not_closed():
 
 
 def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
-    """d=3, L=3 builds 1,420 of its 7,381 products; d=2, L=4 builds 178 of 2,485."""
+    """d=3, L=3 builds 1,420 of its 7,381 products; d=2, L=4 builds 178 of 2,485.
+
+    The minor certificate and the "V" basis read the moment matrix, so they
+    build one product per orbit too: 178 for a c06 point, whose basis is the
+    d=2, L=4 one, and 283 for "V" at d=2, L=4, over the 83 elements of "B".
+    """
     import graphtrop.gluing as gluing
+    import graphtrop.obstructions as obstructions
 
     calls = []
 
@@ -442,11 +449,27 @@ def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
 
     product_counts = gluing.product_counts
     monkeypatch.setattr(gluing, "product_counts", counted)
+    monkeypatch.setattr(obstructions, "product_counts", counted)
     for d, labels, entries, orbits in ((3, 3, 7381, 1420), (2, 4, 2485, 178)):
         basis = enumerate_basis("B_tilde", d, labels)
         calls.clear()
         M = moment_matrix(basis)
         assert (len(M.counts), len(calls), len(set(M.orbit.values()))) == (entries, orbits, orbits)
+    calls.clear()
+    fixed = {single_edge(): Fraction(7, 10), complete_graph(3): Fraction(3, 25)}
+    obstructions.minor_certificate(fixed, path_graph(2), 2)
+    assert len(calls) == 178
+    calls.clear()
+    enumerate_basis("V", 2, 4)
+    assert len(calls) == 283
+
+
+@pytest.mark.parametrize(
+    "d, labels, r", [(1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 3, 2), (2, 4, 2), (3, 3, 2), (2, 3, 3)]
+)
+def test_v_basis_matches_pairwise_reference(d, labels, r):
+    """"V" read off the moment matrix equals gluing every pair of "B" on its own."""
+    assert enumerate_basis("V", d, labels, r) == reference_v_basis(d, labels, r)
 
 
 def test_symbolically_zero_minor_needs_shared_labeled_components():
