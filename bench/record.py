@@ -12,8 +12,11 @@ last line of each run's standard output is its JSON result.
 For every end-to-end metric that BENCHMARK.json names, the record holds both
 medians, the parent's quartiles and IQR / median, how many pairs the change
 won (ties count for neither), whether the change's median stays within the
-metric's bound, and whether the change shows a gain: at least nine tenths of
-the pairs won and a median difference larger than the parent's IQR.  Each
+metric's bound, whether the change shows a gain: at least nine tenths of
+the pairs won and a median difference larger than the parent's IQR, and
+whether the metric is unresolved: the parent's IQR / median exceeds the bound
+and not every change run beats every parent run, so a regression up to the
+bound could not be told from the parent's own spread.  Each
 run's correct, attempted, failed and end-to-end values are kept.  The file is
 written to the root of this checkout.
 """
@@ -69,6 +72,7 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = quartiles(parent)
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        spread = (q3 - q1) / p_med if p_med else None
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -77,11 +81,14 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "change_median": c_med,
             "parent_q1": q1,
             "parent_q3": q3,
-            "parent_iqr_over_median": (q3 - q1) / p_med if p_med else None,
+            "parent_iqr_over_median": spread,
             "change_wins": wins,
             "within_bound": sign * (c_med - p_med) <= spec["bound"] * abs(p_med),
             "gain_shown": wins >= math.ceil(0.9 * len(pairs))
             and sign * (p_med - c_med) > q3 - q1,
+            "unresolved": spread is not None
+            and spread > spec["bound"]
+            and not all(sign * (c - p) < 0 for p in parent for c in change),
         }
     correct = all(r[side]["correct"] and r[side]["failed"] == 0 for r in runs for side in SIDES)
     return {"pairs": len(pairs), "all_correct": correct, "metrics": metrics, "runs": runs}

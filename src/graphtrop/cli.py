@@ -186,6 +186,8 @@ def cmd_minor_cert(args: argparse.Namespace) -> tuple[str, int]:
         if key in fixed:
             raise ValueError(f"duplicate fixed coordinate {key}")
         fixed[key] = parse_fraction(value)
+        if not 0 <= fixed[key] <= 1:
+            raise ValueError(f"density of {spec} must lie in [0, 1], got {fraction_str(fixed[key])}")
     cert = minor_certificate(fixed, load_graph(args.free), args.d, args.labels)
     return cert.to_json() + "\n", 0
 

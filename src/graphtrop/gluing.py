@@ -332,7 +332,9 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
 
     "B" and "B_tilde" hold labeled graphs.  "V" holds the sorted keys of the
     connected unlabeled graphs arising as unlabeled products of two "B"
-    elements: the single-component entries of the moment matrix over "B".
+    elements, which is the vbasis of the moment matrix over "B": each
+    component of a product is the product of the two factors' parts that
+    meet in it, and those parts are "B" elements.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -344,10 +346,7 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
         raise ValueError(f"unknown basis kind {kind!r}")
 
     if kind == "V":
-        M = moment_matrix(enumerate_basis("B", d, label_budget, r))
-        # a connected, nonempty product has exactly one component
-        keys = {key for counts in M.counts.values() if list(counts.values()) == [1] for key in counts}
-        return tuple(sorted(keys, key=basis_sort_key))
+        return moment_matrix(enumerate_basis("B", d, label_budget, r)).vbasis
 
     elements = [unit(r)]
     for shape in _edge_shapes(d, r):

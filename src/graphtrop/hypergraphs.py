@@ -261,6 +261,15 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
     time: candidates are ordered by an exact lower bound on the final sorted
     edge list, and a branch is cut once it cannot reach the best completion.
 
+    The bound gives each edge a sorted tuple: the indices of its placed
+    vertices, and for each class the next free indices of that class's block,
+    one per unplaced vertex. The tuples are carried down the tree. Placing any
+    candidate at index t of class c uses up slot t, so every edge that still
+    holds an unplaced vertex of class c (exactly the tuples that contain t)
+    moves its class-c slots up by one, while the edges at the placed vertex
+    keep their tuple. A candidate's bound is its sorted list of tuples, and at
+    a leaf that list is the encoding.
+
     Two leaves with equal encodings differ by an automorphism that keeps the
     classes and the pinned vertices; each one found is recorded. At a node, a
     candidate is skipped when a recorded automorphism fixing every vertex mapped
@@ -268,69 +277,59 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
     subtree onto its own with equal encodings, so the minimum is unchanged
     (orbit pruning, McKay and Piperno, "Practical graph isomorphism II", 2014).
     """
-    class_of: dict[int, int] = {}
-    blocks: list[list[int]] = []
-    owner: list[int] = [-1] * n
+    base: dict[int, int] = {}  # the first index of each unpinned vertex's block
+    owner: list[int] = [-1] * n  # the class whose block holds each index
+    stop: list[int] = [n] * n  # the end of that block
     start = len(fixed)
     for ci, cl in enumerate(classes):
         for v in cl:
-            class_of[v] = ci
-        blocks.append(list(range(start, start + len(cl))))
+            base[v] = start
         for t in range(start, start + len(cl)):
-            owner[t] = ci
+            owner[t], stop[t] = ci, start + len(cl)
         start += len(cl)
 
+    inc: list[list[int]] = [[] for _ in range(n)]  # the edges at each vertex
+    tuples = []  # the root's bound: pinned indices, then each block's first slots
+    for i, e in enumerate(edges):
+        free = sorted(base[v] for v in e if v not in fixed)
+        slots = [b + j - free.index(b) for j, b in enumerate(free)]
+        tuples.append(tuple(sorted(fixed[v] for v in e if v in fixed)) + tuple(slots))
+        for v in e:
+            inc[v].append(i)
+
     mapping = dict(fixed)
-    filled = [0] * len(classes)
     best = None
     best_at: list[int] = []  # the vertex at each index in the best leaf
     automorphisms: list[list[int]] = []
     nodes = 0
 
-    def lower_bound():
-        tuples = []
-        for e in edges:
-            known = []
-            need: dict[int, int] = {}
-            for v in e:
-                idx = mapping.get(v)
-                if idx is None:
-                    c = class_of[v]
-                    need[c] = need.get(c, 0) + 1
-                else:
-                    known.append(idx)
-            for c, k in need.items():
-                known.extend(blocks[c][filled[c] : filled[c] + k])
-            tuples.append(tuple(sorted(known)))
-        return tuple(sorted(tuples))
-
-    def rec(t: int):
+    def rec(t: int, cur: list[tuple[int, ...]]):
         nonlocal best, best_at, nodes
         nodes += 1
         if nodes > _SEARCH_NODE_CAP:
             raise ValueError("graph too symmetric for canonical relabeling")
         if t == n:
-            enc = lower_bound()
+            enc = tuple(sorted(cur))
             if best is None or enc < best:
                 best, best_at = enc, sorted(mapping, key=mapping.get)
             elif enc == best:
                 automorphisms.append([best_at[mapping[v]] for v in range(n)])
             return
-        c = owner[t]
+        c, end = owner[t], stop[t]
+        shifted = [tuple(x + (t <= x < end) for x in tup) if t in tup else tup for tup in cur]
         scored = []
         for v in classes[c]:
             if v in mapping:
                 continue
-            mapping[v] = t
-            filled[c] += 1
-            scored.append((lower_bound(), v))
-            filled[c] -= 1
-            del mapping[v]
-        scored.sort()
-        orbit = {v: v for _, v in scored}  # union-find over the candidates
+            child = shifted.copy()
+            for i in inc[v]:
+                child[i] = cur[i]
+            scored.append((tuple(sorted(child)), v, child))
+        scored.sort()  # candidates are distinct, so the lists are never compared
+        orbit = {v: v for _, v, _ in scored}  # union-find over the candidates
         merged = 0
         tried: list[int] = []
-        for lb, v in scored:
+        for lb, v, child in scored:
             if best is not None and lb > best:
                 break
             for a in automorphisms[merged:]:
@@ -343,12 +342,10 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
                 continue
             tried.append(v)
             mapping[v] = t
-            filled[c] += 1
-            rec(t + 1)
-            filled[c] -= 1
+            rec(t + 1, child)
             del mapping[v]
 
-    rec(len(fixed))
+    rec(len(fixed), tuples)
     return best
 
 

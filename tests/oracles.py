@@ -4,8 +4,12 @@ Everything here is deliberately naive: full enumeration over all vertex maps,
 no pruning, no shared code with the library internals beyond the Hypergraph
 and Membership containers.  The one exception is `brute_canonical`, which
 takes the refinement classes from the library because they are part of what a
-key means.  The Fraction simplex and echelon form are the reference for the
-integer ones in `graphtrop.cones`.  `einsum_hom` is the numpy tensor count
+key means.  `reference_min_relabeling` is the canonical search as first
+written, rebuilding its bound for every candidate; it shares the library's
+union-find and node cap, and is the reference for the search that carries
+each edge's bound tuple down the tree.  The Fraction
+simplex and echelon form are the reference for the integer ones in
+`graphtrop.cones`.  `einsum_hom` is the numpy tensor count
 graphtrop once used, and is the reference for its exact frontier count.
 `reference_pair_stats` is the census as it was first written, over labeled
 canonical components (`labeled_components`), and is the reference for the
@@ -60,6 +64,8 @@ from graphtrop.gluing import (
 )
 from graphtrop.hypergraphs import (
     Hypergraph,
+    _SEARCH_NODE_CAP,
+    _find,
     _refine_classes,
     basis_sort_key,
     connected_components,
@@ -130,6 +136,98 @@ def brute_canonical(G: Hypergraph, pinned=()) -> tuple[tuple[int, ...], ...]:
         enc = tuple(sorted(tuple(sorted(index[v] for v in e)) for e in G.edges))
         if best is None or enc < best:
             best = enc
+    return best
+
+
+def reference_min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, int]):
+    """The canonical search as first written, rebuilding the bound for every candidate.
+
+    The same branch and bound, candidate order and orbit pruning as
+    `hypergraphs._min_relabeling`, but `lower_bound` walks every vertex of
+    every edge under the current partial map and sorts the result, with
+    `filled` counting the indices used in each class's block.
+    """
+    class_of: dict[int, int] = {}
+    blocks: list[list[int]] = []
+    owner: list[int] = [-1] * n
+    start = len(fixed)
+    for ci, cl in enumerate(classes):
+        for v in cl:
+            class_of[v] = ci
+        blocks.append(list(range(start, start + len(cl))))
+        for t in range(start, start + len(cl)):
+            owner[t] = ci
+        start += len(cl)
+
+    mapping = dict(fixed)
+    filled = [0] * len(classes)
+    best = None
+    best_at: list[int] = []  # the vertex at each index in the best leaf
+    automorphisms: list[list[int]] = []
+    nodes = 0
+
+    def lower_bound():
+        tuples = []
+        for e in edges:
+            known = []
+            need: dict[int, int] = {}
+            for v in e:
+                idx = mapping.get(v)
+                if idx is None:
+                    c = class_of[v]
+                    need[c] = need.get(c, 0) + 1
+                else:
+                    known.append(idx)
+            for c, k in need.items():
+                known.extend(blocks[c][filled[c] : filled[c] + k])
+            tuples.append(tuple(sorted(known)))
+        return tuple(sorted(tuples))
+
+    def rec(t: int):
+        nonlocal best, best_at, nodes
+        nodes += 1
+        if nodes > _SEARCH_NODE_CAP:
+            raise ValueError("graph too symmetric for canonical relabeling")
+        if t == n:
+            enc = lower_bound()
+            if best is None or enc < best:
+                best, best_at = enc, sorted(mapping, key=mapping.get)
+            elif enc == best:
+                automorphisms.append([best_at[mapping[v]] for v in range(n)])
+            return
+        c = owner[t]
+        scored = []
+        for v in classes[c]:
+            if v in mapping:
+                continue
+            mapping[v] = t
+            filled[c] += 1
+            scored.append((lower_bound(), v))
+            filled[c] -= 1
+            del mapping[v]
+        scored.sort()
+        orbit = {v: v for _, v in scored}  # union-find over the candidates
+        merged = 0
+        tried: list[int] = []
+        for lb, v in scored:
+            if best is not None and lb > best:
+                break
+            for a in automorphisms[merged:]:
+                if all(a[u] == u for u in mapping):
+                    for u in orbit:
+                        orbit[_find(orbit, u)] = _find(orbit, a[u])
+            merged = len(automorphisms)
+            root = _find(orbit, v)
+            if any(_find(orbit, w) == root for w in tried):
+                continue
+            tried.append(v)
+            mapping[v] = t
+            filled[c] += 1
+            rec(t + 1)
+            filled[c] -= 1
+            del mapping[v]
+
+    rec(len(fixed))
     return best
 
 

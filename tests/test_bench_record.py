@@ -80,3 +80,15 @@ def test_summary_flags_regressions_losses_and_failures():
     assert rss["change_median"] == 39.0 and not rss["within_bound"]
     assert not out["all_correct"]
     assert out["runs"][0]["change"]["failed"] == 1
+
+
+def test_summary_marks_unresolved_metrics():
+    """A parent spread over the bound leaves a metric unresolved unless every change run wins."""
+    parent = [1.0, 2.0] * 5  # quartiles 1.0 and 2.0, median 1.5
+    out = record.summarise(_pairs(parent, [1.4] * 10), END_TO_END)
+    wall = out["metrics"]["wall_s"]
+    assert wall["parent_iqr_over_median"] == pytest.approx(1 / 1.5)
+    assert wall["change_wins"] == 5 and wall["within_bound"] and wall["unresolved"]
+    assert not out["metrics"]["peak_rss_mb"]["unresolved"]  # no parent spread
+    wall = record.summarise(_pairs(parent, [0.9] * 10), END_TO_END)["metrics"]["wall_s"]
+    assert wall["change_wins"] == 10 and not wall["unresolved"]

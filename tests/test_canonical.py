@@ -1,22 +1,26 @@
 """Canonical search against brute force, under relabelling, and on vertex-transitive graphs."""
 
+import sys
 from itertools import combinations
 from random import Random
 
 import networkx as nx
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphtrop.gluing import LabeledGraph, labeled_canonical_form
 from graphtrop.hypergraphs import (
     Hypergraph,
+    _min_relabeling,
+    _refine_classes,
     canonical_form,
     complete_bipartite,
     connected_components,
     disjoint_union,
     graph_key,
 )
-from oracles import brute_canonical, random_permuted
+from oracles import brute_canonical, random_permuted, reference_min_relabeling
 
 
 @st.composite
@@ -181,3 +185,73 @@ def test_vertex_transitive_keys_match_networkx():
             assert (keys[a] == keys[b]) == nx.is_isomorphic(_nx(A), _nx(B)), (a, b)
     assert keys["Q4"] == keys["torus4x4"]
     assert keys["rook4x4"] != keys["Shrikhande"]
+
+
+def _search_args(G, pinned=()):
+    """What both canonical forms hand the search for G with pinned[i] at index i."""
+    seed = {v: 0 for v in range(G.n)}
+    for i, v in enumerate(pinned):
+        seed[v] = i + 1
+    classes = [cl for cl in _refine_classes(G.n, G.sorted_edges(), seed) if cl[0] not in pinned]
+    return G.n, G.sorted_edges(), classes, {v: i for i, v in enumerate(pinned)}
+
+
+class _CountingCap(int):
+    """A node cap that counts the comparisons made against it."""
+
+    seen = 0
+
+    def __lt__(self, nodes):
+        self.seen += 1
+        return int(self) < nodes
+
+
+def _search_and_nodes(search, args):
+    """The encoding search(*args) returns, or its refusal, and the nodes it visited.
+
+    Every node of the search first compares its node count with the module's
+    `_SEARCH_NODE_CAP` (`nodes > cap`, which Python hands to the subclass's
+    reflected `__lt__`), so a counting cap of the same value counts the nodes.
+    """
+    module = sys.modules[search.__module__]
+    saved = module._SEARCH_NODE_CAP
+    module._SEARCH_NODE_CAP = cap = _CountingCap(saved)
+    try:
+        out = search(*args)
+    except ValueError as exc:
+        out = str(exc)
+    finally:
+        module._SEARCH_NODE_CAP = saved
+    return out, cap.seen
+
+
+def _assert_search_matches_reference(G, pinned=()):
+    args = _search_args(G, pinned)
+    if not args[2]:  # every vertex pinned: the labelled form needs no search
+        return
+    new, new_nodes = _search_and_nodes(_min_relabeling, args)
+    old, old_nodes = _search_and_nodes(reference_min_relabeling, args)
+    assert new == old
+    assert new_nodes == old_nodes > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(pinned_graphs(max_n=9), pinned_circulants()))
+def test_carried_bound_search_matches_reference(case):
+    """The carried bound gives the rebuilt bound's encoding and visits the same nodes."""
+    G, pinned = case
+    for C in connected_components(G):
+        _assert_search_matches_reference(C)
+    _assert_search_matches_reference(G, pinned)
+
+
+@pytest.mark.parametrize("name", ["Q4", "Petersen", "K5,5", "C20"])
+@pytest.mark.parametrize("pins", [0, 1, 2])
+def test_carried_bound_search_matches_reference_on_symmetric_graphs(name, pins):
+    """Equal encodings, or equal refusals at the node cap, with equal node counts."""
+    G = VERTEX_TRANSITIVE[name]
+    _assert_search_matches_reference(G, (0, 1)[:pins])
+
+
+def test_carried_bound_search_matches_reference_on_rook_graph():
+    _assert_search_matches_reference(VERTEX_TRANSITIVE["rook4x4"])

@@ -541,6 +541,14 @@ def test_minor_cert_command_exit_codes(capsys):
     assert "free coordinate must be a connected graph with at least one edge" in err
 
 
+def test_minor_cert_value_outside_unit_interval_exits_2(capsys):
+    """A fixed density must lie in [0, 1]; the refusal names the graph and the value."""
+    assert main(["minor-cert", "path2", "--fixed", "edge", "3/2", "--d", "1"]) == 2
+    assert "density of edge must lie in [0, 1], got 3/2" in capsys.readouterr().err
+    for value in ("0", "1"):
+        assert main(["minor-cert", "path2", "--fixed", "edge", value, "--d", "1"]) == 0
+
+
 def test_minor_cert_value_is_read_unsigned(capsys):
     """argparse reads a VALUE that starts with "-" as a flag: usage error, exit 2."""
     with pytest.raises(SystemExit) as exc:
