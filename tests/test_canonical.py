@@ -1,4 +1,5 @@
-"""Canonical search against brute force, under relabelling, and on vertex-transitive graphs."""
+"""Canonical search against brute force, under relabelling, on vertex-transitive graphs,
+and against the search that rebuilds its bound for every candidate."""
 
 import sys
 from itertools import combinations
