@@ -18,11 +18,12 @@ from fractions import Fraction
 
 from .cones import (
     CertificateError,
+    clique_ray,
     clique_trop_cone,
     cone_member,
     dot,
     minor_cone,
-    primitive,
+    star_ray,
     star_trop_cone,
 )
 from .gluing import alpha_vector, enumerate_basis, moment_matrix
@@ -196,25 +197,17 @@ def trajectory_setup(args: argparse.Namespace):
     """Column names, target ray, and the exact density evaluator for a family."""
     if args.family == "clique":
         r, l, i = args.r, args.l, args.k
-        span = l - r + 1
-        if not 1 <= i <= span:
-            raise ValueError(f"ray index must lie in 1..{span}, got {i}")
+        target = clique_ray(r, l, i)
         parts = r + i - 2
         names = [f"K{q}" for q in range(r, l + 1)]
-        ray = [0] * span
-        for j in range(i, span + 1):
-            ray[j - 1] = -(r + j - 1)
-        target = primitive(ray)
 
         def evaluate(param: Fraction) -> list[Fraction]:
             return [clique_turan_density(q, param, parts, r) for q in range(r, l + 1)]
 
     else:
         r, c, l, m = args.r, args.c, args.l, args.k
-        if l < 1:
-            raise ValueError("need at least one branch count")
+        target = star_ray(l, m)
         names = [f"S{b}" for b in range(1, l + 1)]
-        target = primitive([-min(i, m) for i in range(1, l + 1)])
 
         def evaluate(param: Fraction) -> list[Fraction]:
             return [star_limit_density(b, r, c, param, m) for b in range(1, l + 1)]

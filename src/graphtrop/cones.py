@@ -157,13 +157,6 @@ def dd_rays(facets, dim: int):
     return lines, list(rays)
 
 
-def _dedupe(rays):
-    out = {}
-    for r in rays:
-        out.setdefault(r, r)
-    return list(out.values())
-
-
 def _adjacent(rp, rn, common: int, rays, quotient_dim: int) -> bool:
     if quotient_dim <= 2:
         return True
@@ -171,13 +164,6 @@ def _adjacent(rp, rn, common: int, rays, quotient_dim: int) -> bool:
         return False
     # valid only because rays holds exactly the extreme rays of the pointed quotient
     return not any(z & common == common for r, z in rays.items() if r is not rp and r is not rn)
-
-
-def _dual_facets(rays, lineality, dim: int):
-    """Facet normals of cone(rays) + span(lineality); equations appear as +/- pairs."""
-    gens = list(rays) + [tuple(l) for l in lineality] + [_neg(l) for l in lineality]
-    dlines, drays = dd_rays(gens, dim)
-    return sorted(_dedupe(list(drays) + [l for l in dlines] + [_neg(l) for l in dlines]))
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +226,6 @@ class RationalCone:
                 for a in self.facets:
                     if dot(a, l) != 0:
                         raise CertificateError(f"lineality {l} not tight on facet {a}")
-
-
-def cone_from_rays(basis, rays, lineality=()) -> RationalCone:
-    dim = len(basis)
-    rays = [r for r in (primitive(v) for v in rays) if any(r)]
-    facets = _dual_facets(rays, [primitive(l) for l in lineality], dim)
-    plines, prays = dd_rays(facets, dim)
-    cone = RationalCone(tuple(basis), tuple(facets), tuple(sorted(prays)), tuple(plines))
-    cone.validate()
-    return cone
-
-
-def rays_from_facets(cone: RationalCone) -> RationalCone:
-    if cone.facets is None:
-        raise ValueError("cone has no facet representation")
-    lines, rays = dd_rays(cone.facets, cone.dim)
-    out = RationalCone(cone.basis, cone.facets, tuple(sorted(rays)), tuple(lines))
-    out.validate()
-    return out
-
-
-def project_cone(cone: RationalCone, coords) -> RationalCone:
-    """Coordinate projection of the V-representation, reduced to extreme generators."""
-    idx = []
-    for c in coords:
-        idx.append(c if isinstance(c, int) else cone.basis.index(c))
-    if cone.rays is None:
-        cone = rays_from_facets(cone)
-    prays = [tuple(r[i] for i in idx) for r in cone.rays]
-    plines = [tuple(l[i] for i in idx) for l in cone.lineality]
-    return cone_from_rays(tuple(cone.basis[i] for i in idx), prays, plines)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +325,21 @@ def cone_member(target, generators) -> Membership:
 # ---------------------------------------------------------------------------
 
 
+def clique_ray(r: int, l: int, i: int) -> tuple[int, ...]:
+    """The i-th extreme ray of clique_trop_cone(r, l): -(r + j - 1) at K_{r+j-1} for j >= i."""
+    span = l - r + 1
+    if not 1 <= i <= span:
+        raise ValueError(f"ray index must lie in 1..{span}, got {i}")
+    return primitive([-(r + j - 1) if j >= i else 0 for j in range(1, span + 1)])
+
+
+def star_ray(l: int, m: int) -> tuple[int, ...]:
+    """The extreme ray of star_trop_cone(r, c, l) for exponent m: -min(b, m) at b branches."""
+    if l < 1:
+        raise ValueError("need at least one branch count")
+    return primitive([-min(b, m) for b in range(1, l + 1)])
+
+
 def clique_trop_cone(r: int, l: int) -> RationalCone:
     """Tropicalized profile of the clique densities K_r..K_l: explicit H- and V-reps."""
     if not 2 <= r <= l:
@@ -382,12 +352,7 @@ def clique_trop_cone(r: int, l: int) -> RationalCone:
         row[i - 1] = r + i
         row[i] = -(r + i - 1)
         facets.append(tuple(row))
-    rays = []
-    for i in range(1, s + 1):
-        v = [0] * s
-        for j in range(i, s + 1):
-            v[j - 1] = -(r + j - 1)
-        rays.append(primitive(v))
+    rays = [clique_ray(r, l, i) for i in range(1, s + 1)]
     cone = RationalCone(names, tuple(facets), tuple(sorted(rays)), ())
     cone.validate()
     return cone
@@ -414,9 +379,7 @@ def star_trop_cone(r: int, c: int, l: int) -> RationalCone:
         row = [0] * l
         row[l - 2], row[l - 1] = 1, -1
         facets.append(tuple(row))
-    rays = []
-    for b in range(1, l + 1):
-        rays.append(primitive([-min(i, b) for i in range(1, l + 1)]))
+    rays = [star_ray(l, b) for b in range(1, l + 1)]
     cone = RationalCone(names, tuple(facets), tuple(sorted(rays)), ())
     cone.validate()
     return cone

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 from types import MappingProxyType
 
@@ -25,7 +24,6 @@ from .hypergraphs import (
     canonical_form,
     component_key,
     connected_components,
-    density,
     empty_graph,
     graph_key,
     is_isomorphic,
@@ -185,83 +183,6 @@ def product_counts(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Linear combinations
-# ---------------------------------------------------------------------------
-
-
-class Combination:
-    """Formal Q-linear combination of canonical labeled or unlabeled graphs."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        acc: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, coeff in items:
-                coeff = Fraction(coeff)
-                if isinstance(key, LabeledGraph):
-                    key = labeled_canonical_form(key)
-                elif isinstance(key, Hypergraph):
-                    key = canonical_form(key)
-                else:
-                    raise ValueError(f"unsupported term {key!r}")
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-        self.terms = {k: c for k, c in acc.items() if c != 0}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Combination) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "Combination") -> "Combination":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Combination(out)
-
-    def __sub__(self, other: "Combination") -> "Combination":
-        return self + (-1) * other
-
-    def __neg__(self) -> "Combination":
-        return (-1) * self
-
-    def __rmul__(self, scalar) -> "Combination":
-        s = Fraction(scalar)
-        return Combination({k: s * c for k, c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*{k.to_json()}" for k, c in sorted(self.terms.items(), key=lambda t: t[0].to_json())]
-        return "Combination(" + " + ".join(parts) + ")" if parts else "Combination(0)"
-
-
-def lift(key) -> Combination:
-    return Combination({key: 1})
-
-
-def square_expand(a: Combination) -> Combination:
-    """Unlabeled expansion of the glued square of a labeled combination."""
-    out: dict = {}
-    terms = list(a.terms.items())
-    for A, ca in terms:
-        for B, cb in terms:
-            U = unlabeled_product(A, B)
-            out[U] = out.get(U, Fraction(0)) + ca * cb
-    return Combination(out)
-
-
-def eval_combination(a: Combination, G: Hypergraph) -> Fraction:
-    """Evaluate a combination of unlabeled graphs as densities in G."""
-    total = Fraction(0)
-    for H, c in a.terms.items():
-        if not isinstance(H, Hypergraph):
-            raise ValueError("evaluation requires unlabeled terms")
-        total += c * density(H, G)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Component counts and minor generators
 # ---------------------------------------------------------------------------
 
@@ -327,27 +248,18 @@ def _labelings(shape: Hypergraph, label_budget: int) -> list[LabeledGraph]:
     return list(out)
 
 
-def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int = 2) -> tuple:
-    """Enumerate a gluing basis: "B" (all), "B_tilde" (every component labeled), or "V".
-
-    "B" and "B_tilde" hold labeled graphs.  "V" holds the sorted keys of the
-    connected unlabeled graphs arising as unlabeled products of two "B"
-    elements, which is the vbasis of the moment matrix over "B": each
-    component of a product is the product of the two factors' parts that
-    meet in it, and those parts are "B" elements.
-    """
+def enumerate_basis(
+    kind: str, d: int, label_budget: int | None = None, r: int = 2
+) -> tuple[LabeledGraph, ...]:
+    """Enumerate a gluing basis: "B" (all) or "B_tilde" (every component labeled)."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if label_budget is None:
         label_budget = 2 * d
     if label_budget < 0:
         raise ValueError("label budget must be nonnegative")
-    if kind not in ("B", "B_tilde", "V"):
+    if kind not in ("B", "B_tilde"):
         raise ValueError(f"unknown basis kind {kind!r}")
-
-    if kind == "V":
-        return moment_matrix(enumerate_basis("B", d, label_budget, r)).vbasis
-
     elements = [unit(r)]
     for shape in _edge_shapes(d, r):
         for L in _labelings(shape, label_budget):

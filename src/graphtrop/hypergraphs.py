@@ -506,28 +506,6 @@ def density(H: Hypergraph, G: Hypergraph) -> Fraction:
     return Fraction(hom_count(H, G), G.n**H.n)
 
 
-def star_density_fast(G: Hypergraph, b: int, c: int) -> Fraction:
-    """Density of the b-branch, c-core sunflower via the core degree sequence.
-
-    Exact: a sunflower hom is an injective core placement plus b independent
-    ordered edge extensions, giving c! * sum_S ((r-c)! * deg(S))^b over c-sets S.
-    """
-    r = G.r
-    if not 1 <= c <= r - 1:
-        raise ValueError(f"core size must satisfy 1 <= c <= r-1, got c={c}, r={r}")
-    if b < 1:
-        raise ValueError("branch count must be at least 1")
-    if G.n < 1:
-        raise ValueError("density target must have at least one vertex")
-    deg: dict[tuple[int, ...], int] = {}
-    for e in G.edges:
-        for core in combinations(e, c):
-            deg[core] = deg.get(core, 0) + 1
-    scale = math.factorial(r - c)
-    total = sum((scale * d) ** b for d in deg.values())
-    return Fraction(math.factorial(c) * total, G.n ** (b * (r - c) + c))
-
-
 # ---------------------------------------------------------------------------
 # Extremal families
 # ---------------------------------------------------------------------------

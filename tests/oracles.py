@@ -21,12 +21,24 @@ and its refuting subset.  `reference_moment_matrix` builds every moment entry
 on its own, through the canonical form of the whole product, and is the
 reference for the orbit-shared `moment_matrix`.  `reference_v_basis` glues
 every pair of the "B" basis on its own and is the reference for the "V"
-basis, which `enumerate_basis` reads off the moment matrix.
+basis, the `vbasis` of the moment matrix over "B".
 
 The last section holds helpers that only the tests use, kept out of the
 package: cones from facets, membership checked against the facets, cone
 equality, labeled isomorphism, the bilinear gluing of combinations, density
-vectors, and the explicit clique joined to a regular graph.
+vectors, and the explicit clique joined to a regular graph.  Three of them
+are references for what the package computes in one way only:
+- `Combination`, `lift`, `square_expand` and `eval_combination` expand a
+  glued square sum c_i c_j [[A_i A_j]] pair by pair, gluing through
+  `named_product`, which names each vertex by its label and so shares no
+  code with the package's gluing.  They are the reference for the quadratic
+  form of `moment_matrix`.
+- `cone_from_rays`, `rays_from_facets` and `project_cone` convert cones with
+  `dd_rays` in both directions, and are the reference for the extreme rays
+  of the closed-form cones (`clique_ray`, `star_ray`).
+- `star_density_fast` is the closed-form sunflower density from the core
+  degree sequence, and is the reference for `density` on
+  `star_hypergraph`.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import factorial, gcd
 from random import Random
 
 import numpy as np
@@ -43,16 +55,12 @@ from graphtrop.cones import (
     CertificateError,
     Membership,
     RationalCone,
-    _dedupe,
-    cone_from_rays,
     cone_member,
     dd_rays,
     dot,
     primitive,
-    rays_from_facets,
 )
 from graphtrop.gluing import (
-    Combination,
     LabeledGraph,
     component_counts,
     enumerate_basis,
@@ -68,6 +76,7 @@ from graphtrop.hypergraphs import (
     _find,
     _refine_classes,
     basis_sort_key,
+    canonical_form,
     connected_components,
     density,
     graph_key,
@@ -698,7 +707,7 @@ def reference_moment_matrix(basis):
 
 
 def reference_v_basis(d: int, label_budget: int | None = None, r: int = 2) -> tuple[str, ...]:
-    """The "V" basis by gluing every pair of "B" elements on its own.
+    """The "V" basis, the vbasis of the moment matrix over "B", by gluing every pair on its own.
 
     Keeps the sorted keys of the products that are connected and nonempty.
     """
@@ -717,9 +726,50 @@ def reference_v_basis(d: int, label_budget: int | None = None, r: int = 2) -> tu
 # ---------------------------------------------------------------------------
 
 
+def _dual_facets(rays, lineality, dim: int):
+    """Facet normals of cone(rays) + span(lineality); equations appear as +/- pairs."""
+    gens = list(rays) + [tuple(l) for l in lineality] + [tuple(-x for x in l) for l in lineality]
+    dlines, drays = dd_rays(gens, dim)
+    return sorted(set(drays) | set(dlines) | {tuple(-x for x in l) for l in dlines})
+
+
+def cone_from_rays(basis, rays, lineality=()) -> RationalCone:
+    """The cone generated by rays and lineality, with its facets and minimal generators."""
+    dim = len(basis)
+    rays = [r for r in (primitive(v) for v in rays) if any(r)]
+    facets = _dual_facets(rays, [primitive(l) for l in lineality], dim)
+    plines, prays = dd_rays(facets, dim)
+    cone = RationalCone(tuple(basis), tuple(facets), tuple(sorted(prays)), tuple(plines))
+    cone.validate()
+    return cone
+
+
+def rays_from_facets(cone: RationalCone) -> RationalCone:
+    """The cone with its extreme rays and lineality filled in from its facets."""
+    if cone.facets is None:
+        raise ValueError("cone has no facet representation")
+    lines, rays = dd_rays(cone.facets, cone.dim)
+    out = RationalCone(cone.basis, cone.facets, tuple(sorted(rays)), tuple(lines))
+    out.validate()
+    return out
+
+
+def project_cone(cone: RationalCone, coords) -> RationalCone:
+    """Coordinate projection of the V-representation, reduced to extreme generators.
+
+    Coordinates are given by index or by basis name.
+    """
+    idx = [c if isinstance(c, int) else cone.basis.index(c) for c in coords]
+    if cone.rays is None:
+        cone = rays_from_facets(cone)
+    prays = [tuple(r[i] for i in idx) for r in cone.rays]
+    plines = [tuple(l[i] for i in idx) for l in cone.lineality]
+    return cone_from_rays(tuple(cone.basis[i] for i in idx), prays, plines)
+
+
 def cone_from_facets(basis, facets) -> RationalCone:
     facets = tuple(primitive(f) for f in facets)
-    facets = tuple(f for f in _dedupe(list(facets)) if any(f))
+    facets = tuple(f for f in dict.fromkeys(facets) if any(f))
     lines, rays = dd_rays(facets, len(basis))
     cone = RationalCone(tuple(basis), facets, tuple(sorted(rays)), tuple(lines))
     cone.validate()
@@ -759,6 +809,95 @@ def labeled_isomorphic(A: LabeledGraph, B: LabeledGraph) -> bool:
     return labeled_canonical_form(A) == labeled_canonical_form(B)
 
 
+class Combination:
+    """Formal Q-linear combination of canonical labeled or unlabeled graphs."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        acc: dict = {}
+        if terms:
+            items = terms.items() if isinstance(terms, dict) else terms
+            for key, coeff in items:
+                coeff = Fraction(coeff)
+                if isinstance(key, LabeledGraph):
+                    key = labeled_canonical_form(key)
+                elif isinstance(key, Hypergraph):
+                    key = canonical_form(key)
+                else:
+                    raise ValueError(f"unsupported term {key!r}")
+                acc[key] = acc.get(key, Fraction(0)) + coeff
+        self.terms = {k: c for k, c in acc.items() if c != 0}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Combination) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other: "Combination") -> "Combination":
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + c
+        return Combination(out)
+
+    def __sub__(self, other: "Combination") -> "Combination":
+        return self + (-1) * other
+
+    def __neg__(self) -> "Combination":
+        return (-1) * self
+
+    def __rmul__(self, scalar) -> "Combination":
+        s = Fraction(scalar)
+        return Combination({k: s * c for k, c in self.terms.items()})
+
+    def __repr__(self) -> str:
+        parts = [f"{c}*{k.to_json()}" for k, c in sorted(self.terms.items(), key=lambda t: t[0].to_json())]
+        return "Combination(" + " + ".join(parts) + ")" if parts else "Combination(0)"
+
+
+def lift(key) -> Combination:
+    return Combination({key: 1})
+
+
+def named_product(A: LabeledGraph, B: LabeledGraph) -> Hypergraph:
+    """The unlabeled product of A and B, built by naming every vertex.
+
+    A labeled vertex is named by its label and any other by its side and
+    index, so equally labeled vertices get one name and duplicate edges merge.
+    """
+    def names(X: LabeledGraph, side: str) -> list:
+        labs = X.vertex_labels()
+        return [("label", labs[v]) if v in labs else (side, v) for v in range(X.graph.n)]
+
+    na, nb = names(A, "A"), names(B, "B")
+    index = {x: i for i, x in enumerate(sorted(set(na) | set(nb)))}
+    edges = {tuple(sorted(index[na[v]] for v in e)) for e in A.graph.edges}
+    edges |= {tuple(sorted(index[nb[v]] for v in e)) for e in B.graph.edges}
+    return canonical_form(Hypergraph(A.r, len(index), frozenset(edges)))
+
+
+def square_expand(a: Combination) -> Combination:
+    """Unlabeled expansion of the glued square of a labeled combination, pair by pair."""
+    out: dict = {}
+    terms = list(a.terms.items())
+    for A, ca in terms:
+        for B, cb in terms:
+            U = named_product(A, B)
+            out[U] = out.get(U, Fraction(0)) + ca * cb
+    return Combination(out)
+
+
+def eval_combination(a: Combination, G: Hypergraph) -> Fraction:
+    """Evaluate a combination of unlabeled graphs as densities in G."""
+    total = Fraction(0)
+    for H, c in a.terms.items():
+        if not isinstance(H, Hypergraph):
+            raise ValueError("evaluation requires unlabeled terms")
+        total += c * density(H, G)
+    return total
+
+
 def glue_product(a: Combination, b: Combination) -> Combination:
     """Bilinear extension of gluing to combinations of labeled graphs."""
     out: dict = {}
@@ -767,6 +906,28 @@ def glue_product(a: Combination, b: Combination) -> Combination:
             P = glue(A, B)
             out[P] = out.get(P, Fraction(0)) + ca * cb
     return Combination(out)
+
+
+def star_density_fast(G: Hypergraph, b: int, c: int) -> Fraction:
+    """Density of the b-branch, c-core sunflower via the core degree sequence.
+
+    Exact: a sunflower hom is an injective core placement plus b independent
+    ordered edge extensions, giving c! * sum_S ((r-c)! * deg(S))^b over c-sets S.
+    """
+    r = G.r
+    if not 1 <= c <= r - 1:
+        raise ValueError(f"core size must satisfy 1 <= c <= r-1, got c={c}, r={r}")
+    if b < 1:
+        raise ValueError("branch count must be at least 1")
+    if G.n < 1:
+        raise ValueError("density target must have at least one vertex")
+    deg: dict[tuple[int, ...], int] = {}
+    for e in G.edges:
+        for core in combinations(e, c):
+            deg[core] = deg.get(core, 0) + 1
+    scale = factorial(r - c)
+    total = sum((scale * d) ** b for d in deg.values())
+    return Fraction(factorial(c) * total, G.n ** (b * (r - c) + c))
 
 
 @dataclass(frozen=True)

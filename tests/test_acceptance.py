@@ -5,25 +5,16 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from graphtrop.cli import main
-from graphtrop.cones import (
-    RationalCone,
-    clique_trop_cone,
-    cone_member,
-    project_cone,
-    rays_from_facets,
-    star_trop_cone,
-)
+from graphtrop.cones import clique_trop_cone, cone_member, dd_rays, dot, star_trop_cone
 from graphtrop.gluing import (
-    Combination,
     cherry,
-    eval_combination,
     graph_key,
     labeled_edge,
     labeled_graph,
-    lift,
-    square_expand,
+    moment_matrix,
 )
 from graphtrop.hypergraphs import (
     Hypergraph,
@@ -32,10 +23,11 @@ from graphtrop.hypergraphs import (
     density,
     direct_product,
     disjoint_union,
+    key_graph,
     longbroom,
     path_graph,
     single_edge,
-    star_density_fast,
+    star_hypergraph,
 )
 from graphtrop.obstructions import (
     _sign_table,
@@ -82,11 +74,17 @@ def test_c02_clique_cone_formula_matches_double_description():
     for r in (2, 3):
         for l in range(r, r + 5):
             cone = clique_trop_cone(r, l)
-            dd = rays_from_facets(RationalCone(cone.basis, cone.facets))
-            assert set(dd.rays) == set(cone.rays)
-            assert not dd.lineality
-    projected = project_cone(clique_trop_cone(2, 6), (0, 1))
-    assert set(projected.rays) == {(-2, -3), (0, -1)}
+            lines, rays = dd_rays(cone.facets, cone.dim)
+            assert set(rays) == set(cone.rays)
+            assert not lines
+    # forgetting K4..K6 projects the (2, 6) cone onto the pointed (2, 3) one
+    small = clique_trop_cone(2, 3)
+    projected = [ray[:2] for ray in clique_trop_cone(2, 6).rays]
+    for ray in projected:
+        assert all(dot(a, ray) >= 0 for a in small.facets)
+    for ray in small.rays:
+        assert cone_member(ray, projected).inside
+    assert set(small.rays) == {(-2, -3), (0, -1)}
     assert time.monotonic() - start < 5.0
 
 
@@ -96,9 +94,9 @@ def test_c03_star_cone_formula_matches_double_description():
     for r, c in ((2, 1), (3, 1), (3, 2)):
         for l in range(1, 7):
             cone = star_trop_cone(r, c, l)
-            dd = rays_from_facets(RationalCone(cone.basis, cone.facets))
-            assert set(dd.rays) == set(cone.rays)
-            assert not dd.lineality
+            lines, rays = dd_rays(cone.facets, cone.dim)
+            assert set(rays) == set(cone.rays)
+            assert not lines
     assert time.monotonic() - start < 5.0
 
 
@@ -112,7 +110,7 @@ def test_c04_clique_and_moment_inequality_sweep():
         for p in range(2, 6):
             for q in range(p + 1, 6):
                 assert cliques[p] ** q >= cliques[q] ** p
-        moments = [Fraction(1)] + [star_density_fast(G, b, 1) for b in range(1, 7)]
+        moments = [Fraction(1)] + [density(star_hypergraph(b, 1), G) for b in range(1, 7)]
         assert moments[2] >= moments[1] ** 2
         for b in range(1, 6):
             assert moments[b - 1] * moments[b + 1] >= moments[b] ** 2
@@ -121,26 +119,47 @@ def test_c04_clique_and_moment_inequality_sweep():
     assert time.monotonic() - start < 60.0
 
 
+def glued_square(terms):
+    """Sum of c_i c_j [[A_i A_j]] over (A_i, c_i) in terms, read from their moment matrix.
+
+    Each product is the monomial of its component counts, as a frozenset of
+    (key, count) pairs.
+    """
+    M = moment_matrix([A for A, _ in terms])
+    out = {}
+    for i, (_, ci) in enumerate(terms):
+        for j, (_, cj) in enumerate(terms):
+            monomial = frozenset(M.alpha_entry(i, j).items())
+            out[monomial] = out.get(monomial, 0) + ci * cj
+    return out
+
+
 def test_c05_triangle_edge_identity():
     """The square expansion gives K3 - 2e.e + e, vanishing on K3 and K22."""
     start = time.monotonic()
-    a1 = (
-        lift(labeled_edge(2, 3))
-        - lift(cherry(2, 1, 3))
-        - lift(cherry(3, 1, 2))
-        + lift(labeled_graph(2, 3, [(0, 1), (0, 2), (1, 2)], {1: 0, 2: 1, 3: 2}))
-    )
-    a2 = lift(labeled_edge(1)) - lift(labeled_edge(2))
-    total = square_expand(a1) + square_expand(a2)
-    assert total == Combination(
-        {
-            complete_graph(3): 1,
-            disjoint_union(single_edge(), single_edge()): -2,
-            single_edge(): 1,
-        }
-    )
-    assert eval_combination(total, complete_graph(3)) == 0
-    assert eval_combination(total, complete_bipartite(2, 2)) == 0
+    a1 = [
+        (labeled_edge(2, 3), 1),
+        (cherry(2, 1, 3), -1),
+        (cherry(3, 1, 2), -1),
+        (labeled_graph(2, 3, [(0, 1), (0, 2), (1, 2)], {1: 0, 2: 1, 3: 2}), 1),
+    ]
+    a2 = [(labeled_edge(1), 1), (labeled_edge(2), -1)]
+    total = glued_square(a1)
+    for monomial, c in glued_square(a2).items():
+        total[monomial] = total.get(monomial, 0) + c
+    total = {monomial: c for monomial, c in total.items() if c}
+    e, k3 = graph_key(single_edge()), graph_key(complete_graph(3))
+    assert total == {
+        frozenset({(k3, 1)}): 1,
+        frozenset({(e, 2)}): -2,
+        frozenset({(e, 1)}): 1,
+    }
+    for G in (complete_graph(3), complete_bipartite(2, 2)):
+        value = sum(
+            c * prod(density(key_graph(k), G) ** n for k, n in monomial)
+            for monomial, c in total.items()
+        )
+        assert value == 0
     assert time.monotonic() - start < 1.0
 
 

@@ -116,6 +116,16 @@ def test_density_in_large_complete_bipartite_graphs(capsys):
         assert keys == {graph_key(complete_bipartite(a, a))}
 
 
+def test_graph_key_limit_is_per_component(capsys):
+    """Each connected component of a printed graph may have at most 20 vertices."""
+    path = json.dumps({"r": 2, "n": 26, "edges": [[i, i + 1] for i in range(25)]})
+    assert main(["density", "edge", path]) == 2
+    assert "canonical form limited to 20 vertices, got 26" in capsys.readouterr().err
+    code, obj = run_json(capsys, "density", "edge", "edge^15")
+    assert code == 0
+    assert obj["density"] == "1/30"
+
+
 def test_trop_sos_small_cone(capsys):
     """The degree-1 budget-2 cone has the two known rays and three facets."""
     code, obj = run_json(capsys, "trop-sos", "--d", "1", "--labels", "2")

@@ -14,27 +14,27 @@ from graphtrop.cones import (
     RationalCone,
     _echelon,
     clique_trop_cone,
-    cone_from_rays,
     cone_member,
     dd_rays,
     dot,
     minor_cone,
     primitive,
-    project_cone,
-    rays_from_facets,
     star_trop_cone,
 )
 from graphtrop.gluing import enumerate_basis, moment_matrix
 from oracles import (
     cone_contains,
     cone_from_facets,
+    cone_from_rays,
     cones_equal,
     extreme_rays,
     facets_from_rays,
     fraction_cone_member,
     fraction_echelon,
     fraction_primitive,
+    project_cone,
     rank_of,
+    rays_from_facets,
 )
 
 

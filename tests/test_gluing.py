@@ -10,22 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtrop.gluing import (
-    Combination,
     LabeledGraph,
     alpha_vector,
     cherry,
     component_counts,
     enumerate_basis,
-    eval_combination,
     glue,
     graph_key,
     is_trivial_square,
     labeled_canonical_form,
     labeled_edge,
     labeled_graph,
-    lift,
     moment_matrix,
-    square_expand,
     unit,
     unlabel,
     unlabeled_product,
@@ -44,14 +40,18 @@ from graphtrop.hypergraphs import (
     star_hypergraph,
 )
 from oracles import (
+    Combination,
+    eval_combination,
     glue_product,
     labeled_components,
     labeled_isomorphic,
+    lift,
     random_graph,
     random_labeled,
     random_permuted,
     reference_moment_matrix,
     reference_v_basis,
+    square_expand,
 )
 
 
@@ -227,6 +227,32 @@ def test_eval_combination_unit():
     assert eval_combination(Combination({Hypergraph(2, 0, frozenset()): 1}), complete_graph(3)) == 1
 
 
+def test_moment_matrix_quadratic_form_matches_square_expand():
+    """On 200 seeded combinations, sum c_i c_j M[i, j] is the oracle's glued square.
+
+    Both sides are read as monomials in the component keys; the terms are
+    distinct labeled graphs with up to 3 labels, so shared labels are glued.
+    """
+    rng = Random(2121)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            A = labeled_canonical_form(random_labeled(rng, 4, 0.5, 3))
+            terms.setdefault(A, Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+        elems, coeffs = list(terms), list(terms.values())
+        M = moment_matrix(elems)
+        got: dict = {}
+        for i, ci in enumerate(coeffs):
+            for j, cj in enumerate(coeffs):
+                monomial = frozenset(M.alpha_entry(i, j).items())
+                got[monomial] = got.get(monomial, 0) + ci * cj
+        want: dict = {}
+        for U, c in square_expand(Combination(terms)).terms.items():
+            monomial = frozenset(component_counts(U).items())
+            want[monomial] = want.get(monomial, 0) + c
+        assert {m: c for m, c in got.items() if c} == want
+
+
 # ---------------------------------------------------------------------------
 # Exponent vectors
 # ---------------------------------------------------------------------------
@@ -285,13 +311,18 @@ def test_basis_degree2_budget4_counts():
     assert len(enumerate_basis("B", 2, 4)) == 83
 
 
+def v_basis(d, labels, r=2):
+    """The "V" basis: the vbasis of the moment matrix over "B"."""
+    return moment_matrix(enumerate_basis("B", d, labels, r)).vbasis
+
+
 def test_v_basis_degree1():
-    v = enumerate_basis("V", 1, 2)
+    v = v_basis(1, 2)
     assert v == (graph_key(single_edge()), graph_key(path_graph(2)))
 
 
 def test_v_basis_degree2_is_the_ten_small_graphs():
-    v = enumerate_basis("V", 2, 4)
+    v = v_basis(2, 4)
     keys = set(v)
     paw = Hypergraph.make(2, 4, [(0, 1), (1, 2), (2, 3), (1, 3)])
     spider = Hypergraph.make(2, 5, [(0, 1), (1, 2), (1, 3), (3, 4)])
@@ -313,8 +344,9 @@ def test_v_basis_degree2_is_the_ten_small_graphs():
 
 
 def test_basis_bad_kind():
-    with pytest.raises(ValueError):
-        enumerate_basis("Z", 1, 2)
+    for kind in ("Z", "V"):
+        with pytest.raises(ValueError, match="unknown basis kind"):
+            enumerate_basis(kind, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +492,7 @@ def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
     obstructions.minor_certificate(fixed, path_graph(2), 2)
     assert len(calls) == 178
     calls.clear()
-    enumerate_basis("V", 2, 4)
+    v_basis(2, 4)
     assert len(calls) == 283
 
 
@@ -469,7 +501,7 @@ def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
 )
 def test_v_basis_matches_pairwise_reference(d, labels, r):
     """"V" read off the moment matrix equals gluing every pair of "B" on its own."""
-    assert enumerate_basis("V", d, labels, r) == reference_v_basis(d, labels, r)
+    assert v_basis(d, labels, r) == reference_v_basis(d, labels, r)
 
 
 def test_symbolically_zero_minor_needs_shared_labeled_components():

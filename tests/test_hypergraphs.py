@@ -27,7 +27,6 @@ from graphtrop.hypergraphs import (
     named_graph,
     path_graph,
     single_edge,
-    star_density_fast,
     star_hypergraph,
     star_limit_density,
     turan_hypergraph,
@@ -41,6 +40,7 @@ from oracles import (
     random_graph,
     random_permuted,
     regular_plus_clique,
+    star_density_fast,
 )
 
 

@@ -1,0 +1,57 @@
+"""Every module-level function and class of the package is used by the package or is public."""
+
+import ast
+from pathlib import Path
+
+import graphtrop
+
+SRC = Path(graphtrop.__file__).resolve().parent
+
+# Definitions that nothing in the package calls, each kept for a stated reason.
+PUBLIC = {
+    "gluing.labeled_edge",  # builder: a single edge with labels on its first vertices
+    "gluing.cherry",  # builder: the fully labelled two-edge path
+    "gluing.glue",  # library operation: the labelled gluing product itself
+    "gluing.unlabel",  # library operation: forget the labels, in canonical form
+    "hypergraphs.complete_bipartite",  # builder: K_{a,b}
+    "hypergraphs.direct_product",  # builder: the categorical product of two hypergraphs
+    "hypergraphs.clique_plus_turan",  # builder: the explicit clique plus Turan graph
+    "obstructions.positive_pair_check",  # perfbench binding: perfbench/tracing.py spans it
+}
+
+
+def _definitions_and_uses():
+    """Module-level definitions as "module.name", and where each name is read.
+
+    A name is read at (module, i) when the i-th top-level statement of the
+    module holds it as a name or an attribute.  Imports are not reads.
+    """
+    defs = {}
+    uses: dict[str, set[tuple[str, int]]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{path.stem}.{stmt.name}"] = (path.stem, i)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    uses.setdefault(node.id, set()).add((path.stem, i))
+                elif isinstance(node, ast.Attribute):
+                    uses.setdefault(node.attr, set()).add((path.stem, i))
+    return defs, uses
+
+
+def test_every_definition_is_referenced_or_public():
+    """A helper only the tests use belongs in tests/oracles.py, not in the package."""
+    defs, uses = _definitions_and_uses()
+    unreferenced = {
+        qualified
+        for qualified, site in defs.items()
+        if not uses.get(qualified.split(".", 1)[1], set()) - {site}
+    }
+    assert unreferenced - PUBLIC == set()
+
+
+def test_public_entries_are_definitions():
+    defs, _ = _definitions_and_uses()
+    assert PUBLIC - set(defs) == set()
