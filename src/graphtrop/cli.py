@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .cones import (
     CertificateError,
@@ -278,6 +279,7 @@ def add_output_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--format", choices=("json", "csv"), help="output format", **kw)
 
 
+@cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphtrop",
@@ -356,8 +358,7 @@ def validate(args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.format is None:
         args.format = "csv" if args.command == "family-trajectory" else "json"
     try:

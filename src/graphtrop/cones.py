@@ -327,6 +327,8 @@ def cone_member(target, generators) -> Membership:
 
 def clique_ray(r: int, l: int, i: int) -> tuple[int, ...]:
     """The i-th extreme ray of clique_trop_cone(r, l): -(r + j - 1) at K_{r+j-1} for j >= i."""
+    if not 2 <= r <= l:
+        raise ValueError(f"need 2 <= r <= l, got r={r}, l={l}")
     span = l - r + 1
     if not 1 <= i <= span:
         raise ValueError(f"ray index must lie in 1..{span}, got {i}")
@@ -342,9 +344,7 @@ def star_ray(l: int, m: int) -> tuple[int, ...]:
 
 def clique_trop_cone(r: int, l: int) -> RationalCone:
     """Tropicalized profile of the clique densities K_r..K_l: explicit H- and V-reps."""
-    if not 2 <= r <= l:
-        raise ValueError(f"need 2 <= r <= l, got r={r}, l={l}")
-    s = l - r + 1
+    s = len(clique_ray(r, l, 1))  # raises unless 2 <= r <= l
     names = tuple(graph_key(complete_graph(j, r)) for j in range(r, l + 1))
     facets = [tuple(-1 if k == 0 else 0 for k in range(s))]
     for i in range(1, s):

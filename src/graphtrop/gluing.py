@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from types import MappingProxyType
 
 from .hypergraphs import (
@@ -224,34 +224,60 @@ def minor_counts(aa, bb, ab) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _edge_shapes(d: int, r: int) -> list[Hypergraph]:
-    """All unlabeled graphs with 1..d edges and no isolated vertices, up to isomorphism."""
-    keys: set[str] = set()
-    pool = d * r
-    all_edges = list(combinations(range(pool), r))
-    for m in range(1, d + 1):
-        for chosen in combinations(all_edges, m):
-            used = sorted({v for e in chosen for v in e})
-            remap = {v: i for i, v in enumerate(used)}
-            G = Hypergraph.make(r, len(used), [tuple(remap[v] for v in e) for e in chosen])
-            keys.add(graph_key(G))
-    return [key_graph(k) for k in sorted(keys, key=basis_sort_key)]
+def _shapes(d: int, r: int) -> list[Hypergraph]:
+    """The graphs with at most d edges and no isolated vertex, up to isomorphism, in key order.
+
+    One with m edges is one with m - 1 edges plus an edge whose new vertices
+    come after the old ones; keys drop the isomorphic copies.
+    """
+    shapes = layer = {graph_key(empty_graph(0, r)): empty_graph(0, r)}
+    for _ in range(d):
+        grown: dict[str, Hypergraph] = {}
+        for G in layer.values():
+            for k in range(r + 1):
+                for old in combinations(range(G.n), k):
+                    e = old + tuple(range(G.n, G.n + r - k))
+                    if e not in G.edges:
+                        H = Hypergraph(r, G.n + r - k, G.edges | {e})
+                        grown.setdefault(graph_key(H), H)
+        shapes, layer = shapes | grown, grown
+    return [key_graph(k) for k in sorted(shapes, key=basis_sort_key)]
 
 
-def _labelings(shape: Hypergraph, label_budget: int) -> list[LabeledGraph]:
-    out: dict[LabeledGraph, None] = {}
-    for sz in range(0, min(shape.n, label_budget) + 1):
-        for vset in combinations(range(shape.n), sz):
-            for labs in permutations(range(1, label_budget + 1), sz):
-                L = LabeledGraph(shape, tuple(sorted(zip(labs, vset))))
-                out[labeled_canonical_form(L)] = None
-    return list(out)
+def _placement_orbits(G: Hypergraph):
+    """G's vertices by type (the edges at them), and the name of a placement's Aut(G)-orbit.
+
+    An automorphism permutes the edges and maps the vertices of each type
+    onto those of the permuted type, in any order.  So a labelling is known up
+    to automorphism from its placement, the type of each label's vertex or ()
+    for none, up to the edge permutations that keep the size of every type.
+    """
+    edges = G.sorted_edges()
+    types: dict[tuple[int, ...], list[int]] = {}
+    for v in range(G.n):
+        types.setdefault(tuple(i for i, e in enumerate(edges) if v in e), []).append(v)
+    maps = []
+    for pi in permutations(range(len(edges))):
+        m = {T: tuple(sorted(pi[i] for i in T)) for T in types}
+        if all(len(types.get(U, ())) == len(types[T]) for T, U in m.items()):
+            maps.append(m | {(): ()})
+    return types, lambda p: min(tuple(m[T] for T in p) for m in maps)
 
 
-def enumerate_basis(
-    kind: str, d: int, label_budget: int | None = None, r: int = 2
-) -> tuple[LabeledGraph, ...]:
-    """Enumerate a gluing basis: "B" (all) or "B_tilde" (every component labeled)."""
+class Basis(tuple):
+    """Labeled graphs, with action: their index images under the swap of labels 1 and 2
+    and under the cycle of all labels, which generate the symmetric group of the labels.
+    """
+
+    action: tuple[list[int], ...] = ()
+
+
+def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int = 2) -> Basis:
+    """Enumerate a gluing basis: "B" (all) or "B_tilde" (every component labeled).
+
+    Each shape gets one labeled canonical form per orbit of its placements.
+    The label action relabels an element's placement and looks its orbit up.
+    """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if label_budget is None:
@@ -260,13 +286,27 @@ def enumerate_basis(
         raise ValueError("label budget must be nonnegative")
     if kind not in ("B", "B_tilde"):
         raise ValueError(f"unknown basis kind {kind!r}")
-    elements = [unit(r)]
-    for shape in _edge_shapes(d, r):
-        for L in _labelings(shape, label_budget):
-            if kind == "B_tilde" and any(not labs for labs, _, _ in labeled_parts(L)):
+    found = []  # (element, its shape's orbit function, the name of its orbit)
+    for shape in _shapes(d, r):
+        types, orbit = _placement_orbits(shape)
+        parts = [set(verts) for verts, _ in split_components(shape)]
+        fits = [p for p in product([()] + list(types), repeat=label_budget)
+                if all(p.count(T) <= len(verts) for T, verts in types.items())]
+        for p in dict.fromkeys(map(orbit, fits)):
+            free = {T: iter(verts) for T, verts in types.items()}
+            labels = tuple((l + 1, next(free[T])) for l, T in enumerate(p) if T)
+            if kind == "B_tilde" and any(part.isdisjoint(v for _, v in labels) for part in parts):
                 continue
-            elements.append(L)
-    return tuple(sorted(elements, key=lambda L: (L.graph.edge_count, L.to_json())))
+            A = labeled_canonical_form(LabeledGraph(shape, labels)) if shape.n else unit(r)
+            found.append((A, orbit, p))
+    found.sort(key=lambda f: (f[0].graph.edge_count, f[0].to_json()))
+    basis = Basis(A for A, _, _ in found)
+    index = {(orbit, p): i for i, (_, orbit, p) in enumerate(found)}
+    basis.action = tuple(
+        [index[orbit, orbit(move(p))] for _, orbit, p in found]
+        for move in (lambda p: p[1::-1] + p[2:], lambda p: p[-1:] + p[:-1])
+    )
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -303,44 +343,19 @@ class MomentMatrix:
         return minor_counts(c[(i, i)], c[(j, j)], c[(i, j) if i <= j else (j, i)])
 
 
-def _label_action(elems) -> list[list[int]]:
-    """Index images of the basis under the swap of the two smallest labels and the cycle of all.
-
-    The two permutations generate the symmetric group of the labels used.
-    Returns no images when some relabeled element is missing from the basis.
-    """
-    labels = sorted({l for A in elems for l, _ in A.labels})
-    if len(labels) < 2:
-        return []
-    index = {A: i for i, A in enumerate(elems)}
-    swap = dict(zip(labels, labels))
-    swap[labels[0]], swap[labels[1]] = labels[1], labels[0]
-    images = []
-    for sigma in (swap, dict(zip(labels, labels[1:] + labels[:1]))):
-        image = []
-        for A in elems:
-            moved = tuple(sorted((sigma[l], v) for l, v in A.labels))
-            i = index.get(labeled_canonical_form(LabeledGraph(A.graph, moved)))
-            if i is None:
-                return []
-            image.append(i)
-        images.append(image)
-    return images
-
-
 def moment_matrix(basis) -> MomentMatrix:
     """Component counts of the unlabeled products of all pairs of labeled graphs.
 
     Gluing reads only which labels are equal, so relabeling both factors by
     one permutation keeps their product.  Pairs are merged into orbits under
-    the label permutations that map the basis onto itself, and each orbit's
-    product is built once, at its first pair.  A basis not closed under them
-    gets the trivial group: every pair is its own orbit.
+    the label permutations that an enumerated basis carries (Basis.action),
+    and each orbit's product is built once, at its first pair.  Any other
+    sequence gets the trivial group: every pair is its own orbit.
     """
     elems = tuple(basis)
     n = len(elems)
     parent = list(range(n * n))  # union-find over pairs i * n + j, rooted at the least
-    for image in _label_action(elems):
+    for image in basis.action if isinstance(basis, Basis) else ():
         for i in range(n):
             for j in range(i, n):
                 a, b = sorted((image[i], image[j]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from itertools import combinations, combinations_with_replacement, permutations
@@ -268,7 +268,7 @@ class ObstructionReport:
     separator_verified: bool | None = None
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(asdict(self)), sort_keys=True, indent=2)
+        return json.dumps(_jsonable(self), sort_keys=True, indent=2)
 
 
 def _jsonable(x):
@@ -278,7 +278,7 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    return x
+    return _jsonable(vars(x)) if hasattr(x, "__dataclass_fields__") else x  # a report's fields
 
 
 def counting_obstruction(
@@ -694,7 +694,7 @@ class MinorCertificate:
     witness_interval: tuple[Fraction, Fraction] | None = None
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(asdict(self)), sort_keys=True, indent=2)
+        return json.dumps(_jsonable(self), sort_keys=True, indent=2)
 
 
 def _entry_term(counts, fixed_map, free_key) -> tuple[int, int, int]:

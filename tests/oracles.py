@@ -21,7 +21,13 @@ and its refuting subset.  `reference_moment_matrix` builds every moment entry
 on its own, through the canonical form of the whole product, and is the
 reference for the orbit-shared `moment_matrix`.  `reference_v_basis` glues
 every pair of the "B" basis on its own and is the reference for the "V"
-basis, the `vbasis` of the moment matrix over "B".
+basis, the `vbasis` of the moment matrix over "B".  `reference_basis` is the
+gluing basis as first built, from `reference_edge_shapes` (every edge subset
+of a large enough complete graph, keyed) and `reference_labelings` (a labeled
+canonical form for every labelling), and `reference_label_action` finds the
+images of its elements by a labeled canonical search each; they are the
+references for the bases built by one-edge augmentation, one search per orbit
+of labellings, and the label action that `enumerate_basis` carries.
 
 The last section holds helpers that only the tests use, kept out of the
 package: cones from facets, membership checked against the facets, cone
@@ -67,7 +73,9 @@ from graphtrop.gluing import (
     glue,
     labeled_canonical_form,
     labeled_graph,
+    labeled_parts,
     product_counts,
+    unit,
     unlabeled_product,
 )
 from graphtrop.hypergraphs import (
@@ -80,6 +88,7 @@ from graphtrop.hypergraphs import (
     connected_components,
     density,
     graph_key,
+    key_graph,
     split_components,
 )
 from graphtrop.obstructions import _RootData, _deriv, _divmod, _sign_at, _sign_variations
@@ -704,6 +713,91 @@ def reference_moment_matrix(basis):
             counts[(i, j)] = component_counts(unlabeled_product(elems[i], elems[j]))
     keys = {key for entry in counts.values() for key in entry}
     return counts, tuple(sorted(keys, key=basis_sort_key))
+
+
+def reference_edge_shapes(d: int, r: int) -> list[Hypergraph]:
+    """All unlabeled graphs with 1..d edges and no isolated vertices, up to isomorphism."""
+    keys: set[str] = set()
+    pool = d * r
+    all_edges = list(combinations(range(pool), r))
+    for m in range(1, d + 1):
+        for chosen in combinations(all_edges, m):
+            used = sorted({v for e in chosen for v in e})
+            remap = {v: i for i, v in enumerate(used)}
+            G = Hypergraph.make(r, len(used), [tuple(remap[v] for v in e) for e in chosen])
+            keys.add(graph_key(G))
+    return [key_graph(k) for k in sorted(keys, key=basis_sort_key)]
+
+
+def reference_labelings(shape: Hypergraph, label_budget: int) -> list[LabeledGraph]:
+    """The distinct labeled canonical forms of every labelling of shape with labels 1..label_budget."""
+    out: dict[LabeledGraph, None] = {}
+    for sz in range(0, min(shape.n, label_budget) + 1):
+        for vset in combinations(range(shape.n), sz):
+            for labs in permutations(range(1, label_budget + 1), sz):
+                L = LabeledGraph(shape, tuple(sorted(zip(labs, vset))))
+                out[labeled_canonical_form(L)] = None
+    return list(out)
+
+
+def reference_basis(kind: str, d: int, label_budget: int | None = None, r: int = 2):
+    """The gluing basis "B" or "B_tilde" from every labelling of every edge subset."""
+    if label_budget is None:
+        label_budget = 2 * d
+    elements = [unit(r)]
+    for shape in reference_edge_shapes(d, r):
+        for L in reference_labelings(shape, label_budget):
+            if kind == "B_tilde" and any(not labs for labs, _, _ in labeled_parts(L)):
+                continue
+            elements.append(L)
+    return tuple(sorted(elements, key=lambda L: (L.graph.edge_count, L.to_json())))
+
+
+def reference_label_action(elems) -> list[list[int]]:
+    """Index images of the basis under the swap of the two smallest labels and the cycle of all.
+
+    The two permutations generate the symmetric group of the labels used.
+    Returns no images when some relabeled element is missing from the basis.
+    """
+    labels = sorted({l for A in elems for l, _ in A.labels})
+    if len(labels) < 2:
+        return []
+    index = {A: i for i, A in enumerate(elems)}
+    swap = dict(zip(labels, labels))
+    swap[labels[0]], swap[labels[1]] = labels[1], labels[0]
+    images = []
+    for sigma in (swap, dict(zip(labels, labels[1:] + labels[:1]))):
+        image = []
+        for A in elems:
+            moved = tuple(sorted((sigma[l], v) for l, v in A.labels))
+            i = index.get(labeled_canonical_form(LabeledGraph(A.graph, moved)))
+            if i is None:
+                return []
+            image.append(i)
+        images.append(image)
+    return images
+
+
+def reference_pair_orbits(n: int, images) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each pair i <= j of n elements mapped to the least pair of its orbit under the images.
+
+    Orbits are closed by search, pair by pair, with no union-find.
+    """
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    for pair in ((i, j) for i in range(n) for j in range(i, n)):
+        if pair in out:
+            continue
+        orbit, todo = {pair}, [pair]
+        while todo:
+            i, j = todo.pop()
+            for image in images:
+                moved = tuple(sorted((image[i], image[j])))
+                if moved not in orbit:
+                    orbit.add(moved)
+                    todo.append(moved)
+        for q in orbit:
+            out[q] = min(orbit)
+    return out
 
 
 def reference_v_basis(d: int, label_budget: int | None = None, r: int = 2) -> tuple[str, ...]:

@@ -565,3 +565,35 @@ def test_minor_cert_value_is_read_unsigned(capsys):
         main(["minor-cert", "path2", "--fixed", "edge", "-1/2", "--d", "1"])
     assert exc.value.code == 2
     assert "expected 2 arguments" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_parses_share_no_state(capsys):
+    """main reuses one parser: a longer --fixed list or an error exit leaves nothing behind."""
+    from graphtrop.cli import build_parser
+
+    assert build_parser() is build_parser()
+    one = ["minor-cert", "path2", "--fixed", "edge", "1/2", "--d", "1"]
+    want = minor_certificate({single_edge(): Fraction(1, 2)}, path_graph(2), 1).to_json() + "\n"
+    for k3, digest in C06_CLI_SHA256.items():
+        code, out = run_cli(capsys, "minor-cert", "path2", "--fixed", "edge", "7/10",
+                            "--fixed", "K3", k3, "--d", "2")
+        assert code == 0 and _sha256(out) == digest
+        assert run_cli(capsys, *one) == (0, want)
+    with pytest.raises(SystemExit) as exc:
+        main(["minor-cert", "path2", "--fixed", "edge", "--d", "1"])
+    assert exc.value.code == 2
+    assert "expected 2 arguments" in capsys.readouterr().err
+    assert run_cli(capsys, *one) == (0, want)
+
+
+def test_clique_parameter_errors_name_r_and_l(capsys):
+    """family-trajectory clique and clique-cone refuse r < 2 or l < r with the same message."""
+    for r, l in (("4", "3"), ("1", "3")):
+        for argv in (
+            ["family-trajectory", "clique", "--r", r, "--l", l, "--k", "1", "--schedule", "1e-1"],
+            ["clique-cone", "--r", r, "--l", l],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"need 2 <= r <= l, got r={r}, l={l}" in captured.err

@@ -1,6 +1,7 @@
 """Tests for labeled graphs, gluing products, bases and moment matrices."""
 
 import json
+import time
 from fractions import Fraction
 from random import Random
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtrop.gluing import (
+    Basis,
     LabeledGraph,
+    _shapes,
     alpha_vector,
     cherry,
     component_counts,
@@ -33,6 +36,7 @@ from graphtrop.hypergraphs import (
     complete_bipartite,
     complete_graph,
     disjoint_union,
+    empty_graph,
     is_isomorphic,
     key_graph,
     path_graph,
@@ -49,7 +53,11 @@ from oracles import (
     random_graph,
     random_labeled,
     random_permuted,
+    reference_basis,
+    reference_edge_shapes,
+    reference_label_action,
     reference_moment_matrix,
+    reference_pair_orbits,
     reference_v_basis,
     square_expand,
 )
@@ -185,12 +193,6 @@ def test_square_expand_bilinear_matches_glue_product():
         B = random_labeled(rng, 4, 0.5, 2)
         a = lift(A) - 2 * lift(B)
         direct = square_expand(a)
-        via_product = Combination(
-            {
-                unlabel(P): c
-                for P, c in glue_product(a, a).terms.items()
-            }
-        )
         # collecting by unlabeled graph must agree
         acc = {}
         for P, c in glue_product(a, a).terms.items():
@@ -309,6 +311,77 @@ def test_basis_degree2_budget4_counts():
     # + 21 disjoint-pair labelings, every component labeled
     assert len(enumerate_basis("B_tilde", 2, 4)) == 1 + 10 + 38 + 21
     assert len(enumerate_basis("B", 2, 4)) == 83
+
+
+@pytest.mark.parametrize(
+    "d, labels, r", [(d, labels, r) for r in (2, 3) for d in range(4) for labels in range(5) if (d, r) != (3, 3)]
+)
+def test_basis_matches_reference(d, labels, r):
+    """Both kinds equal the basis built from every labelling of every edge subset, as tuples.
+
+    d=3 at r=3 is left out: the reference keys all 98,854 edge subsets of
+    three 3-edges on 9 vertices, which takes about 5.5 s.
+    """
+    for kind in ("B", "B_tilde"):
+        basis = enumerate_basis(kind, d, labels, r)
+        assert isinstance(basis, Basis) and len(basis) == len(tuple(basis))
+        assert basis == reference_basis(kind, d, labels, r)
+        # the reference finds no images with fewer than two labels; then both are the identity
+        identity = [list(range(len(basis)))] * 2
+        assert list(basis.action) == (reference_label_action(basis) or identity)
+
+
+@pytest.mark.parametrize("d, r", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3)])
+def test_shapes_match_reference(d, r):
+    """Shapes grown one edge at a time are the keyed edge subsets, in basis order, after the empty graph."""
+    assert _shapes(d, r) == [empty_graph(0, r)] + reference_edge_shapes(d, r)
+
+
+def test_degree3_shapes_of_3graphs_are_fast():
+    """The 16 shapes of at most three 3-edges, which the reference finds among 98,854 keyed subsets."""
+    start = time.perf_counter()
+    shapes = _shapes(3, 3)
+    assert time.perf_counter() - start < 1.0
+    assert [G.edge_count for G in shapes] == [0, 1] + [2] * 3 + [3] * 12
+    assert len({graph_key(G) for G in shapes}) == 17
+
+
+def test_one_labeled_search_per_orbit(monkeypatch):
+    """One labeled canonical search per element with an edge, and none for the label action.
+
+    "B" has 170 such elements at d=3, L=3 and 82 at d=2, L=4; "B_tilde"
+    drops labellings that leave a component unlabeled before any search.
+    """
+    import graphtrop.gluing as gluing
+
+    calls = []
+    search = gluing.labeled_canonical_form
+    monkeypatch.setattr(gluing, "labeled_canonical_form", lambda A: calls.append(A) or search(A))
+    for kind, d, labels, searches in (
+        ("B", 3, 3, 170), ("B", 2, 4, 82), ("B_tilde", 3, 3, 120), ("B_tilde", 2, 4, 69)
+    ):
+        calls.clear()
+        basis = enumerate_basis(kind, d, labels)
+        assert len(calls) == searches == len(basis) - 1
+
+
+@pytest.mark.parametrize("d, labels, r", [(1, 2, 2), (2, 3, 2), (2, 4, 2), (3, 3, 2), (2, 3, 3)])
+def test_carried_action_gives_reference_orbits(d, labels, r):
+    """The carried action is the searched one, and M.orbit closes pairs under it."""
+    basis = enumerate_basis("B_tilde", d, labels, r)
+    images = reference_label_action(basis)
+    assert list(basis.action) == images
+    assert moment_matrix(basis).orbit == reference_pair_orbits(len(basis), images)
+
+
+def test_plain_sequence_gets_trivial_group():
+    """Only an enumerated basis carries its action; the same elements in a list are not merged."""
+    basis = enumerate_basis("B_tilde", 2, 2)
+    M = moment_matrix(basis)
+    assert len(set(M.orbit.values())) < len(M.orbit)
+    for plain in (list(basis), tuple(basis), basis[:]):
+        M = moment_matrix(plain)
+        assert all(rep == pair for pair, rep in M.orbit.items())
 
 
 def v_basis(d, labels, r=2):
