@@ -265,8 +265,10 @@ def _placement_orbits(G: Hypergraph):
 
 
 class Basis(tuple):
-    """Labeled graphs, with action: their index images under the swap of labels 1 and 2
-    and under the cycle of all labels, which generate the symmetric group of the labels.
+    """Labeled graphs that carry their label action.
+
+    action holds their index images under the swap of labels 1 and 2 and
+    under the cycle of all labels, which generate every label permutation.
     """
 
     action: tuple[list[int], ...] = ()
