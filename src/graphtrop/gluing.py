@@ -108,18 +108,13 @@ def labeled_canonical_form(A: LabeledGraph) -> LabeledGraph:
     G = A.graph
     in_order = sorted(A.labels)
     fixed = {v: i for i, (_, v) in enumerate(in_order)}
-    free = [v for v in range(G.n) if v not in fixed]
-    if not free:
-        enc = tuple(sorted(tuple(sorted(fixed[v] for v in e)) for e in G.edges))
-        new_labels = tuple((l, i) for i, (l, _) in enumerate(in_order))
-        return LabeledGraph(Hypergraph(G.r, G.n, frozenset(enc)), new_labels)
-
-    # seed invariants pin each labeled vertex to a unique class
-    seed = {v: 0 for v in range(G.n)}
-    for v, i in fixed.items():
-        seed[v] = i + 1
-    classes = [cl for cl in _refine_classes(G.n, G.sorted_edges(), seed) if cl[0] not in fixed]
-    enc = _min_relabeling(G.n, G.sorted_edges(), classes, fixed)
+    if len(fixed) == G.n:
+        enc = [tuple(sorted(fixed[v] for v in e)) for e in G.edges]
+    else:
+        # seed invariants pin each labeled vertex to a unique class
+        seed = {v: fixed.get(v, -1) + 1 for v in range(G.n)}
+        classes = [cl for cl in _refine_classes(G.n, G.sorted_edges(), seed) if cl[0] not in fixed]
+        enc = _min_relabeling(G.n, G.sorted_edges(), classes, fixed)
     new_labels = tuple((l, i) for i, (l, _) in enumerate(in_order))
     return LabeledGraph(Hypergraph(G.r, G.n, frozenset(enc)), new_labels)
 
@@ -271,8 +266,6 @@ class Basis(tuple):
     under the cycle of all labels, which generate every label permutation.
     """
 
-    action: tuple[list[int], ...] = ()
-
 
 def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int = 2) -> Basis:
     """Enumerate a gluing basis: "B" (all) or "B_tilde" (every component labeled).
@@ -357,7 +350,7 @@ def moment_matrix(basis) -> MomentMatrix:
     elems = tuple(basis)
     n = len(elems)
     parent = list(range(n * n))  # union-find over pairs i * n + j, rooted at the least
-    for image in basis.action if isinstance(basis, Basis) else ():
+    for image in getattr(basis, "action", ()):
         for i in range(n):
             for j in range(i, n):
                 a, b = sorted((image[i], image[j]))
