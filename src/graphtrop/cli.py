@@ -34,6 +34,7 @@ from .hypergraphs import (
     density,
     fraction_str,
     graph_key,
+    key_graph,
     named_graph,
     star_limit_density,
 )
@@ -66,6 +67,14 @@ def load_graph(spec: str) -> Hypergraph:
 
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def cone_json(cone, **extra) -> str:
+    """A cone's basis, facets and rays, its lineality when nonempty, and the extra keys."""
+    obj = {"basis": cone.basis, "facets": cone.facets, "rays": cone.rays, **extra}
+    if cone.lineality:
+        obj["lineality"] = cone.lineality
+    return dump_json(obj)
 
 
 def parse_fraction(token: str) -> Fraction:
@@ -104,24 +113,15 @@ def trop_sos_cone(d: int, label_budget: int | None):
 
 def cmd_trop_sos(args: argparse.Namespace) -> tuple[str, int]:
     M, cone = trop_sos_cone(args.d, args.labels)
-    obj = {
-        "basis": list(cone.basis),
-        "facets": [list(f) for f in cone.facets],
-        "rays": [list(r) for r in cone.rays],
-        "moment_basis_size": M.size,
-        "degenerate": not cone.basis,
-    }
-    if cone.lineality:
-        obj["lineality"] = [list(l) for l in cone.lineality]
-    return dump_json(obj), 0
+    return cone_json(cone, moment_basis_size=M.size, degenerate=not cone.basis), 0
 
 
 def cmd_clique_cone(args: argparse.Namespace) -> tuple[str, int]:
-    return clique_trop_cone(args.r, args.l).to_json(), 0
+    return cone_json(clique_trop_cone(args.r, args.l)), 0
 
 
 def cmd_star_cone(args: argparse.Namespace) -> tuple[str, int]:
-    return star_trop_cone(args.r, args.c, args.l).to_json(), 0
+    return cone_json(star_trop_cone(args.r, args.c, args.l)), 0
 
 
 def build_cone(args: argparse.Namespace):
@@ -182,7 +182,7 @@ def cmd_obstruction(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_minor_cert(args: argparse.Namespace) -> tuple[str, int]:
-    fixed: dict[str, Fraction] = {}
+    fixed: dict[str, Fraction] = {}  # by key, so that a graph fixed twice is caught here
     for spec, value in args.fixed:
         key = graph_key(load_graph(spec))
         if key in fixed:
@@ -190,7 +190,8 @@ def cmd_minor_cert(args: argparse.Namespace) -> tuple[str, int]:
         fixed[key] = parse_fraction(value)
         if not 0 <= fixed[key] <= 1:
             raise ValueError(f"density of {spec} must lie in [0, 1], got {fraction_str(fixed[key])}")
-    cert = minor_certificate(fixed, load_graph(args.free), args.d, args.labels)
+    graphs = {key_graph(key): value for key, value in fixed.items()}
+    cert = minor_certificate(graphs, load_graph(args.free), args.d, args.labels)
     return cert.to_json() + "\n", 0
 
 

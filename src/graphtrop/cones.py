@@ -11,7 +11,6 @@ exact and independently re-checked before it is returned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -176,56 +175,26 @@ class RationalCone:
     """Polyhedral cone over named coordinates, with exact H- and V-representations."""
 
     basis: tuple[str, ...]
-    facets: tuple[tuple[int, ...], ...] | None = None
-    rays: tuple[tuple[int, ...], ...] | None = None
+    facets: tuple[tuple[int, ...], ...]
+    rays: tuple[tuple[int, ...], ...]
     lineality: tuple[tuple[int, ...], ...] = ()
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def generators(self) -> list[tuple[int, ...]]:
-        gens = list(self.rays or ())
-        for l in self.lineality:
-            gens.append(tuple(l))
-            gens.append(_neg(l))
-        return gens
-
-    def to_json(self) -> str:
-        obj = {"basis": list(self.basis)}
-        if self.facets is not None:
-            obj["facets"] = [list(f) for f in self.facets]
-        if self.rays is not None:
-            obj["rays"] = [list(r) for r in self.rays]
-        if self.lineality:
-            obj["lineality"] = [list(l) for l in self.lineality]
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "RationalCone":
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "basis" not in obj:
-            raise ValueError("cone JSON must be an object with a 'basis' key")
-        return RationalCone(
-            tuple(obj["basis"]),
-            tuple(tuple(f) for f in obj["facets"]) if "facets" in obj else None,
-            tuple(tuple(r) for r in obj["rays"]) if "rays" in obj else None,
-            tuple(tuple(l) for l in obj.get("lineality", ())),
-        )
-
     def validate(self) -> None:
-        for v in (self.facets or ()) + (self.rays or ()) + self.lineality:
+        for v in self.facets + self.rays + self.lineality:
             if len(v) != self.dim:
                 raise ValueError("vector length does not match basis")
-        if self.facets is not None:
-            for r in self.rays or ():
-                for a in self.facets:
-                    if dot(a, r) < 0:
-                        raise CertificateError(f"ray {r} violates facet {a}")
-            for l in self.lineality:
-                for a in self.facets:
-                    if dot(a, l) != 0:
-                        raise CertificateError(f"lineality {l} not tight on facet {a}")
+        for r in self.rays:
+            for a in self.facets:
+                if dot(a, r) < 0:
+                    raise CertificateError(f"ray {r} violates facet {a}")
+        for l in self.lineality:
+            for a in self.facets:
+                if dot(a, l) != 0:
+                    raise CertificateError(f"lineality {l} not tight on facet {a}")
 
 
 # ---------------------------------------------------------------------------

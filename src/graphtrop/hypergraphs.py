@@ -54,9 +54,6 @@ class Hypergraph:
     def sorted_edges(self) -> list[tuple[int, ...]]:
         return sorted(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> list[int]:
         d = [0] * self.n
         for e in self.edges:

@@ -143,8 +143,8 @@ class PairStats:
     coordinate: int
 
 
-def _witness_graph(C, role: str = "witness") -> Hypergraph:
-    G = key_graph(C) if isinstance(C, str) else canonical_form(C)
+def _witness_graph(C: Hypergraph, role: str = "witness") -> Hypergraph:
+    G = canonical_form(C)
     if G.edge_count == 0 or len(connected_components(G)) != 1:
         raise ValueError(f"{role} must be a connected graph with at least one edge: {graph_key(G)}")
     return G

@@ -28,11 +28,16 @@ canonical form for every labelling), and `reference_label_action` finds the
 images of its elements by a labeled canonical search each; they are the
 references for the bases built by one-edge augmentation, one search per orbit
 of labellings, and the label action that `enumerate_basis` carries.
+`reference_is_trivial_square` is the trivial-square search as first written,
+over every subgraph and every label set, with each square built by naming
+its vertices and compared by networkx; it is the reference for the vertex
+and edge counts that `is_trivial_square` uses to skip candidates.
 
 The last section holds helpers that only the tests use, kept out of the
-package: cones from facets, membership checked against the facets, cone
-equality, labeled isomorphism, the bilinear gluing of combinations, density
-vectors, and the explicit clique joined to a regular graph.  Three of them
+package: cones from facets, a cone's generators, membership checked against
+the facets, cone equality, labeled isomorphism, the bilinear gluing of
+combinations, density vectors, and the explicit clique joined to a regular
+graph.  Three of them
 are references for what the package computes in one way only:
 - `Combination`, `lift`, `square_expand` and `eval_combination` expand a
   glued square sum c_i c_j [[A_i A_j]] pair by pair, gluing through
@@ -55,6 +60,7 @@ from itertools import combinations, permutations, product
 from math import factorial, gcd
 from random import Random
 
+import networkx as nx
 import numpy as np
 
 from graphtrop.cones import (
@@ -815,6 +821,62 @@ def reference_v_basis(d: int, label_budget: int | None = None, r: int = 2) -> tu
     return tuple(sorted(keys, key=basis_sort_key))
 
 
+def _incidence(vertices, edges) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from((("v", v) for v in vertices), side=0)
+    out.add_nodes_from((("e", e) for e in edges), side=1)
+    out.add_edges_from((("v", v), ("e", e)) for e in edges for v in e)
+    return out
+
+
+def _nx_isomorphic(vertices1, edges1, vertices2, edges2) -> bool:
+    """Isomorphism of hypergraphs by networkx, on their vertex-edge incidence graphs."""
+    if (len(vertices1), len(edges1)) != (len(vertices2), len(edges2)):
+        return False
+    return nx.is_isomorphic(
+        _incidence(vertices1, edges1),
+        _incidence(vertices2, edges2),
+        node_match=lambda a, b: a["side"] == b["side"],
+    )
+
+
+def reference_is_trivial_square(H: Hypergraph) -> bool:
+    """The trivial-square test as first written, comparing squares by networkx.
+
+    Every subgraph of H, one per shape, with every set of its vertices
+    labeled; each square is built by naming a labeled vertex by itself and
+    any other by its copy, with no bound on edge or vertex counts.
+    """
+    if H.edge_count == 0:
+        raise ValueError("trivial-square test requires at least one edge")
+    hverts, hedges = range(H.n), sorted(H.edges)
+    seen_shapes: set[Hypergraph] = set()
+    for m in range(1, len(hedges) + 1):
+        for chosen in combinations(hedges, m):
+            used = sorted({v for e in chosen for v in e})
+            remap = {v: i for i, v in enumerate(used)}
+            F0 = canonical_form(
+                Hypergraph.make(H.r, len(used), [tuple(remap[v] for v in e) for e in chosen])
+            )
+            if F0 in seen_shapes:
+                continue
+            seen_shapes.add(F0)
+            full_copy = _nx_isomorphic(range(F0.n), F0.edges, hverts, hedges)
+            for sz in range(0, F0.n + 1):
+                for vset in combinations(range(F0.n), sz):
+                    labeled = set(vset)
+                    names = [
+                        [v if v in labeled else (side, v) for v in range(F0.n)] for side in "AB"
+                    ]
+                    verts = {x for name in names for x in name}
+                    edges = {frozenset(name[v] for v in e) for name in names for e in F0.edges}
+                    if _nx_isomorphic(verts, edges, hverts, hedges) and not (
+                        sz == F0.n and full_copy
+                    ):
+                        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Test-only helpers
 # ---------------------------------------------------------------------------
@@ -839,9 +901,7 @@ def cone_from_rays(basis, rays, lineality=()) -> RationalCone:
 
 
 def rays_from_facets(cone: RationalCone) -> RationalCone:
-    """The cone with its extreme rays and lineality filled in from its facets."""
-    if cone.facets is None:
-        raise ValueError("cone has no facet representation")
+    """The cone with its extreme rays and lineality computed again from its facets."""
     lines, rays = dd_rays(cone.facets, cone.dim)
     out = RationalCone(cone.basis, cone.facets, tuple(sorted(rays)), tuple(lines))
     out.validate()
@@ -854,8 +914,6 @@ def project_cone(cone: RationalCone, coords) -> RationalCone:
     Coordinates are given by index or by basis name.
     """
     idx = [c if isinstance(c, int) else cone.basis.index(c) for c in coords]
-    if cone.rays is None:
-        cone = rays_from_facets(cone)
     prays = [tuple(r[i] for i in idx) for r in cone.rays]
     plines = [tuple(l[i] for i in idx) for l in cone.lineality]
     return cone_from_rays(tuple(cone.basis[i] for i in idx), prays, plines)
@@ -871,19 +929,24 @@ def cone_from_facets(basis, facets) -> RationalCone:
 
 
 def facets_from_rays(cone: RationalCone) -> RationalCone:
-    if cone.rays is None:
-        raise ValueError("cone has no ray representation")
     return cone_from_rays(cone.basis, cone.rays, cone.lineality)
+
+
+def generators(cone: RationalCone) -> list[tuple[int, ...]]:
+    """The rays, then each lineality vector and its negative."""
+    gens = list(cone.rays)
+    for l in cone.lineality:
+        gens.append(tuple(l))
+        gens.append(tuple(-x for x in l))
+    return gens
 
 
 def cone_contains(cone: RationalCone, target) -> Membership:
     """Membership by simplex over the cone's generators, checked against its facets."""
-    full = cone if cone.rays is not None else rays_from_facets(cone)
-    result = cone_member(target, full.generators())
-    if cone.facets is not None:
-        by_facets = all(dot(a, target) >= 0 for a in cone.facets)
-        if by_facets != result.inside:
-            raise CertificateError("facet check disagrees with membership certificate")
+    result = cone_member(target, generators(cone))
+    by_facets = all(dot(a, target) >= 0 for a in cone.facets)
+    if by_facets != result.inside:
+        raise CertificateError("facet check disagrees with membership certificate")
     return result
 
 
@@ -891,10 +954,8 @@ def cones_equal(c1: RationalCone, c2: RationalCone) -> bool:
     """Equality as sets, by mutual membership of generators."""
     if c1.dim != c2.dim:
         return False
-    a = c1 if c1.rays is not None else rays_from_facets(c1)
-    b = c2 if c2.rays is not None else rays_from_facets(c2)
-    return all(cone_contains(b, g).inside for g in a.generators()) and all(
-        cone_contains(a, g).inside for g in b.generators()
+    return all(cone_contains(c2, g).inside for g in generators(c1)) and all(
+        cone_contains(c1, g).inside for g in generators(c2)
     )
 
 

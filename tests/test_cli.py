@@ -7,6 +7,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -166,6 +167,16 @@ def test_star_cone_command(capsys):
     assert obj["rays"] == [[-1, -2], [-1, -1]]
 
 
+def test_cone_commands_write_lineality_only_when_nonempty(capsys):
+    """Cone outputs hold basis, facets and rays, plus lineality when the cone has any."""
+    code, out = run_cli(capsys, "trop-sos", "--d", "1", "--labels", "1")
+    assert code == 0 and '"lineality"' in out
+    assert json.loads(out)["lineality"] == [[1, 2]]
+    code, out = run_cli(capsys, "clique-cone", "--l", "4")
+    assert code == 0 and '"lineality"' not in out
+    assert sorted(json.loads(out)) == ["basis", "facets", "rays"]
+
+
 def test_cone_parameter_failure_exit_2(capsys):
     """Inconsistent cone parameters exit with code 2."""
     assert run_cli(capsys, "clique-cone", "--r", "3", "--l", "2")[0] == 2
@@ -311,6 +322,20 @@ def test_obstruction_precondition_exit_2(capsys):
     code, obj = run_json(capsys, "obstruction", "edge", "edge", "--k", "2", "--d", "1")
     assert code == 2
     assert obj["status"] == "precondition-failure"
+
+
+def test_obstruction_on_twelve_edge_upper_graph_reports_precondition(capsys):
+    """A 12-edge upper graph that is no trivial square gets its report, not a refusal."""
+    upper = ('{"r":2,"n":8,"edges":[[0,2],[0,4],[0,7],[1,2],[1,5],[2,3],[2,5],[2,6],'
+             '[3,4],[3,7],[4,6],[5,6]]}')
+    start = time.monotonic()
+    code = main(["obstruction", upper, "P4", "--k", "1", "--d", "1", "--labels", "2"])
+    captured = capsys.readouterr()
+    assert time.monotonic() - start < 10.0
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "precondition-failure"
+    assert ["upper graph is a trivial square", False] in report["preconditions"]
 
 
 def test_obstruction_bad_flags_exit_2(capsys):
@@ -475,7 +500,11 @@ OUTPUT_SHA256 = {
         "773327aeed91a005e9bb1601aa06352162f7891c43e91b20477d42c461f07037",
     "test-binomial trop-sos path2 edge^2 --d 1 --labels 2":
         "1ab0318b251bb0f44cc428a4e468d676600e57528c630979c652efadb7abb290",
+    "trop-sos --d 1 --labels 1":
+        "a24a035570ccd87eae0eda6edbedf39d6517aa7f68a8ec3b484bbeca2dc463f0",
     "clique-cone --r 2 --l 4":
+        "fb2167932daf2e14326b3f29783dcd90fa6823cd23eddea183fcc1eb863e198f",
+    "clique-cone --l 4":
         "fb2167932daf2e14326b3f29783dcd90fa6823cd23eddea183fcc1eb863e198f",
     "star-cone --r 3 --c 2 --l 4":
         "31725d2c8d6b8db5322edcd5fefa5a528fc2aade0a51f0367276699665f7b55b",
@@ -547,6 +576,7 @@ def test_minor_cert_command_exit_codes(capsys):
     twice = ["--fixed", "edge", "1/2", "--fixed", "edge", "1/3"]
     assert main(["minor-cert", "path2", *twice, *base]) == 2
     err = capsys.readouterr().err
+    assert f"duplicate fixed coordinate {graph_key(single_edge())}" in err
     assert "fixed coordinate must be a connected graph with at least one edge" in err
     assert "free coordinate must be a connected graph with at least one edge" in err
 

@@ -455,23 +455,6 @@ def test_minor_cone_requires_unit():
         minor_cone(M)
 
 
-def test_cone_json_round_trip():
-    """Serialisation keeps facets, rays and the lineality key only when present."""
-    c = clique_trop_cone(2, 3)
-    back = RationalCone.from_json(c.to_json())
-    assert back == c
-    assert '"lineality"' not in c.to_json()
-    full = cone_from_facets(["x", "y"], [])
-    assert '"lineality"' in full.to_json()
-    assert RationalCone.from_json(full.to_json()) == full
-
-
-def test_cone_json_rejects_garbage():
-    """Cone JSON must be an object with a basis."""
-    with pytest.raises(ValueError):
-        RationalCone.from_json("[1,2,3]")
-
-
 def test_validate_catches_bad_ray():
     """A ray violating a facet fails validation."""
     bad = RationalCone(("a", "b"), ((-1, 0),), ((1, 0),))

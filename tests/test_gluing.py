@@ -57,6 +57,7 @@ from oracles import (
     reference_edge_shapes,
     reference_label_action,
     reference_moment_matrix,
+    reference_is_trivial_square,
     reference_pair_orbits,
     reference_v_basis,
     square_expand,
@@ -140,7 +141,7 @@ def test_glue_shared_label_makes_cherry():
     assert g.graph.edge_count == 2
     assert is_isomorphic(unlabel(g), path_graph(2))
     lab, v = g.labels[0]
-    assert lab == 1 and g.graph.degree(v) == 2
+    assert lab == 1 and g.graph.degrees()[v] == 2
 
 
 def test_glue_commutative_associative():
@@ -634,3 +635,42 @@ def test_trivial_square_star_fails():
 def test_trivial_square_validation():
     with pytest.raises(ValueError):
         is_trivial_square(Hypergraph(2, 3, frozenset()))
+
+
+def test_trivial_square_matches_reference_on_small_graphs():
+    """The counting rule keeps every verdict of the exhaustive search, for r = 2 and r = 3.
+
+    The atlas graphs have no isolated vertex; the random 3-graphs often do.
+    """
+    graphs = [
+        Hypergraph.make(2, g.number_of_nodes(), list(g.edges()))
+        for g in nx.graph_atlas_g()
+        if 1 <= g.number_of_edges() <= 8 and min(d for _, d in g.degree()) > 0
+    ]
+    rng = Random(3)
+    graphs += [random_graph(rng, rng.randint(3, 7), rng.choice([0.1, 0.2, 0.3]), 3) for _ in range(60)]
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    graphs += [complete_graph(4, 3), star_hypergraph(3, 2, 3), Hypergraph.make(3, 7, fano)]
+    for H in graphs:
+        if H.edge_count:
+            assert is_trivial_square(H) == reference_is_trivial_square(H), H
+
+
+# 12-edge graphs on 8 and 9 vertices, at the edge limit of the search
+TWELVE_EDGE_GRAPHS = {
+    "reproducer": (8, [(0, 2), (0, 4), (0, 7), (1, 2), (1, 5), (2, 3), (2, 5), (2, 6),
+                       (3, 4), (3, 7), (4, 6), (5, 6)]),
+    "cube": (8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                 (0, 4), (1, 5), (2, 6), (3, 7)]),
+    "wagner": (8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]),
+    "k33_with_pendants": (9, [(a, b) for a in range(3) for b in range(3, 6)]
+                          + [(0, 6), (1, 7), (2, 8)]),
+    "c9_with_triangle": (9, [(i, (i + 1) % 9) for i in range(9)] + [(0, 3), (3, 6), (6, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWELVE_EDGE_GRAPHS))
+def test_trivial_square_matches_reference_at_twelve_edges(name):
+    n, edges = TWELVE_EDGE_GRAPHS[name]
+    H = Hypergraph.make(2, n, edges)
+    assert is_trivial_square(H) == reference_is_trivial_square(H)

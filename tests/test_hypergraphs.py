@@ -83,7 +83,7 @@ def test_named_graphs():
 
 def test_degrees():
     assert sorted(longbroom().degrees()) == [1, 1, 1, 2, 2, 3]
-    assert star_hypergraph(4, 1, 3).degree(0) == 4
+    assert star_hypergraph(4, 1, 3).degrees()[0] == 4
 
 
 # ---------------------------------------------------------------------------

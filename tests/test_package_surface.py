@@ -1,4 +1,4 @@
-"""Every module-level function and class of the package is used by the package or is public."""
+"""Every module-level function and class, and every method of a class, is used or public."""
 
 import ast
 from pathlib import Path
@@ -55,3 +55,24 @@ def test_every_definition_is_referenced_or_public():
 def test_public_entries_are_definitions():
     defs, _ = _definitions_and_uses()
     assert PUBLIC - set(defs) == set()
+
+
+def test_every_method_is_read_as_an_attribute():
+    """A non-dunder method or property of a package class is read somewhere in the package.
+
+    Reads are matched by name only, so a method that shares its name with one
+    of another class (such as `from_json` or `to_json`) is not caught.
+    """
+    methods = set()
+    attributes = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                methods.update(
+                    (f"{path.stem}.{stmt.name}", node.name)
+                    for node in stmt.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+                )
+        attributes.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    assert {f"{cls}.{name}" for cls, name in methods if name not in attributes} == set()
