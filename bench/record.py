@@ -17,8 +17,9 @@ the pairs won and a median difference larger than the parent's IQR, and
 whether the metric is unresolved: the parent's IQR / median exceeds the bound
 and not every change run beats every parent run, so a regression up to the
 bound could not be told from the parent's own spread.  Each
-run's correct, attempted, failed and end-to-end values are kept.  The file is
-written to the root of this checkout.
+run's correct, attempted, failed and end-to-end values are kept, and so is
+src_lines: for each side, the `wc -l` total of src/graphtrop/*.py in its
+exported tree.  The file is written to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ def export(rev: str, dest: Path) -> None:
             raise RuntimeError(f"git archive {rev} failed")
 
 
+def src_lines(tree: Path) -> int:
+    """Newlines in the tree's src/graphtrop/*.py, the total that `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "graphtrop").glob("*.py"))
+
+
 def run_once(copy: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced benchmark run in a checkout; its last JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
@@ -155,6 +161,7 @@ def main(argv=None) -> int:
             copies[side] = Path(tmp) / side
             copies[side].mkdir()
             export(rev, copies[side])
+        record["src_lines"] = {side: src_lines(copy) for side, copy in copies.items()}
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for k in range(PAIRS):

@@ -17,7 +17,6 @@ from types import MappingProxyType
 
 from .hypergraphs import (
     Hypergraph,
-    _find,
     _min_relabeling,
     _refine_classes,
     basis_sort_key,
@@ -178,7 +177,7 @@ def product_counts(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Component counts and minor generators
+# Component counts
 # ---------------------------------------------------------------------------
 
 
@@ -198,20 +197,6 @@ def alpha_vector(G: Hypergraph, basis) -> tuple[int, ...]:
     if unknown:
         raise ValueError(f"components outside basis: {sorted(unknown)}")
     return tuple(counts.get(k, 0) for k in basis)
-
-
-def minor_counts(aa, bb, ab) -> dict[str, int]:
-    """The 2x2-minor generator alpha([[A^2]]) + alpha([[B^2]]) - 2 alpha([[AB]]).
-
-    aa, bb and ab are the component counts of the three products; the result
-    holds the nonzero counts by key.
-    """
-    out = dict(aa)
-    for key, c in bb.items():
-        out[key] = out.get(key, 0) + c
-    for key, c in ab.items():
-        out[key] = out.get(key, 0) - 2 * c
-    return {key: c for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -333,42 +318,50 @@ class MomentMatrix:
         return self.counts[(i, j) if i <= j else (j, i)]
 
     def generator(self, i: int, j: int) -> dict[str, int]:
-        """minor_counts of the basis pair (i, j), from the stored entries."""
+        """The 2x2-minor generator alpha([[A^2]]) + alpha([[B^2]]) - 2 alpha([[AB]]).
+
+        A and B are basis elements i and j; the result holds the nonzero
+        counts by key, read from the stored entries.
+        """
         c = self.counts
-        return minor_counts(c[(i, i)], c[(j, j)], c[(i, j) if i <= j else (j, i)])
+        out = dict(c[(i, i)])
+        for key, k in c[(j, j)].items():
+            out[key] = out.get(key, 0) + k
+        for key, k in c[(i, j) if i <= j else (j, i)].items():
+            out[key] = out.get(key, 0) - 2 * k
+        return {key: k for key, k in out.items() if k}
 
 
 def moment_matrix(basis) -> MomentMatrix:
     """Component counts of the unlabeled products of all pairs of labeled graphs.
 
     Gluing reads only which labels are equal, so relabeling both factors by
-    one permutation keeps their product.  Pairs are merged into orbits under
-    the label permutations that an enumerated basis carries (Basis.action),
-    and each orbit's product is built once, at its first pair.  Any other
-    sequence gets the trivial group: every pair is its own orbit.
+    one permutation keeps their product.  Each pair that no orbit holds yet,
+    in row-major order, is glued once; its orbit is then walked under the
+    label permutations that an enumerated basis carries (Basis.action).  Any
+    other sequence gets the trivial group: every pair is its own orbit.
     """
-    elems = tuple(basis)
-    n = len(elems)
-    parent = list(range(n * n))  # union-find over pairs i * n + j, rooted at the least
-    for image in getattr(basis, "action", ()):
-        for i in range(n):
-            for j in range(i, n):
-                a, b = sorted((image[i], image[j]))
-                x, y = _find(parent, i * n + j), _find(parent, a * n + b)
-                parent[max(x, y)] = min(x, y)
-    counts: dict[tuple[int, int], Mapping[str, int]] = {}
-    orbit: dict[tuple[int, int], tuple[int, int]] = {}
-    needed: set[str] = set()
-    for i in range(n):
-        for j in range(i, n):
-            rep = orbit[(i, j)] = divmod(_find(parent, i * n + j), n)
-            if rep == (i, j):
-                entry = product_counts(elems[i], elems[j])
-                counts[rep] = MappingProxyType(entry)
-                needed.update(entry)
-            else:
-                counts[(i, j)] = counts[rep]
-    return MomentMatrix(elems, tuple(sorted(needed, key=basis_sort_key)), counts, orbit)
+    elems, action = tuple(basis), getattr(basis, "action", ())
+    pairs = [(i, j) for i in range(len(elems)) for j in range(i, len(elems))]
+    first: dict[tuple[int, int], tuple[int, int]] = {}
+    entries: dict[tuple[int, int], Mapping[str, int]] = {}
+    for pair in pairs:
+        if pair in first:
+            continue
+        entries[pair] = MappingProxyType(product_counts(elems[pair[0]], elems[pair[1]]))
+        first[pair], todo = pair, [pair]
+        while todo:
+            i, j = todo.pop()
+            for image in action:
+                a, b = image[i], image[j]
+                moved = (a, b) if a <= b else (b, a)
+                if moved not in first:
+                    first[moved] = pair
+                    todo.append(moved)
+    orbit = {pair: first[pair] for pair in pairs}
+    counts = {pair: entries[rep] for pair, rep in orbit.items()}
+    vbasis = tuple(sorted(set().union(*entries.values()), key=basis_sort_key))
+    return MomentMatrix(elems, vbasis, counts, orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +400,6 @@ def is_trivial_square(H: Hypergraph) -> bool:
             seen_shapes.add(F0)
             for vset in combinations(range(F0.n), s):
                 F = LabeledGraph(F0, tuple((i + 1, v) for i, v in enumerate(vset)))
-                if is_isomorphic(unlabeled_product(F, F), H):
+                if is_isomorphic(_glue_raw(F, F).graph, H):
                     return False
     return True

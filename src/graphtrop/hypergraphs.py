@@ -79,7 +79,7 @@ def hypergraph_from_obj(obj) -> Hypergraph:
     if missing:
         raise ValueError(f"hypergraph JSON missing keys: {sorted(missing)}")
     r, n, edges = obj["r"], obj["n"], obj["edges"]
-    if not isinstance(r, int) or not isinstance(n, int) or not isinstance(edges, list):
+    if type(r) is not int or type(n) is not int or not isinstance(edges, list):
         raise ValueError("hypergraph JSON has wrongly typed fields")
     for e in edges:
         if not isinstance(e, list) or not all(type(v) is int for v in e):

@@ -32,9 +32,7 @@ from .gluing import (
     enumerate_basis,
     is_trivial_square,
     labeled_parts,
-    minor_counts,
     moment_matrix,
-    product_counts,
 )
 from .hypergraphs import (
     Hypergraph,
@@ -106,7 +104,7 @@ def m_vector(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
 
     The nonzero counts by key, in sorted key order.
     """
-    counts = minor_counts(product_counts(A, A), product_counts(B, B), product_counts(A, B))
+    counts = moment_matrix((A, B)).generator(0, 1)
     return {key: counts[key] for key in sorted(counts, key=basis_sort_key)}
 
 
@@ -124,9 +122,9 @@ class PairStats:
     through unchanged.  Copies of C arising any other way show up as the
     self-glue residuals (in the squares) and the hybrid residual (in the
     gluing), all of which are provably nonnegative.  Components are read raw,
-    with their label sets and keys; no labeled canonical form is built.  Inside
-    counting_obstruction the squares' witness counts are the moment matrix's
-    stored diagonal products, and only the raw gluing of A and B is new.
+    with their label sets and keys; no labeled canonical form is built.  The
+    squares' witness counts are a moment matrix's stored diagonal entries, and
+    only the raw gluing of A and B is new.
     """
 
     witness: str
@@ -150,15 +148,19 @@ def _witness_graph(C: Hypergraph, role: str = "witness") -> Hypergraph:
     return G
 
 
-def _census(ckey: str, aa: int, bb: int, parts_a, parts_b, parts_ab) -> PairStats:
-    """Census of the witness key from the labeled_parts of A, B and their raw gluing.
+def _census(M, i: int, j: int, ckey: str, parts) -> PairStats:
+    """Census of the witness key on the basis pair (i, j) of the moment matrix M.
 
-    aa and bb count the witness among the components of the squares of A and B.
+    The squares' witness counts are M's stored entries, parts holds the
+    labeled_parts of every basis element, and only the raw gluing is new.
     """
+    aa, bb = M.alpha_entry(i, i).get(ckey, 0), M.alpha_entry(j, j).get(ckey, 0)
+    parts_a, parts_b = parts[i], parts[j]
+    parts_ab = labeled_parts(_glue_raw(M.basis[i], M.basis[j]))
     owner = {l: (labs, key) for labs, _, key in parts_ab for l in labs}
 
-    def fully_labeled(parts):
-        return [labs for labs, n, key in parts if key == ckey and len(labs) == n]
+    def fully_labeled(comps):
+        return [labs for labs, n, key in comps if key == ckey and len(labs) == n]
 
     def survivors(copies):
         alive = set()
@@ -171,8 +173,8 @@ def _census(ckey: str, aa: int, bb: int, parts_a, parts_b, parts_ab) -> PairStat
             alive.add(labs)
         return alive
 
-    def unlabeled(parts):
-        return sum(1 for labs, _, key in parts if not labs and key == ckey)
+    def unlabeled(comps):
+        return sum(1 for labs, _, key in comps if not labs and key == ckey)
 
     fl_a, fl_b = fully_labeled(parts_a), fully_labeled(parts_b)
     surv_a, surv_b = survivors(fl_a), survivors(fl_b)
@@ -195,10 +197,7 @@ def _census(ckey: str, aa: int, bb: int, parts_a, parts_b, parts_ab) -> PairStat
 def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
     """Count copies of the witness C in the squares and the gluing of (A, B)."""
     ckey = graph_key(_witness_graph(C))
-    aa = product_counts(A, A).get(ckey, 0)
-    bb = product_counts(B, B).get(ckey, 0)
-    glued = labeled_parts(_glue_raw(A, B))
-    return _census(ckey, aa, bb, labeled_parts(A), labeled_parts(B), glued)
+    return _census(moment_matrix((A, B)), 0, 1, ckey, [labeled_parts(A), labeled_parts(B)])
 
 
 @dataclass(frozen=True)
@@ -355,7 +354,6 @@ def counting_obstruction(
 
     # a positive multiple of y in integers: the sign of a pairing is an int sum's
     weights = dict(zip(y, primitive(y.values())))
-    diag = [M.alpha_entry(i, i) for i in range(M.size)]
     parts = [labeled_parts(L) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
     entries: dict[tuple[int, int], dict[str, int]] = {}  # the generator of each orbit
@@ -376,10 +374,7 @@ def counting_obstruction(
                 if g:
                     generators.setdefault(tuple(entry.get(b, 0) // g for b in vbasis))
             if entry.get(witness, 0) > 0:
-                glued = labeled_parts(_glue_raw(M.basis[i], M.basis[j]))
-                aa, bb = diag[i].get(witness, 0), diag[j].get(witness, 0)
-                stats = _census(witness, aa, bb, parts[i], parts[j], glued)
-                verdict = _verdict(stats, y_pairing(y, entry))
+                verdict = _verdict(_census(M, i, j, witness, parts), y_pairing(y, entry))
                 if not verdict.passed:
                     raise CertificateError(f"census bounds failed for basis pair ({i}, {j})")
                 pos_indices.append((i, j))

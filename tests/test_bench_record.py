@@ -92,3 +92,15 @@ def test_summary_marks_unresolved_metrics():
     assert not out["metrics"]["peak_rss_mb"]["unresolved"]  # no parent spread
     wall = record.summarise(_pairs(parent, [0.9] * 10), END_TO_END)["metrics"]["wall_s"]
     assert wall["change_wins"] == 10 and not wall["unresolved"]
+
+
+def test_src_lines_totals_the_package_modules(tmp_path):
+    """src_lines counts newlines of src/graphtrop/*.py only, as `wc -l` does."""
+    pkg = tmp_path / "src" / "graphtrop"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\nno final newline")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert record.src_lines(tmp_path) == 3

@@ -93,6 +93,15 @@ def test_input_error_messages_are_precise(capsys):
     assert "edge entries must be integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "graph", ['{"r":2,"n":true,"edges":[]}', '{"r":true,"n":2,"edges":[[0,1]]}']
+)
+def test_boolean_sizes_are_refused(capsys, graph):
+    """true is not the size 1: r and n must be JSON integers, as edge entries are."""
+    assert main(["density", "edge", graph]) == 4
+    assert "hypergraph JSON has wrongly typed fields" in capsys.readouterr().err
+
+
 def test_double_description_names_needed_dimension(capsys):
     """trop-sos beyond the double-description limit says which dimension it needed."""
     assert main(["trop-sos", "--d", "3", "--labels", "2"]) == 2

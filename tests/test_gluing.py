@@ -555,7 +555,6 @@ def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
 
     product_counts = gluing.product_counts
     monkeypatch.setattr(gluing, "product_counts", counted)
-    monkeypatch.setattr(obstructions, "product_counts", counted)
     for d, labels, entries, orbits in ((3, 3, 7381, 1420), (2, 4, 2485, 178)):
         basis = enumerate_basis("B_tilde", d, labels)
         calls.clear()

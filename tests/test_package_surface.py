@@ -13,6 +13,7 @@ PUBLIC = {
     "gluing.cherry",  # builder: the fully labelled two-edge path
     "gluing.glue",  # library operation: the labelled gluing product itself
     "gluing.unlabel",  # library operation: forget the labels, in canonical form
+    "gluing.unlabeled_product",  # perfbench binding: perfbench/tracing.py spans it
     "hypergraphs.complete_bipartite",  # builder: K_{a,b}
     "hypergraphs.direct_product",  # builder: the categorical product of two hypergraphs
     "hypergraphs.clique_plus_turan",  # builder: the explicit clique plus Turan graph
