@@ -19,7 +19,9 @@ and not every change run beats every parent run, so a regression up to the
 bound could not be told from the parent's own spread.  Each
 run's correct, attempted, failed and end-to-end values are kept, and so is
 src_lines: for each side, the `wc -l` total of src/graphtrop/*.py in its
-exported tree.  The file is written to the root of this checkout.
+exported tree.  The top-level flags list, as workload/metric names, every
+metric that is unresolved, not within its bound, or shows a gain; the same
+lists go to standard error.  The file is written to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -93,6 +95,21 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
         }
     correct = all(r[side]["correct"] and r[side]["failed"] == 0 for r in runs for side in SIDES)
     return {"pairs": len(pairs), "all_correct": correct, "metrics": metrics, "runs": runs}
+
+
+def flags(workloads: dict) -> dict[str, list[str]]:
+    """The workload/metric names of the summaries that are unresolved, out of bound or a gain."""
+    out: dict[str, list[str]] = {"unresolved": [], "not_within_bound": [], "gain_shown": []}
+    for workload, summary in workloads.items():
+        for name, metric in summary["metrics"].items():
+            for flag, raised in (
+                ("unresolved", metric["unresolved"]),
+                ("not_within_bound", not metric["within_bound"]),
+                ("gain_shown", metric["gain_shown"]),
+            ):
+                if raised:
+                    out[flag].append(f"{workload}/{name}")
+    return out
 
 
 def git(*args: str) -> str:
@@ -174,6 +191,9 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {k} {side}: wall_s {wall:.3f}", file=sys.stderr)
                 pairs.append(pair)
             record["workloads"][workload] = summarise(pairs, bench["end_to_end"])
+    record["flags"] = flags(record["workloads"])
+    for flag, names in record["flags"].items():
+        print(f"{flag}: {', '.join(names) or '-'}", file=sys.stderr)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

@@ -302,13 +302,16 @@ class MomentMatrix:
     are read-only and shared by every caller of alpha_entry.  orbit maps each
     such pair to the first pair, in row-major order, of its orbit under the
     permutations of the labels; every pair of an orbit holds the same entry.
-    vbasis holds the sorted keys of every component that occurs.
+    reversed holds the pairs (i, j) onto which such a permutation carries
+    their orbit's first pair (a, b) as a -> j and b -> i.  vbasis holds the
+    sorted keys of every component that occurs.
     """
 
     basis: tuple[LabeledGraph, ...]
     vbasis: tuple[str, ...]
     counts: dict[tuple[int, int], Mapping[str, int]]
     orbit: dict[tuple[int, int], tuple[int, int]]
+    reversed: frozenset[tuple[int, int]]
 
     @property
     def size(self) -> int:
@@ -339,17 +342,20 @@ def moment_matrix(basis) -> MomentMatrix:
     one permutation keeps their product.  Each pair that no orbit holds yet,
     in row-major order, is glued once; its orbit is then walked under the
     label permutations that an enumerated basis carries (Basis.action).  Any
-    other sequence gets the trivial group: every pair is its own orbit.
+    other sequence gets the trivial group: every pair is its own orbit.  An
+    image (a, b) with a > b is stored as (b, a), so it is reached reversed
+    from the pair it came from; directions compose along the walk.
     """
     elems, action = tuple(basis), getattr(basis, "action", ())
     pairs = [(i, j) for i in range(len(elems)) for j in range(i, len(elems))]
     first: dict[tuple[int, int], tuple[int, int]] = {}
+    flipped: dict[tuple[int, int], bool] = {}  # reached reversed from the orbit's first pair
     entries: dict[tuple[int, int], Mapping[str, int]] = {}
     for pair in pairs:
         if pair in first:
             continue
         entries[pair] = MappingProxyType(product_counts(elems[pair[0]], elems[pair[1]]))
-        first[pair], todo = pair, [pair]
+        first[pair], flipped[pair], todo = pair, False, [pair]
         while todo:
             i, j = todo.pop()
             for image in action:
@@ -357,11 +363,13 @@ def moment_matrix(basis) -> MomentMatrix:
                 moved = (a, b) if a <= b else (b, a)
                 if moved not in first:
                     first[moved] = pair
+                    flipped[moved] = flipped[i, j] != (a > b)
                     todo.append(moved)
     orbit = {pair: first[pair] for pair in pairs}
     counts = {pair: entries[rep] for pair, rep in orbit.items()}
     vbasis = tuple(sorted(set().union(*entries.values()), key=basis_sort_key))
-    return MomentMatrix(elems, vbasis, counts, orbit)
+    reversed_pairs = frozenset(pair for pair, rev in flipped.items() if rev)
+    return MomentMatrix(elems, vbasis, counts, orbit, reversed_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -390,10 +390,87 @@ def graph_key(G: Hypergraph) -> str:
     return canonical_form(G).to_json()
 
 
+def _map_plan(G: Hypergraph, deg: list[int]):
+    """G's vertices in BFS order from one of its rarest degree, for `_maps_onto`.
+
+    Each step holds the vertex's degree and, for every edge whose last vertex
+    in the order it is, the positions of that edge's other vertices.
+    """
+    inc: list[list[tuple[int, ...]]] = [[] for _ in range(G.n)]
+    for e in G.edges:
+        for v in e:
+            inc[v].append(e)
+    root = min(range(G.n), key=lambda v: (deg.count(deg[v]), v))
+    order, pos = [root], {root: 0}
+    for v in order:
+        for e in inc[v]:
+            for u in e:
+                if u not in pos:
+                    pos[u] = len(order)
+                    order.append(u)
+    closes: list[list[list[int]]] = [[] for _ in order]
+    for e in G.edges:
+        at = sorted(pos[v] for v in e)
+        closes[at[-1]].append(at[:-1])
+    return [(deg[v], closes[pos[v]]) for v in order]
+
+
+def _maps_onto(plan, C: Hypergraph, by_degree: dict[int, list[int]]) -> bool:
+    """Whether a vertex map carries every edge of the plan's graph onto an edge of C.
+
+    Vertices are placed in the plan's order, each onto an unused vertex of C
+    of its degree, and each edge is checked when its last vertex is placed.
+    The graphs have equal vertex and edge counts, so a complete map is an
+    isomorphism.  False once the search passes _SEARCH_NODE_CAP nodes.
+    """
+    image: list[int] = []
+    nodes = 0
+
+    def rec(t: int) -> bool:
+        nonlocal nodes
+        if t == len(plan):
+            return True
+        d, closing = plan[t]
+        for w in by_degree[d]:
+            nodes += 1
+            if nodes > _SEARCH_NODE_CAP:
+                return False
+            if w in image:
+                continue
+            if all(tuple(sorted([image[p] for p in at] + [w])) in C.edges for at in closing):
+                image.append(w)
+                if rec(t + 1):
+                    return True
+                image.pop()
+        return False
+
+    return rec(0)
+
+
+_KEY_REPS: dict[tuple, list[tuple[list, str]]] = {}  # by invariant: (map plan, key) per class
+
+
 @lru_cache(maxsize=None)
 def component_key(C: Hypergraph) -> str:
-    """The key of a connected hypergraph, memoised per component and interned."""
-    return sys.intern(_canonical_connected(C).to_json())
+    """The key of a connected hypergraph, memoised per component and interned.
+
+    Behind the exact memo, one representative of each key seen is kept under
+    (r, n, edge count, sorted degrees).  A representative's key is reused for
+    C once `_maps_onto` has carried every edge of it onto an edge of C;
+    otherwise the canonical search runs and C represents its key.
+    """
+    deg = C.degrees()
+    by_degree: dict[int, list[int]] = {}
+    for v, d in enumerate(deg):
+        by_degree.setdefault(d, []).append(v)
+    bucket = _KEY_REPS.setdefault((C.r, C.n, C.edge_count, tuple(sorted(deg))), [])
+    for plan, key in bucket:
+        if _maps_onto(plan, C, by_degree):
+            return key
+    key = sys.intern(_canonical_connected(C).to_json())
+    if C.n:
+        bucket.append((_map_plan(C, deg), key))
+    return key
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from itertools import combinations, combinations_with_replacement, permutations
@@ -104,7 +104,10 @@ def m_vector(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
 
     The nonzero counts by key, in sorted key order.
     """
-    counts = moment_matrix((A, B)).generator(0, 1)
+    return _key_sorted(moment_matrix((A, B)).generator(0, 1))
+
+
+def _key_sorted(counts: dict[str, int]) -> dict[str, int]:
     return {key: counts[key] for key in sorted(counts, key=basis_sort_key)}
 
 
@@ -196,8 +199,13 @@ def _census(M, i: int, j: int, ckey: str, parts) -> PairStats:
 
 def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
     """Count copies of the witness C in the squares and the gluing of (A, B)."""
+    return _pair_census(moment_matrix((A, B)), C)
+
+
+def _pair_census(M, C) -> PairStats:
+    """The census of the witness C on the one pair of a two-element moment matrix."""
     ckey = graph_key(_witness_graph(C))
-    return _census(moment_matrix((A, B)), 0, 1, ckey, [labeled_parts(A), labeled_parts(B)])
+    return _census(M, 0, 1, ckey, [labeled_parts(X) for X in M.basis])
 
 
 @dataclass(frozen=True)
@@ -221,15 +229,27 @@ def _verdict(stats: PairStats, pairing: Fraction) -> PairVerdict:
     return PairVerdict(stats, pairing, applies, coordinate_bound_ok, pairing_bound_ok, passed)
 
 
+def _swapped(verdict: PairVerdict) -> PairVerdict:
+    """The verdict on (B, A) from the one on (A, B): every a and b field of the census trades."""
+    s = verdict.stats
+    stats = replace(
+        s, z_a=s.z_b, z_b=s.z_a, l_a=s.l_b, l_b=s.l_a, u_a=s.u_b, u_b=s.u_a,
+        self_glue_a=s.self_glue_b, self_glue_b=s.self_glue_a,
+    )
+    return replace(verdict, stats=stats)
+
+
 def positive_pair_check(A: LabeledGraph, B: LabeledGraph, C, p: int = 1) -> PairVerdict:
     """Check the two census bounds that drive the counting argument.
 
     When the witness coordinate of m(A, B) is positive it must not exceed
     z_a + z_b, and the pairing with the weight vector must be at least half
     of z_a + z_b; for nonpositive coordinates the bounds are not required.
+    One moment matrix over (A, B) gives both m(A, B) and the census.
     """
-    m = m_vector(A, B)
-    return _verdict(pair_stats(A, B, C), y_pairing(y_vector(m, p), m))
+    M = moment_matrix((A, B))
+    m = _key_sorted(M.generator(0, 1))
+    return _verdict(_pair_census(M, C), y_pairing(y_vector(m, p), m))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +376,7 @@ def counting_obstruction(
     weights = dict(zip(y, primitive(y.values())))
     parts = [labeled_parts(L) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
-    entries: dict[tuple[int, int], dict[str, int]] = {}  # the generator of each orbit
+    census: dict[tuple[int, int], PairVerdict | None] = {}  # at each orbit's first pair
     pos_indices = []
     verdicts = []
     pair_count = 0
@@ -364,21 +384,23 @@ def counting_obstruction(
         for j in range(i + 1, M.size):
             pair_count += 1
             rep = M.orbit[(i, j)]
-            if rep != (i, j):  # checked and added at the orbit's first pair
-                entry = entries[rep]
-            else:
-                entry = entries[rep] = M.generator(i, j)
+            if rep == (i, j):  # the orbit is checked and its census taken here
+                entry = M.generator(i, j)
                 if sum(weights[key] * c for key, c in entry.items()) < 0:
                     raise CertificateError(f"negative weight pairing for basis pair ({i}, {j})")
                 g = gcd(*entry.values())
                 if g:
                     generators.setdefault(tuple(entry.get(b, 0) // g for b in vbasis))
-            if entry.get(witness, 0) > 0:
-                verdict = _verdict(_census(M, i, j, witness, parts), y_pairing(y, entry))
-                if not verdict.passed:
-                    raise CertificateError(f"census bounds failed for basis pair ({i}, {j})")
+                census[rep] = None
+                if entry.get(witness, 0) > 0:
+                    verdict = _verdict(_census(M, i, j, witness, parts), y_pairing(y, entry))
+                    if not verdict.passed:
+                        raise CertificateError(f"census bounds failed for basis pair ({i}, {j})")
+                    census[rep] = verdict
+            verdict = census[rep]
+            if verdict is not None:
                 pos_indices.append((i, j))
-                verdicts.append(verdict)
+                verdicts.append(_swapped(verdict) if (i, j) in M.reversed else verdict)
 
     membership = cone_member(target, tuple(generators))
     if membership.inside:

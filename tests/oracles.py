@@ -28,6 +28,8 @@ canonical form for every labelling), and `reference_label_action` finds the
 images of its elements by a labeled canonical search each; they are the
 references for the bases built by one-edge augmentation, one search per orbit
 of labellings, and the label action that `enumerate_basis` carries.
+`reference_ordered_orbit` closes one ordered pair under that action, and is
+the reference for the pairs that `moment_matrix` records as reached reversed.
 `reference_is_trivial_square` is the trivial-square search as first written,
 over every subgraph and every label set, with each square built by naming
 its vertices and compared by networkx; it is the reference for the vertex
@@ -804,6 +806,19 @@ def reference_pair_orbits(n: int, images) -> dict[tuple[int, int], tuple[int, in
         for q in orbit:
             out[q] = min(orbit)
     return out
+
+
+def reference_ordered_orbit(images, pair: tuple[int, int]) -> set[tuple[int, int]]:
+    """The ordered pairs (a, b) onto which the images, composed, carry the ordered pair."""
+    orbit, todo = {pair}, [pair]
+    while todo:
+        i, j = todo.pop()
+        for image in images:
+            moved = (image[i], image[j])
+            if moved not in orbit:
+                orbit.add(moved)
+                todo.append(moved)
+    return orbit
 
 
 def reference_v_basis(d: int, label_budget: int | None = None, r: int = 2) -> tuple[str, ...]:

@@ -104,3 +104,17 @@ def test_src_lines_totals_the_package_modules(tmp_path):
     (pkg / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     assert record.src_lines(tmp_path) == 3
+
+
+def test_flags_name_unresolved_out_of_bound_and_gained_metrics():
+    """flags lists workload/metric for each unresolved, out-of-bound and gained metric."""
+    gained = record.summarise(_pairs([2.0 + 0.01 * k for k in range(10)], [1.5] * 10), END_TO_END)
+    worse = record.summarise(_pairs([1.0] * 10, [1.0] * 10, rss=(30.0, 39.0)), END_TO_END)
+    spread = record.summarise(_pairs([1.0, 2.0] * 5, [1.4] * 10), END_TO_END)
+    out = record.flags({"fast": gained, "fat": worse, "noisy": spread})
+    assert out == {
+        "unresolved": ["noisy/wall_s"],
+        "not_within_bound": ["fat/peak_rss_mb"],
+        "gain_shown": ["fast/wall_s"],
+    }
+    assert record.flags({"fat": worse})["gain_shown"] == []

@@ -1,7 +1,9 @@
 """Canonical search against brute force, under relabelling, on vertex-transitive graphs,
 and against the search that rebuilds its bound for every candidate."""
 
+import functools
 import sys
+from contextlib import contextmanager
 from itertools import combinations
 from random import Random
 
@@ -10,9 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphtrop import hypergraphs
 from graphtrop.gluing import LabeledGraph, labeled_canonical_form
 from graphtrop.hypergraphs import (
     Hypergraph,
+    _map_plan,
+    _maps_onto,
     _min_relabeling,
     _refine_classes,
     canonical_form,
@@ -256,3 +261,89 @@ def test_carried_bound_search_matches_reference_on_symmetric_graphs(name, pins):
 
 def test_carried_bound_search_matches_reference_on_rook_graph():
     _assert_search_matches_reference(VERTEX_TRANSITIVE["rook4x4"])
+
+
+# ---------------------------------------------------------------------------
+# The component key cache
+# ---------------------------------------------------------------------------
+
+# The five connected cubic graphs on 8 vertices: equal vertex, edge and degree
+# counts, so they share one bucket of the key cache, and pairwise non-isomorphic.
+CUBIC8 = [
+    Hypergraph.make(2, 8, edges)
+    for edges in (
+        [(0, 1), (0, 6), (0, 7), (1, 3), (1, 7), (2, 4), (2, 5), (2, 7), (3, 4), (3, 6), (4, 5), (5, 6)],
+        [(0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (1, 7), (2, 5), (2, 6), (3, 6), (4, 6), (4, 7), (5, 7)],
+        [(0, 1), (0, 6), (0, 7), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5), (3, 5), (3, 6), (4, 5), (4, 7)],
+        [(0, 3), (0, 4), (0, 7), (1, 2), (1, 6), (1, 7), (2, 3), (2, 4), (3, 6), (4, 5), (5, 6), (5, 7)],
+        [(0, 1), (0, 4), (0, 6), (1, 3), (1, 5), (2, 3), (2, 5), (2, 7), (3, 4), (4, 7), (5, 6), (6, 7)],
+    )
+]
+
+
+@contextmanager
+def _cold_key_cache():
+    """A component_key with an empty exact memo and no representatives; the module's are kept."""
+    saved = hypergraphs._KEY_REPS
+    hypergraphs._KEY_REPS = {}
+    try:
+        yield functools.lru_cache(maxsize=None)(hypergraphs.component_key.__wrapped__)
+    finally:
+        hypergraphs._KEY_REPS = saved
+
+
+def _switched(G, rng):
+    """G after one degree-preserving switch: u in e and v in f trade edges, when both are new."""
+    edges = G.sorted_edges()
+    for _ in range(10 if len(edges) > 1 else 0):
+        e, f = rng.sample(edges, 2)
+        u, v = rng.choice(e), rng.choice(f)
+        e2 = tuple(sorted({*e} - {u} | {v}))
+        f2 = tuple(sorted({*f} - {v} | {u}))
+        if len(e2) == len(f2) == G.r and e2 != f2 and not {e2, f2} & set(edges):
+            return Hypergraph(G.r, G.n, G.edges - {e, f} | {e2, f2})
+    return G
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinned_graphs(), st.randoms(use_true_random=False))
+def test_key_cache_matches_brute_force(case, rng):
+    """Through one cold cache, switched graphs (equal degrees) and relabellings get brute-force keys."""
+    graphs = [case[0]]
+    for _ in range(4):
+        graphs.append(_switched(graphs[-1], rng))
+    graphs += [random_permuted(rng, G) for G in graphs]
+    with _cold_key_cache() as component_key:
+        for G in graphs:
+            for C in connected_components(G):
+                brute = Hypergraph(C.r, C.n, frozenset(brute_canonical(C)))
+                assert component_key(C) == brute.to_json()
+
+
+def test_key_cache_separates_graphs_with_equal_invariants():
+    """Cubic graphs on 8 vertices, and the rook's graph K4 x K4 against the Shrikhande graph.
+
+    Each round keys a new relabelling of every graph through one cold cache:
+    the first round maps onto none of the other graphs' representatives, and
+    later rounds reuse their own graph's key, so each graph is searched once.
+    """
+    graphs = CUBIC8 + [VERTEX_TRANSITIVE["rook4x4"], VERTEX_TRANSITIVE["Shrikhande"]]
+    for a, b in combinations(graphs, 2):
+        assert not nx.is_isomorphic(_nx(a), _nx(b))
+    keys = [graph_key(G) for G in graphs]
+    rng = Random(11)
+    with _cold_key_cache() as component_key:
+        for _ in range(6):
+            assert [component_key(random_permuted(rng, G)) for G in graphs] == keys
+        assert sum(map(len, hypergraphs._KEY_REPS.values())) == len(graphs)
+    assert len(set(keys)) == len(graphs)
+
+
+def test_map_search_gives_up_at_the_node_cap(monkeypatch):
+    """Past _SEARCH_NODE_CAP nodes the map search answers False and does not raise."""
+    G = CUBIC8[0]
+    H = random_permuted(Random(3), G)
+    plan = _map_plan(G, G.degrees())
+    assert _maps_onto(plan, H, {3: list(range(8))})
+    monkeypatch.setattr(hypergraphs, "_SEARCH_NODE_CAP", 2)
+    assert not _maps_onto(plan, H, {3: list(range(8))})

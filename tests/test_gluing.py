@@ -1,5 +1,6 @@
 """Tests for labeled graphs, gluing products, bases and moment matrices."""
 
+import functools
 import json
 import time
 from fractions import Fraction
@@ -58,6 +59,7 @@ from oracles import (
     reference_label_action,
     reference_moment_matrix,
     reference_is_trivial_square,
+    reference_ordered_orbit,
     reference_pair_orbits,
     reference_v_basis,
     square_expand,
@@ -372,7 +374,12 @@ def test_carried_action_gives_reference_orbits(d, labels, r):
     basis = enumerate_basis("B_tilde", d, labels, r)
     images = reference_label_action(basis)
     assert list(basis.action) == images
-    assert moment_matrix(basis).orbit == reference_pair_orbits(len(basis), images)
+    M = moment_matrix(basis)
+    assert M.orbit == reference_pair_orbits(len(basis), images)
+    orbits = {rep: reference_ordered_orbit(images, rep) for rep in set(M.orbit.values())}
+    for (i, j), rep in M.orbit.items():
+        assert ((j, i) if (i, j) in M.reversed else (i, j)) in orbits[rep]
+    assert all(rep not in M.reversed for rep in orbits)
 
 
 def test_plain_sequence_gets_trivial_group():
@@ -567,6 +574,34 @@ def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
     calls.clear()
     v_basis(2, 4)
     assert len(calls) == 283
+
+
+def test_key_cache_runs_one_canonical_search_per_key(monkeypatch):
+    """Cold, the B_tilde moment matrix runs one connected canonical search per component key.
+
+    d=3, L=3 has 52 keys and d=2, L=4 has 10; the exact memo alone, with no
+    representatives to map from, ran 485 and 26 searches.
+    """
+    import graphtrop.gluing as gluing
+    import graphtrop.hypergraphs as hypergraphs
+
+    searches = []
+
+    def counted(G):
+        searches.append(G)
+        return canonical(G)
+
+    canonical = hypergraphs._canonical_connected.__wrapped__
+    bases = {(d, labels): enumerate_basis("B_tilde", d, labels) for d, labels in ((3, 3), (2, 4))}
+    monkeypatch.setattr(hypergraphs, "_canonical_connected", counted)
+    for (d, labels), keys in zip(bases, (52, 10)):
+        monkeypatch.setattr(hypergraphs, "_KEY_REPS", {})
+        cold = functools.lru_cache(maxsize=None)(hypergraphs.component_key.__wrapped__)
+        monkeypatch.setattr(gluing, "component_key", cold)
+        searches.clear()
+        M = moment_matrix(bases[d, labels])
+        assert len(M.vbasis) == len(searches) == keys
+        assert {canonical(C).to_json() for C in searches} == set(M.vbasis)
 
 
 @pytest.mark.parametrize(

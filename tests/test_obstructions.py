@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from graphtrop.cones import primitive
 from graphtrop.gluing import (
+    cherry,
     enumerate_basis,
     graph_key,
     labeled_edge,
@@ -321,6 +322,44 @@ def test_report_verdicts_match_positive_pair_check():
     W = key_graph(rep.witness)
     for (i, j), verdict in zip(rep.positive_pair_indices, rep.positive_pair_verdicts):
         assert verdict == positive_pair_check(M.basis[i], M.basis[j], W, rep.p)
+
+
+def test_report_takes_one_census_per_orbit(monkeypatch):
+    """The e+P3 vs P4 report at d=2, L=4 lists 615 positive pairs from 36 censuses.
+
+    Every other pair of an orbit takes its first pair's verdict, with the a and
+    b fields swapped where the walk reached it reversed.
+    """
+    import graphtrop.obstructions as obstructions
+
+    calls = []
+    census = obstructions._census
+    monkeypatch.setattr(
+        obstructions, "_census", lambda M, i, j, *rest: calls.append((i, j)) or census(M, i, j, *rest)
+    )
+    upper = Hypergraph.make(2, 6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    rep = counting_obstruction(upper, path_graph(4), 3, 2, 4)
+    assert (len(rep.positive_pair_indices), len(calls)) == (615, 36)
+    assert set(calls) <= set(rep.positive_pair_indices)
+
+
+def test_positive_pair_check_builds_three_products(monkeypatch):
+    """One moment matrix over (A, B) gives m(A, B) and the census: [[A^2]], [[AB]], [[B^2]]."""
+    import graphtrop.gluing as gluing
+
+    calls = []
+    product_counts = gluing.product_counts
+    monkeypatch.setattr(
+        gluing, "product_counts", lambda A, B: calls.append((A, B)) or product_counts(A, B)
+    )
+    for A, B, C in (
+        (cherry(1, 2, 3), labeled_edge(1), single_edge()),
+        (labeled_edge(1), labeled_edge(2), path_graph(2)),
+    ):
+        calls.clear()
+        verdict = positive_pair_check(A, B, C)
+        assert calls == [(A, A), (A, B), (B, B)]
+        assert verdict.stats == pair_stats(A, B, C)
 
 
 def test_positive_pair_check_edge_witness():

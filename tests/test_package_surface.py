@@ -18,6 +18,8 @@ PUBLIC = {
     "hypergraphs.direct_product",  # builder: the categorical product of two hypergraphs
     "hypergraphs.clique_plus_turan",  # builder: the explicit clique plus Turan graph
     "obstructions.positive_pair_check",  # perfbench binding: perfbench/tracing.py spans it
+    "obstructions.m_vector",  # library operation: the minor generator m(A, B) of one pair
+    "obstructions.pair_stats",  # library operation: the witness census of one pair
 }
 
 
