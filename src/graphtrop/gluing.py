@@ -25,7 +25,6 @@ from .hypergraphs import (
     connected_components,
     empty_graph,
     graph_key,
-    is_isomorphic,
     key_graph,
     split_components,
 )
@@ -385,14 +384,16 @@ def is_trivial_square(H: Hypergraph) -> bool:
     vertices and at most 2|E(F)| edges, so only subgraphs with ceil(m/2) to
     m - 1 of the m edges of H are tried, each with s = 2|V(F)| - |V(H)| < |V(F)|
     labels; a subgraph with all m edges squares to H only as a full copy.
+    Isomorphic subgraphs have isomorphic squares, so one subgraph per multiset
+    of component keys is tried, and a square is H when its component counts are.
     """
     if H.edge_count == 0:
         raise ValueError("trivial-square test requires at least one edge")
     if H.edge_count > _TRIVIAL_SQUARE_EDGE_LIMIT:
         raise ValueError("trivial-square search limited to 12 edges")
-    H = canonical_form(H)
-    hedges = H.sorted_edges()
-    seen_shapes: set[Hypergraph] = set()
+    target = component_counts(H)
+    hedges, degrees = H.sorted_edges(), sorted(H.degrees())
+    seen_shapes: set[frozenset[tuple[str, int]]] = set()
     for m in range((len(hedges) + 1) // 2, len(hedges)):
         for chosen in combinations(hedges, m):
             used = sorted({v for e in chosen for v in e})
@@ -400,14 +401,15 @@ def is_trivial_square(H: Hypergraph) -> bool:
             if not 0 <= s < len(used):
                 continue
             remap = {v: i for i, v in enumerate(used)}
-            F0 = canonical_form(
-                Hypergraph.make(H.r, len(used), [tuple(remap[v] for v in e) for e in chosen])
-            )
-            if F0 in seen_shapes:
+            F0 = Hypergraph.make(H.r, len(used), [tuple(remap[v] for v in e) for e in chosen])
+            shape = frozenset(component_counts(F0).items())
+            if shape in seen_shapes:
                 continue
-            seen_shapes.add(F0)
+            seen_shapes.add(shape)
             for vset in combinations(range(F0.n), s):
                 F = LabeledGraph(F0, tuple((i + 1, v) for i, v in enumerate(vset)))
-                if is_isomorphic(_glue_raw(F, F).graph, H):
+                square = _glue_raw(F, F).graph
+                same = square.edge_count == H.edge_count and sorted(square.degrees()) == degrees
+                if same and component_counts(square) == target:
                     return False
     return True

@@ -78,6 +78,9 @@ def hypergraph_from_obj(obj) -> Hypergraph:
     missing = {"r", "n", "edges"} - set(obj)
     if missing:
         raise ValueError(f"hypergraph JSON missing keys: {sorted(missing)}")
+    unknown = set(obj) - {"r", "n", "edges"}
+    if unknown:
+        raise ValueError(f"hypergraph JSON has unknown keys {sorted(unknown)}; keys are r, n, edges")
     r, n, edges = obj["r"], obj["n"], obj["edges"]
     if type(r) is not int or type(n) is not int or not isinstance(edges, list):
         raise ValueError("hypergraph JSON has wrongly typed fields")
@@ -370,14 +373,6 @@ def canonical_form(G: Hypergraph) -> Hypergraph:
     for c in parts[1:]:
         out = disjoint_union(out, c)
     return out
-
-
-def is_isomorphic(G1: Hypergraph, G2: Hypergraph) -> bool:
-    if (G1.r, G1.n, G1.edge_count) != (G2.r, G2.n, G2.edge_count):
-        return False
-    if sorted(G1.degrees()) != sorted(G2.degrees()):
-        return False
-    return canonical_form(G1) == canonical_form(G2)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .gluing import (
 from .hypergraphs import (
     Hypergraph,
     basis_sort_key,
-    canonical_form,
     connected_components,
     fraction_str,
     graph_key,
@@ -144,11 +143,13 @@ class PairStats:
     coordinate: int
 
 
-def _witness_graph(C: Hypergraph, role: str = "witness") -> Hypergraph:
-    G = canonical_form(C)
+def _witness_key(C: Hypergraph, role: str = "witness") -> str:
+    """The key of C, which must name a connected graph with at least one edge."""
+    key = graph_key(C)
+    G = key_graph(key)
     if G.edge_count == 0 or len(connected_components(G)) != 1:
-        raise ValueError(f"{role} must be a connected graph with at least one edge: {graph_key(G)}")
-    return G
+        raise ValueError(f"{role} must be a connected graph with at least one edge: {key}")
+    return key
 
 
 def _census(M, i: int, j: int, ckey: str, parts) -> PairStats:
@@ -204,8 +205,7 @@ def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
 
 def _pair_census(M, C) -> PairStats:
     """The census of the witness C on the one pair of a two-element moment matrix."""
-    ckey = graph_key(_witness_graph(C))
-    return _census(M, 0, 1, ckey, [labeled_parts(X) for X in M.basis])
+    return _census(M, 0, 1, _witness_key(C), [labeled_parts(X) for X in M.basis])
 
 
 @dataclass(frozen=True)
@@ -376,7 +376,8 @@ def counting_obstruction(
     weights = dict(zip(y, primitive(y.values())))
     parts = [labeled_parts(L) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
-    census: dict[tuple[int, int], PairVerdict | None] = {}  # at each orbit's first pair
+    # at each orbit's first pair: its verdict, and the verdict of a pair reached reversed
+    census: dict[tuple[int, int], tuple[PairVerdict, PairVerdict] | None] = {}
     pos_indices = []
     verdicts = []
     pair_count = 0
@@ -396,11 +397,10 @@ def counting_obstruction(
                     verdict = _verdict(_census(M, i, j, witness, parts), y_pairing(y, entry))
                     if not verdict.passed:
                         raise CertificateError(f"census bounds failed for basis pair ({i}, {j})")
-                    census[rep] = verdict
-            verdict = census[rep]
-            if verdict is not None:
+                    census[rep] = (verdict, _swapped(verdict))
+            if census[rep] is not None:
                 pos_indices.append((i, j))
-                verdicts.append(_swapped(verdict) if (i, j) in M.reversed else verdict)
+                verdicts.append(census[rep][(i, j) in M.reversed])
 
     membership = cone_member(target, tuple(generators))
     if membership.inside:
@@ -771,11 +771,12 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
     constraint set (a single minor or a pair where possible).  Every coordinate
     must be a connected graph with at least one edge.
     """
-    free_c = _witness_graph(free, "free coordinate")
-    free_key = graph_key(free_c)
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
+    free_key = _witness_key(free, "free coordinate")
     fixed_map: dict[str, Fraction] = {}
     for g, value in fixed.items():
-        key = graph_key(_witness_graph(g, "fixed coordinate"))
+        key = _witness_key(g, "fixed coordinate")
         if key in fixed_map:
             raise ValueError("duplicate fixed coordinate")
         fixed_map[key] = Fraction(value)
@@ -783,7 +784,7 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         raise ValueError("the free coordinate is also fixed")
     if label_budget is None:
         label_budget = 2 * degree
-    M = moment_matrix(enumerate_basis("B_tilde", degree, label_budget, free_c.r))
+    M = moment_matrix(enumerate_basis("B_tilde", degree, label_budget, free.r))
     allowed = set(fixed_map) | {free_key}
     # the monomial of every entry (i <= j) whose graphs are all coordinates
     terms = {

@@ -33,11 +33,12 @@ the reference for the pairs that `moment_matrix` records as reached reversed.
 `reference_is_trivial_square` is the trivial-square search as first written,
 over every subgraph and every label set, with each square built by naming
 its vertices and compared by networkx; it is the reference for the vertex
-and edge counts that `is_trivial_square` uses to skip candidates.
+and edge counts that `is_trivial_square` uses to skip candidates, and for its
+keying of subgraphs and squares by component counts.
 
 The last section holds helpers that only the tests use, kept out of the
 package: cones from facets, a cone's generators, membership checked against
-the facets, cone equality, labeled isomorphism, the bilinear gluing of
+the facets, cone equality, isomorphism with and without labels, the bilinear gluing of
 combinations, density vectors, and the explicit clique joined to a regular
 graph.  Three of them
 are references for what the package computes in one way only:
@@ -972,6 +973,15 @@ def cones_equal(c1: RationalCone, c2: RationalCone) -> bool:
     return all(cone_contains(c2, g).inside for g in generators(c1)) and all(
         cone_contains(c1, g).inside for g in generators(c2)
     )
+
+
+def is_isomorphic(G1: Hypergraph, G2: Hypergraph) -> bool:
+    """Isomorphism of hypergraphs, by their canonical forms."""
+    if (G1.r, G1.n, G1.edge_count) != (G2.r, G2.n, G2.edge_count):
+        return False
+    if sorted(G1.degrees()) != sorted(G2.degrees()):
+        return False
+    return canonical_form(G1) == canonical_form(G2)
 
 
 def labeled_isomorphic(A: LabeledGraph, B: LabeledGraph) -> bool:

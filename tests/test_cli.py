@@ -102,6 +102,12 @@ def test_boolean_sizes_are_refused(capsys, graph):
     assert "hypergraph JSON has wrongly typed fields" in capsys.readouterr().err
 
 
+def test_unknown_graph_keys_are_refused(capsys):
+    """Graph JSON holds r, n and edges only; any other key is named and exits 4."""
+    assert main(["density", '{"r":2,"n":2,"edges":[[0,1]],"x":1,"labels":{}}', "K3"]) == 4
+    assert "hypergraph JSON has unknown keys ['labels', 'x']" in capsys.readouterr().err
+
+
 def test_double_description_names_needed_dimension(capsys):
     """trop-sos beyond the double-description limit says which dimension it needed."""
     assert main(["trop-sos", "--d", "3", "--labels", "2"]) == 2
@@ -254,6 +260,14 @@ def test_trop_sos_cone_refuses_nonpositive_degree(capsys):
     for argv in (["trop-sos", "--d", "0"], binomial):
         assert main(argv) == 2
         assert "precondition failure: degree must be positive" in capsys.readouterr().err
+
+
+def test_minor_cert_refuses_nonpositive_degree(capsys):
+    """minor-cert refuses d < 1 with the message of obstruction."""
+    minor_cert = ["minor-cert", "path2", "--fixed", "edge", "1/2"]
+    for argv in (minor_cert, ["obstruction", "P3", "edge^3", "--k", "1"]):
+        assert main([*argv, "--d", "0"]) == 2
+        assert "degree must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_binomial_graph_outside_basis_exit_2(capsys):

@@ -22,7 +22,6 @@ from graphtrop.hypergraphs import (
     disjoint_union,
     empty_graph,
     hom_count,
-    is_isomorphic,
     longbroom,
     named_graph,
     path_graph,
@@ -37,6 +36,7 @@ from oracles import (
     clique_count,
     density_vector,
     einsum_hom,
+    is_isomorphic,
     random_graph,
     random_permuted,
     regular_plus_clique,

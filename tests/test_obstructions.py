@@ -343,6 +343,23 @@ def test_report_takes_one_census_per_orbit(monkeypatch):
     assert set(calls) <= set(rep.positive_pair_indices)
 
 
+def test_report_swaps_each_orbit_verdict_once(monkeypatch):
+    """The 615 verdicts of e+P3 vs P4 at d=2, L=4 are at most 72 objects from 36 swaps.
+
+    Each orbit's first pair swaps its verdict once, and every pair of the orbit
+    takes one of the two.
+    """
+    import graphtrop.obstructions as obstructions
+
+    calls = []
+    swapped = obstructions._swapped
+    monkeypatch.setattr(obstructions, "_swapped", lambda v: calls.append(v) or swapped(v))
+    upper = Hypergraph.make(2, 6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    rep = counting_obstruction(upper, path_graph(4), 3, 2, 4)
+    assert len(calls) == 36
+    assert len({id(v) for v in rep.positive_pair_verdicts}) <= 72
+
+
 def test_positive_pair_check_builds_three_products(monkeypatch):
     """One moment matrix over (A, B) gives m(A, B) and the census: [[A^2]], [[AB]], [[B^2]]."""
     import graphtrop.gluing as gluing

@@ -1,4 +1,8 @@
-"""Every module-level function and class, and every method of a class, is used or public."""
+"""Every module-level function and class, and every method of a class, is used or public.
+
+Every true division in the package is on a list that says why it is exact or why
+its float is output.
+"""
 
 import ast
 from pathlib import Path
@@ -20,6 +24,21 @@ PUBLIC = {
     "obstructions.positive_pair_check",  # perfbench binding: perfbench/tracing.py spans it
     "obstructions.m_vector",  # library operation: the minor generator m(A, B) of one pair
     "obstructions.pair_stats",  # library operation: the witness census of one pair
+}
+
+# Every true division, as "module.definition: expression", with why it keeps
+# exact code exact; an `int / int` would bring a float in.
+DIVISIONS = {
+    "hypergraphs.clique_turan_density: falling * (1 - alpha) ** j / Fraction(parts) ** j":
+        "Fraction over Fraction",
+    "obstructions.counting_obstruction: 2 * target_pairing / upper_counts[witness]":
+        "Fraction over int: the chain bound",
+    "obstructions._isolate_core_roots: (lo + hi) / 2": "bisection midpoint of Fraction endpoints",
+    "obstructions._compare: (x[0] + x[1]) / 2": "bisection midpoint of Fraction endpoints",
+    "obstructions._sign_table: (prev[1] + root[0]) / 2": "midpoint of two Fraction endpoints",
+    "cli.cmd_family_trajectory: log_fraction(t) / base": "float output: a trajectory coordinate",
+    "cli.cmd_family_trajectory: x / vnorm": "float output: the normalised coordinate",
+    "cli.cmd_family_trajectory: t / tnorm": "float output: the normalised target",
 }
 
 
@@ -79,3 +98,15 @@ def test_every_method_is_read_as_an_attribute():
                 )
         attributes.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
     assert {f"{cls}.{name}" for cls, name in methods if name not in attributes} == set()
+
+
+def test_every_true_division_is_listed():
+    """A division that is not on DIVISIONS fails, and so does a listed one that is gone."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(getattr(node, "op", None), ast.Div):
+                    found.add(f"{path.stem}.{getattr(stmt, 'name', '')}: {ast.unparse(node)}")
+    assert found == set(DIVISIONS)
