@@ -711,11 +711,11 @@ def test_trivial_square_matches_reference_at_twelve_edges(name):
 
 
 def test_trivial_square_keys_subgraphs_through_component_key(monkeypatch):
-    """Cold, each 12-edge search runs at most a fifth of the connected canonical searches
-    that keying every subgraph and square by its whole canonical form ran.
+    """Cold, each 12-edge search runs at most a fifth of the searches of whole-graph keys.
 
-    Counted by the same unmemoised wrapper, that keying ran 1,349, 649, 995,
-    2,225 and 2,052 searches on these graphs.
+    Keying every subgraph and square by its whole canonical form ran 1,349,
+    649, 995, 2,225 and 2,052 connected canonical searches on these graphs,
+    counted by the same unmemoised wrapper.
     """
     import graphtrop.gluing as gluing
     import graphtrop.hypergraphs as hypergraphs

@@ -26,8 +26,9 @@ PUBLIC = {
     "obstructions.pair_stats",  # library operation: the witness census of one pair
 }
 
-# Every true division, as "module.definition: expression", with why it keeps
-# exact code exact; an `int / int` would bring a float in.
+# Every true division, as "module.definition: expression", with the reason it
+# may stay: its operands are Fractions, or its float is output.  An `int / int`
+# would bring a float into exact code.
 DIVISIONS = {
     "hypergraphs.clique_turan_density: falling * (1 - alpha) ** j / Fraction(parts) ** j":
         "Fraction over Fraction",
