@@ -34,6 +34,7 @@ from .hypergraphs import (
     density,
     fraction_str,
     graph_key,
+    json_text,
     key_graph,
     named_graph,
     star_limit_density,
@@ -65,16 +66,12 @@ def load_graph(spec: str) -> Hypergraph:
         raise GraphInputError(str(exc)) from exc
 
 
-def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def cone_json(cone, **extra) -> str:
     """A cone's basis, facets and rays, its lineality when nonempty, and the extra keys."""
     obj = {"basis": cone.basis, "facets": cone.facets, "rays": cone.rays, **extra}
     if cone.lineality:
         obj["lineality"] = cone.lineality
-    return dump_json(obj)
+    return json_text(obj) + "\n"
 
 
 def parse_fraction(token: str) -> Fraction:
@@ -97,10 +94,7 @@ def log_fraction(x: Fraction) -> float:
 def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
     H = load_graph(args.H)
     G = load_graph(args.G)
-    value = density(H, G)
-    return dump_json(
-        {"H": graph_key(H), "G": graph_key(G), "density": fraction_str(value)}
-    ), 0
+    return json_text({"H": graph_key(H), "G": graph_key(G), "density": density(H, G)}) + "\n", 0
 
 
 def trop_sos_cone(d: int, label_budget: int | None):
@@ -161,14 +155,14 @@ def cmd_test_binomial(args: argparse.Namespace) -> tuple[str, int]:
         if recon != list(diff):
             raise CertificateError("Farkas combination does not reproduce the difference")
         obj["verdict"] = "valid on trop"
-        obj["coefficients"] = [fraction_str(c) for c in membership.coefficients]
+        obj["coefficients"] = membership.coefficients
     else:
         sep = membership.separator
         if not (dot(sep, diff) < 0 and all(dot(sep, f) >= 0 for f in cone.facets)):
             raise CertificateError("separating cone point failed re-verification")
         obj["verdict"] = "not valid"
         obj["separator"] = list(sep)
-    return dump_json(obj), 0
+    return json_text(obj) + "\n", 0
 
 
 def cmd_obstruction(args: argparse.Namespace) -> tuple[str, int]:
@@ -247,7 +241,7 @@ def cmd_family_trajectory(args: argparse.Namespace) -> tuple[str, int]:
 
     header = ["parameter"] + names + ["distance"]
     if args.format == "json":
-        return dump_json({"columns": header, "rows": rows}), 0
+        return json_text({"columns": header, "rows": rows}) + "\n", 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -485,6 +485,37 @@ def fraction_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def json_text(obj) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it once each Fraction is
+    its fraction_str, each dict key its str and each dataclass its fields.  A dataclass
+    object is encoded once per depth.  Other types, floats included, raise TypeError."""
+    return _json_value(obj, 0, {})
+
+
+def _json_value(x, depth: int, memo: dict[tuple[int, int], str]) -> str:
+    if isinstance(x, str):
+        return json.encoder.encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, Fraction):
+        return f'"{fraction_str(x)}"'
+    if hasattr(x, "__dataclass_fields__"):  # a report object: its fields, once per depth
+        if (id(x), depth) not in memo:
+            memo[id(x), depth] = _json_value(vars(x), depth, memo)
+        return memo[id(x), depth]
+    sep, end = ",\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if isinstance(x, (list, tuple)):
+        items = [_json_value(v, depth + 1, memo) for v in x]
+        return "[" + sep[1:] + sep.join(items) + end + "]" if items else "[]"
+    if isinstance(x, dict):
+        x = {str(k): v for k, v in x.items()}
+        items = [f"{_json_value(k, 0, memo)}: {_json_value(x[k], depth + 1, memo)}" for k in sorted(x)]
+        return "{" + sep[1:] + sep.join(items) + end + "}" if items else "{}"
+    raise TypeError(f"no JSON text for {type(x).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Homomorphism counting and densities
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ refined by bisection, gives each constraint's sign at every candidate point.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -38,8 +37,8 @@ from .hypergraphs import (
     Hypergraph,
     basis_sort_key,
     connected_components,
-    fraction_str,
     graph_key,
+    json_text,
     key_graph,
 )
 
@@ -287,17 +286,7 @@ class ObstructionReport:
     separator_verified: bool | None = None
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self), sort_keys=True, indent=2)
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return fraction_str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return _jsonable(vars(x)) if hasattr(x, "__dataclass_fields__") else x  # a report's fields
+        return json_text(self)
 
 
 def counting_obstruction(
@@ -317,10 +306,9 @@ def counting_obstruction(
     exact LP membership run whose certificate is re-verified.  Disagreement
     between the two routes raises CertificateError.
     """
-    if k < 1:
-        raise ValueError(f"exponent k must be at least 1, got {k}")
-    if degree < 1:
-        raise ValueError(f"degree must be at least 1, got {degree}")
+    for name, value in (("exponent k", k), ("degree", degree), ("threshold p", p)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if label_budget is None:
         label_budget = 2 * degree
     upper_key, lower_key = graph_key(upper), graph_key(lower)
@@ -374,6 +362,7 @@ def counting_obstruction(
 
     # a positive multiple of y in integers: the sign of a pairing is an int sum's
     weights = dict(zip(y, primitive(y.values())))
+    position = {key: n for n, key in enumerate(vbasis)}
     parts = [labeled_parts(L) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
     # at each orbit's first pair: its verdict, and the verdict of a pair reached reversed
@@ -391,7 +380,10 @@ def counting_obstruction(
                     raise CertificateError(f"negative weight pairing for basis pair ({i}, {j})")
                 g = gcd(*entry.values())
                 if g:
-                    generators.setdefault(tuple(entry.get(b, 0) // g for b in vbasis))
+                    dense = [0] * len(vbasis)
+                    for key, c in entry.items():
+                        dense[position[key]] = c // g
+                    generators.setdefault(tuple(dense))
                 census[rep] = None
                 if entry.get(witness, 0) > 0:
                     verdict = _verdict(_census(M, i, j, witness, parts), y_pairing(y, entry))
@@ -711,7 +703,7 @@ class MinorCertificate:
     witness_interval: tuple[Fraction, Fraction] | None = None
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self), sort_keys=True, indent=2)
+        return json_text(self)
 
 
 def _entry_term(counts, fixed_map, free_key) -> tuple[int, int, int]:

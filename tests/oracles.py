@@ -35,6 +35,8 @@ over every subgraph and every label set, with each square built by naming
 its vertices and compared by networkx; it is the reference for the vertex
 and edge counts that `is_trivial_square` uses to skip candidates, and for its
 keying of subgraphs and squares by component counts.
+`reference_json` is the JSON encoder as first written, the standard
+library's over a copy of the object, and is the reference for `json_text`.
 
 The last section holds helpers that only the tests use, kept out of the
 package: cones from facets, a cone's generators, membership checked against
@@ -57,6 +59,7 @@ are references for what the package computes in one way only:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -96,6 +99,7 @@ from graphtrop.hypergraphs import (
     canonical_form,
     connected_components,
     density,
+    fraction_str,
     graph_key,
     key_graph,
     split_components,
@@ -891,6 +895,23 @@ def reference_is_trivial_square(H: Hypergraph) -> bool:
                     ):
                         return False
     return True
+
+
+def _jsonable(x):
+    """x with each Fraction as its fraction_str, each dict key as its str, and
+    each dataclass as its fields; anything else as it is."""
+    if isinstance(x, Fraction):
+        return fraction_str(x)
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return _jsonable(vars(x)) if hasattr(x, "__dataclass_fields__") else x
+
+
+def reference_json(x) -> str:
+    """The JSON text of x as the standard library's indented encoder writes it."""
+    return json.dumps(_jsonable(x), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,15 @@ def test_obstruction_bad_flags_exit_2(capsys):
     assert run_cli(capsys, "obstruction", "P3", "edge^3", "--k", "0", "--d", "1")[0] == 2
 
 
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_obstruction_refuses_threshold_below_one(capsys, p):
+    """A threshold p below 1 is refused up front, with no report on stdout."""
+    code = main(["obstruction", "P3", "edge^3", "--k", "7", "--d", "2", "--labels", "4", "--p", p])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"threshold p must be at least 1, got {p}" in captured.err
+
+
 def test_trajectory_clique_converges(capsys):
     """The second clique ray trajectory lands within 0.05 of (0, -1)."""
     code, out = run_cli(
@@ -531,7 +540,15 @@ OUTPUT_SHA256 = {
         "fb2167932daf2e14326b3f29783dcd90fa6823cd23eddea183fcc1eb863e198f",
     "star-cone --r 3 --c 2 --l 4":
         "31725d2c8d6b8db5322edcd5fefa5a528fc2aade0a51f0367276699665f7b55b",
+    "density path2 K4":
+        "2af32118c1e46e435b56c99bce3a1319df69160e523599e2f67dfdbfb463df8e",
+    "clique-cone --r 2 --l 3":
+        "6359660c961a997fb67f26fd9d7546b98f9b9426e08b57df76fef5c3373c967f",
+    "--format json family-trajectory clique --r 2 --l 3 --k 2 --schedule 1e-1,1e-2,1e-3,1e-4":
+        "e366b3dcc3f2ebe7749f1ea57818dba78d2e4057a34b3ba7ee1a2e7941f05e0c",
 }
+# sha256 of a precondition-failure report, which exits 2.
+PRECONDITION_REPORT_SHA256 = "f05b9b5f1998346c2225ef1fc67a3a1e6fa221f2225e8c16df7dd97f66862bff"
 MINOR_CERTIFICATE_SHA256 = "6bbd213b620e8d647e46950f5015ab79ee6330ac43e481d533b226cb56931bf2"
 # sha256 of minor_certificate(...).to_json() for edge = 7/10, free path2, d = 2,
 # at the benchmark's two K3 densities: a refutation by a pair of minors, and
@@ -561,6 +578,13 @@ def test_outputs_byte_identical_to_recorded_hashes(capsys):
     fixed = {single_edge(): Fraction(7, 10), complete_graph(3): Fraction(1, 5)}
     cert = minor_certificate(fixed, path_graph(2), 2)
     assert _sha256(cert.to_json()) == MINOR_CERTIFICATE_SHA256
+
+
+def test_precondition_report_byte_identical_to_recorded_hash(capsys):
+    """A precondition-failure report keeps its recorded bytes and exits 2."""
+    code, out = run_cli(capsys, "obstruction", "P3", "P4", "--k", "1", "--d", "1", "--labels", "2")
+    assert code == 2 and len(out) == 983
+    assert _sha256(out) == PRECONDITION_REPORT_SHA256
 
 
 def test_c06_certificates_byte_identical_to_recorded_hashes():

@@ -1,6 +1,7 @@
 """Tests for exact hypergraph densities, products, canonical forms and families."""
 
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -22,6 +23,7 @@ from graphtrop.hypergraphs import (
     disjoint_union,
     empty_graph,
     hom_count,
+    json_text,
     longbroom,
     named_graph,
     path_graph,
@@ -39,6 +41,7 @@ from oracles import (
     is_isomorphic,
     random_graph,
     random_permuted,
+    reference_json,
     regular_plus_clique,
     star_density_fast,
 )
@@ -461,3 +464,53 @@ def test_density_vector():
         density_vector([disjoint_union(single_edge(), single_edge())], complete_graph(3))
     with pytest.raises(ValueError):
         DensityVector(("a",), (Fraction(3, 2),))
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Report:
+    name: str
+    values: tuple
+
+
+_LEAF = _Report('e\u00e9"\\\n', (Fraction(-3, 7), None, [True, -(10**30)]))
+_NODE = _Report("node", (_LEAF, {"leaf": _LEAF}, ()))
+
+_SCALARS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\t\n", "\u00e9\u20ac\U0001f600", ""]),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    st.sampled_from([_LEAF, _NODE]),
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers()), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example([_LEAF, [_LEAF, {"a": _LEAF, "b": _NODE}], _NODE, _LEAF])
+@example({"": [], "x": {}, 3: ()})
+def test_json_text_matches_reference_encoder(value):
+    """One writer gives the bytes of the indented standard encoder, report objects
+    included wherever they repeat and at whatever depth."""
+    assert json_text(value) == reference_json(value)
+
+
+@pytest.mark.parametrize("value", [0.5, [1, {"a": float("nan")}], object(), {1, 2}, b"x"])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)

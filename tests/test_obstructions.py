@@ -33,6 +33,7 @@ from graphtrop.hypergraphs import (
     single_edge,
 )
 from graphtrop.obstructions import (
+    PairVerdict,
     _RootData,
     _deriv,
     _divmod,
@@ -62,6 +63,7 @@ from oracles import (
     _sign_at_root,
     fraction_sign_at_root,
     random_graph,
+    reference_json,
     reference_pair_stats,
     reference_refutation,
     reference_system_feasible,
@@ -358,6 +360,32 @@ def test_report_swaps_each_orbit_verdict_once(monkeypatch):
     rep = counting_obstruction(upper, path_graph(4), 3, 2, 4)
     assert len(calls) == 36
     assert len({id(v) for v in rep.positive_pair_verdicts}) <= 72
+
+
+def test_report_encodes_each_verdict_once(monkeypatch):
+    """The e+P3 vs P4 report at d=2, L=4 lists 615 verdicts, and its JSON text
+    encodes the fields of each of the 52 distinct verdict objects once."""
+    import graphtrop.hypergraphs as hypergraphs
+
+    upper = Hypergraph.make(2, 6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    rep = counting_obstruction(upper, path_graph(4), 3, 2, 4)
+    verdicts = {id(v): v for v in rep.positive_pair_verdicts}
+    fields = {id(vars(v)) for v in verdicts.values()}
+    listed, encoded = [], []
+    value = hypergraphs._json_value
+
+    def counted(x, depth, memo):
+        if isinstance(x, PairVerdict):
+            listed.append(x)
+        elif id(x) in fields:
+            encoded.append(x)
+        return value(x, depth, memo)
+
+    monkeypatch.setattr(hypergraphs, "_json_value", counted)
+    text = rep.to_json()
+    assert (len(listed), len(verdicts), len(encoded)) == (615, 52, 52)
+    monkeypatch.undo()
+    assert text == rep.to_json() == reference_json(rep)
 
 
 def test_positive_pair_check_builds_three_products(monkeypatch):
