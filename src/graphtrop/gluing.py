@@ -22,7 +22,6 @@ from .hypergraphs import (
     basis_sort_key,
     canonical_form,
     component_key,
-    connected_components,
     empty_graph,
     graph_key,
     key_graph,
@@ -59,9 +58,6 @@ class LabeledGraph:
     @property
     def r(self) -> int:
         return self.graph.r
-
-    def label_map(self) -> dict[int, int]:
-        return dict(self.labels)
 
     def vertex_labels(self) -> dict[int, int]:
         return {v: l for l, v in self.labels}
@@ -117,13 +113,12 @@ def labeled_canonical_form(A: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(Hypergraph(G.r, G.n, frozenset(enc)), new_labels)
 
 
-def labeled_parts(A: LabeledGraph) -> list[tuple[frozenset[int], int, str]]:
-    """Connected components of A as (label set, vertex count, key), without labeled forms."""
-    vlabs = A.vertex_labels()
+def labeled_parts(r: int, n: int, edges, vlabs) -> list[tuple[frozenset[int], int, str]]:
+    """Components of sorted r-edges on n vertices: (labels under vlabs, vertex count, key)."""
     out = []
-    for verts, edges in split_components(A.graph):
+    for verts, part in split_components(n, edges):
         labs = frozenset(vlabs[v] for v in verts if v in vlabs)
-        out.append((labs, len(verts), component_key(Hypergraph.make(A.r, len(verts), edges))))
+        out.append((labs, len(verts), component_key(Hypergraph(r, len(verts), frozenset(part)))))
     return out
 
 
@@ -132,10 +127,11 @@ def labeled_parts(A: LabeledGraph) -> list[tuple[frozenset[int], int, str]]:
 # ---------------------------------------------------------------------------
 
 
-def _glue_raw(A: LabeledGraph, B: LabeledGraph) -> LabeledGraph:
+def _glue_raw(A: LabeledGraph, B: LabeledGraph) -> tuple[int, frozenset, dict[int, int]]:
+    """A and B glued along shared labels, raw: vertex count, sorted edges, vertex -> label."""
     if A.graph.r != B.graph.r:
         raise ValueError(f"uniformity mismatch: {A.graph.r} vs {B.graph.r}")
-    amap = A.label_map()
+    amap = dict(A.labels)
     bvlabs = B.vertex_labels()
     bmap: dict[int, int] = {}
     nxt = A.graph.n
@@ -149,15 +145,17 @@ def _glue_raw(A: LabeledGraph, B: LabeledGraph) -> LabeledGraph:
     edges = set(A.graph.edges)
     for e in B.graph.edges:
         edges.add(tuple(sorted(bmap[v] for v in e)))
-    labels = dict(amap)
+    vlabs = A.vertex_labels()
     for lab, v in B.labels:
-        labels[lab] = bmap[v]
-    return LabeledGraph(Hypergraph(A.graph.r, nxt, frozenset(edges)), tuple(sorted(labels.items())))
+        vlabs[bmap[v]] = lab
+    return nxt, frozenset(edges), vlabs
 
 
 def glue(A: LabeledGraph, B: LabeledGraph) -> LabeledGraph:
     """Glue along shared labels, merging duplicate edges; commutative and associative."""
-    return labeled_canonical_form(_glue_raw(A, B))
+    n, edges, vlabs = _glue_raw(A, B)
+    labels = tuple(sorted((l, v) for v, l in vlabs.items()))
+    return labeled_canonical_form(LabeledGraph(Hypergraph(A.r, n, edges), labels))
 
 
 def unlabel(A: LabeledGraph) -> Hypergraph:
@@ -166,13 +164,15 @@ def unlabel(A: LabeledGraph) -> Hypergraph:
 
 
 def unlabeled_product(A: LabeledGraph, B: LabeledGraph) -> Hypergraph:
-    """unlabel(glue(A, B)) without canonicalizing the labeled intermediate."""
-    return canonical_form(_glue_raw(A, B).graph)
+    """unlabel(glue(A, B)) without building the labeled intermediate."""
+    n, edges, _ = _glue_raw(A, B)
+    return canonical_form(Hypergraph(A.r, n, edges))
 
 
 def product_counts(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
     """component_counts(unlabeled_product(A, B)), keying the components of the raw product."""
-    return component_counts(_glue_raw(A, B).graph)
+    keys = [key for _, _, key in labeled_parts(A.r, *_glue_raw(A, B))]
+    return {key: keys.count(key) for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +182,8 @@ def product_counts(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
 
 def component_counts(G: Hypergraph) -> dict[str, int]:
     """Multiplicity of each connected component of G, by key."""
-    out: dict[str, int] = {}
-    for comp in connected_components(G):
-        key = component_key(comp)
-        out[key] = out.get(key, 0) + 1
-    return out
+    keys = [key for _, _, key in labeled_parts(G.r, G.n, G.edges, {})]
+    return {key: keys.count(key) for key in keys}
 
 
 def alpha_vector(G: Hypergraph, basis) -> tuple[int, ...]:
@@ -268,7 +265,7 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
     found = []  # (element, its shape's orbit function, the name of its orbit)
     for shape in _shapes(d, r):
         types, orbit = _placement_orbits(shape)
-        parts = [set(verts) for verts, _ in split_components(shape)]
+        parts = [set(verts) for verts, _ in split_components(shape.n, shape.edges)]
         fits = [p for p in product([()] + list(types), repeat=label_budget)
                 if all(p.count(T) <= len(verts) for T, verts in types.items())]
         for p in dict.fromkeys(map(orbit, fits)):
@@ -408,7 +405,8 @@ def is_trivial_square(H: Hypergraph) -> bool:
             seen_shapes.add(shape)
             for vset in combinations(range(F0.n), s):
                 F = LabeledGraph(F0, tuple((i + 1, v) for i, v in enumerate(vset)))
-                square = _glue_raw(F, F).graph
+                n, edges, _ = _glue_raw(F, F)
+                square = Hypergraph(H.r, n, edges)
                 same = square.edge_count == H.edge_count and sorted(square.degrees()) == degrees
                 if same and component_counts(square) == target:
                     return False

@@ -154,11 +154,11 @@ NAMED_GRAPHS = {
 
 
 def named_graph(name: str) -> Hypergraph:
-    base, _, power = name.partition("^")
+    base, sep, power = name.partition("^")
     if base not in NAMED_GRAPHS:
         raise ValueError(f"unknown graph name {name!r}; known: {sorted(NAMED_GRAPHS)}")
     g = NAMED_GRAPHS[base]()
-    if not power:
+    if not sep:
         return g
     k = int(power) if power.isdecimal() else 0
     if k < 1:
@@ -182,27 +182,27 @@ def _find(parent, x: int) -> int:
     return x
 
 
-def split_components(G: Hypergraph) -> list[tuple[list[int], list[tuple[int, ...]]]]:
-    """Each component's sorted vertices and its edges renumbered to 0..k-1, by first vertex."""
-    parent = list(range(G.n))
-    for e in G.edges:
+def split_components(n: int, edges) -> list[tuple[list[int], list[tuple[int, ...]]]]:
+    """Components by first vertex: sorted vertices, and edges renumbered 0..k-1 in vertex order."""
+    parent = list(range(n))
+    for e in edges:
         root = _find(parent, e[0])
         for v in e[1:]:
             parent[_find(parent, v)] = root
 
     groups: dict[int, list[int]] = {}
-    for v in range(G.n):
+    for v in range(n):
         groups.setdefault(_find(parent, v), []).append(v)
     index = {v: i for verts in groups.values() for i, v in enumerate(verts)}
-    edges: dict[int, list[tuple[int, ...]]] = {root: [] for root in groups}
-    for e in G.edges:
-        edges[_find(parent, e[0])].append(tuple(index[v] for v in e))
-    return [(verts, edges[root]) for root, verts in groups.items()]
+    parts: dict[int, list[tuple[int, ...]]] = {root: [] for root in groups}
+    for e in edges:
+        parts[_find(parent, e[0])].append(tuple(index[v] for v in e))
+    return [(verts, parts[root]) for root, verts in groups.items()]
 
 
 def connected_components(G: Hypergraph) -> list[Hypergraph]:
     """Components as hypergraphs with compacted vertex ids, ordered by first vertex."""
-    return [Hypergraph.make(G.r, len(verts), edges) for verts, edges in split_components(G)]
+    return [Hypergraph(G.r, len(vs), frozenset(es)) for vs, es in split_components(G.n, G.edges)]
 
 
 def disjoint_union(G1: Hypergraph, G2: Hypergraph) -> Hypergraph:

@@ -159,7 +159,7 @@ def _census(M, i: int, j: int, ckey: str, parts) -> PairStats:
     """
     aa, bb = M.alpha_entry(i, i).get(ckey, 0), M.alpha_entry(j, j).get(ckey, 0)
     parts_a, parts_b = parts[i], parts[j]
-    parts_ab = labeled_parts(_glue_raw(M.basis[i], M.basis[j]))
+    parts_ab = labeled_parts(M.basis[i].r, *_glue_raw(M.basis[i], M.basis[j]))
     owner = {l: (labs, key) for labs, _, key in parts_ab for l in labs}
 
     def fully_labeled(comps):
@@ -204,7 +204,8 @@ def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
 
 def _pair_census(M, C) -> PairStats:
     """The census of the witness C on the one pair of a two-element moment matrix."""
-    return _census(M, 0, 1, _witness_key(C), [labeled_parts(X) for X in M.basis])
+    parts = [labeled_parts(X.r, X.graph.n, X.graph.edges, X.vertex_labels()) for X in M.basis]
+    return _census(M, 0, 1, _witness_key(C), parts)
 
 
 @dataclass(frozen=True)
@@ -363,7 +364,7 @@ def counting_obstruction(
     # a positive multiple of y in integers: the sign of a pairing is an int sum's
     weights = dict(zip(y, primitive(y.values())))
     position = {key: n for n, key in enumerate(vbasis)}
-    parts = [labeled_parts(L) for L in M.basis]
+    parts = [labeled_parts(L.r, L.graph.n, L.graph.edges, L.vertex_labels()) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
     # at each orbit's first pair: its verdict, and the verdict of a pair reached reversed
     census: dict[tuple[int, int], tuple[PairVerdict, PairVerdict] | None] = {}

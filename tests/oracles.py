@@ -85,7 +85,6 @@ from graphtrop.gluing import (
     glue,
     labeled_canonical_form,
     labeled_graph,
-    labeled_parts,
     product_counts,
     unit,
     unlabeled_product,
@@ -549,7 +548,7 @@ def labeled_components(A):
     """Components of a labeled graph, each keeping its labels, in labeled canonical form."""
     vlabs = A.vertex_labels()
     out = []
-    for verts, edges in split_components(A.graph):
+    for verts, edges in split_components(A.graph.n, A.graph.edges):
         labels = {vlabs[v]: i for i, v in enumerate(verts) if v in vlabs}
         out.append(labeled_graph(A.r, len(verts), edges, labels))
     return out
@@ -558,20 +557,22 @@ def labeled_components(A):
 def reference_pair_stats(A, B, C):
     """The pair census read from labeled canonical components: the reference for pair_stats.
 
-    Every component of A, B and their raw gluing is put in labeled canonical
-    form and keyed on its own, and the squares' witness counts come from fresh
-    products.  Imports are deferred for layering.
+    Every component of A, B and their gluings AA, BB and AB is put in labeled
+    canonical form and keyed on its own.  Imports are deferred for layering.
     """
     from graphtrop.cones import CertificateError
-    from graphtrop.gluing import _glue_raw, product_counts
     from graphtrop.hypergraphs import component_key, graph_key
     from graphtrop.obstructions import PairStats
 
     ckey = graph_key(C)
-    aa = product_counts(A, A).get(ckey, 0)
-    bb = product_counts(B, B).get(ckey, 0)
-    gcomps = labeled_components(_glue_raw(A, B))
-    ab = sum(1 for comp in gcomps if component_key(comp.graph) == ckey)
+
+    def copies(comps):
+        return sum(1 for comp in comps if component_key(comp.graph) == ckey)
+
+    aa = copies(labeled_components(glue(A, A)))
+    bb = copies(labeled_components(glue(B, B)))
+    gcomps = labeled_components(glue(A, B))
+    ab = copies(gcomps)
     owner = {l: idx for idx, comp in enumerate(gcomps) for l, _ in comp.labels}
 
     def fully_labeled(X):
@@ -760,7 +761,7 @@ def reference_basis(kind: str, d: int, label_budget: int | None = None, r: int =
     elements = [unit(r)]
     for shape in reference_edge_shapes(d, r):
         for L in reference_labelings(shape, label_budget):
-            if kind == "B_tilde" and any(not labs for labs, _, _ in labeled_parts(L)):
+            if kind == "B_tilde" and any(not comp.labels for comp in labeled_components(L)):
                 continue
             elements.append(L)
     return tuple(sorted(elements, key=lambda L: (L.graph.edge_count, L.to_json())))

@@ -83,9 +83,10 @@ def test_input_errors_exit_4(capsys):
 
 
 def test_input_error_messages_are_precise(capsys):
-    """A non-integer power or vertex names the input, not a Python internal."""
-    assert main(["density", "edge^x", "K3"]) == 4
-    assert "power must be a positive integer in 'edge^x'" in capsys.readouterr().err
+    """A non-integer or missing power, or a non-integer vertex, names the input, not Python."""
+    for name in ("edge^x", "edge^"):
+        assert main(["density", name, "K3"]) == 4
+        assert f"power must be a positive integer in {name!r}" in capsys.readouterr().err
     assert main(["density", '{"r":2,"n":2,"edges":[[0,"a"]]}', "K3"]) == 4
     err = capsys.readouterr().err
     assert "edge entries must be integers" in err and "not supported" not in err

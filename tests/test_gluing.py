@@ -3,6 +3,7 @@
 import functools
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from graphtrop.gluing import (
     Basis,
     LabeledGraph,
+    _glue_raw,
     _shapes,
     alpha_vector,
     cherry,
@@ -25,7 +27,9 @@ from graphtrop.gluing import (
     labeled_canonical_form,
     labeled_edge,
     labeled_graph,
+    labeled_parts,
     moment_matrix,
+    product_counts,
     unit,
     unlabel,
     unlabeled_product,
@@ -162,6 +166,27 @@ def test_glue_label_disjoint_is_disjoint_union():
     assert is_isomorphic(
         unlabeled_product(A, B), disjoint_union(unlabel(A), unlabel(B))
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([0.3, 0.5, 0.7]))
+def test_raw_gluing_splits_like_the_labeled_product(seed, max_n, p):
+    """The raw gluing is a valid labeled graph, and its parts are those of glue.
+
+    labeled_parts keys the same (label set, vertex count, key) components as
+    the labeled canonical components of glue(A, B), and the product's counts
+    agree in both orders and with the canonical unlabeled product.
+    """
+    rng = Random(seed)
+    A, B = random_labeled(rng, max_n, p, 3), random_labeled(rng, max_n, p, 3)
+    n, edges, vlabs = _glue_raw(A, B)
+    LabeledGraph(Hypergraph(A.r, n, edges), tuple(sorted((l, v) for v, l in vlabs.items())))
+    expected = Counter(
+        (frozenset(l for l, _ in C.labels), C.graph.n, graph_key(C.graph))
+        for C in labeled_components(glue(A, B))
+    )
+    assert Counter(labeled_parts(A.r, n, edges, vlabs)) == expected
+    assert product_counts(A, B) == product_counts(B, A) == component_counts(unlabeled_product(A, B))
 
 
 def test_unlabel_canonical():
@@ -602,6 +627,44 @@ def test_key_cache_runs_one_canonical_search_per_key(monkeypatch):
         M = moment_matrix(bases[d, labels])
         assert len(M.vbasis) == len(searches) == keys
         assert {canonical(C).to_json() for C in searches} == set(M.vbasis)
+
+
+def test_products_are_glued_without_labeled_graphs(monkeypatch):
+    """Cold, the d=3, L=3 moment matrix builds no LabeledGraph and 2,079 Hypergraphs.
+
+    Each product is glued raw and split once, and only its components become
+    Hypergraphs; gluing each into a LabeledGraph built 1,420 of them and
+    3,499 Hypergraphs.  The e+P3 vs P4 report at d=2, L=4 builds 157
+    LabeledGraphs, where it built 389.
+    """
+    import graphtrop.gluing as gluing
+    import graphtrop.hypergraphs as hypergraphs
+    from graphtrop.obstructions import counting_obstruction
+
+    built = Counter()
+
+    def counting(cls):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.update([cls]) or check(self))
+
+    def cold(f):
+        return functools.lru_cache(maxsize=None)(f.__wrapped__)
+
+    monkeypatch.setattr(hypergraphs, "_KEY_REPS", {})
+    monkeypatch.setattr(hypergraphs, "_canonical_connected", cold(hypergraphs._canonical_connected))
+    monkeypatch.setattr(gluing, "component_key", cold(hypergraphs.component_key))
+    key_graph = cold(hypergraphs.key_graph)
+    monkeypatch.setattr(hypergraphs, "key_graph", key_graph)
+    monkeypatch.setattr(gluing, "key_graph", key_graph)
+    basis = enumerate_basis("B_tilde", 3, 3)
+    counting(LabeledGraph)
+    counting(Hypergraph)
+    moment_matrix(basis)
+    assert (built[LabeledGraph], built[Hypergraph]) == (0, 2079)
+    built.clear()
+    upper = Hypergraph.make(2, 6, [(0, 1), (2, 3), (3, 4), (4, 5)])
+    counting_obstruction(upper, path_graph(4), 3, 2, 4)
+    assert built[LabeledGraph] == 157
 
 
 @pytest.mark.parametrize(
