@@ -10,9 +10,10 @@ their connected components.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from types import MappingProxyType
 
 from .hypergraphs import (
@@ -56,11 +57,9 @@ class LabeledGraph:
                 raise ValueError("isolated vertices are only allowed in the empty graph")
 
     @property
-    def r(self) -> int:
-        return self.graph.r
-
-    def vertex_labels(self) -> dict[int, int]:
-        return {v: l for l, v in self.labels}
+    def raw(self) -> tuple[int, int, frozenset[tuple[int, ...]], dict[int, int]]:
+        """The raw form of every gluing and split: r, n, sorted edges, vertex -> label."""
+        return self.graph.r, self.graph.n, self.graph.edges, {v: l for l, v in self.labels}
 
     def to_json(self) -> str:
         g = self.graph
@@ -114,7 +113,7 @@ def labeled_canonical_form(A: LabeledGraph) -> LabeledGraph:
 
 
 def labeled_parts(r: int, n: int, edges, vlabs) -> list[tuple[frozenset[int], int, str]]:
-    """Components of sorted r-edges on n vertices: (labels under vlabs, vertex count, key)."""
+    """Components of a raw labeled graph: (labels under vlabs, vertex count, key) each."""
     out = []
     for verts, part in split_components(n, edges):
         labs = frozenset(vlabs[v] for v in verts if v in vlabs)
@@ -127,35 +126,33 @@ def labeled_parts(r: int, n: int, edges, vlabs) -> list[tuple[frozenset[int], in
 # ---------------------------------------------------------------------------
 
 
-def _glue_raw(A: LabeledGraph, B: LabeledGraph) -> tuple[int, frozenset, dict[int, int]]:
-    """A and B glued along shared labels, raw: vertex count, sorted edges, vertex -> label."""
-    if A.graph.r != B.graph.r:
-        raise ValueError(f"uniformity mismatch: {A.graph.r} vs {B.graph.r}")
-    amap = dict(A.labels)
-    bvlabs = B.vertex_labels()
-    bmap: dict[int, int] = {}
-    nxt = A.graph.n
-    for v in range(B.graph.n):
-        lab = bvlabs.get(v)
-        if lab is not None and lab in amap:
-            bmap[v] = amap[lab]
-        else:
+def _glue_raw(a, b) -> tuple[int, int, frozenset[tuple[int, ...]], dict[int, int]]:
+    """Raw labeled graphs a and b glued along shared labels, as a raw labeled graph."""
+    r, an, aedges, avlabs = a
+    rb, bn, bedges, bvlabs = b
+    if r != rb:
+        raise ValueError(f"uniformity mismatch: {r} vs {rb}")
+    amap = {l: v for v, l in avlabs.items()}
+    bmap = {v: amap[l] for v, l in bvlabs.items() if l in amap}  # a label in both: a's vertex
+    nxt = an
+    for v in range(bn):
+        if v not in bmap:
             bmap[v] = nxt
             nxt += 1
-    edges = set(A.graph.edges)
-    for e in B.graph.edges:
+    edges = set(aedges)
+    for e in bedges:
         edges.add(tuple(sorted(bmap[v] for v in e)))
-    vlabs = A.vertex_labels()
-    for lab, v in B.labels:
+    vlabs = dict(avlabs)
+    for v, lab in bvlabs.items():
         vlabs[bmap[v]] = lab
-    return nxt, frozenset(edges), vlabs
+    return r, nxt, frozenset(edges), vlabs
 
 
 def glue(A: LabeledGraph, B: LabeledGraph) -> LabeledGraph:
     """Glue along shared labels, merging duplicate edges; commutative and associative."""
-    n, edges, vlabs = _glue_raw(A, B)
+    r, n, edges, vlabs = _glue_raw(A.raw, B.raw)
     labels = tuple(sorted((l, v) for v, l in vlabs.items()))
-    return labeled_canonical_form(LabeledGraph(Hypergraph(A.r, n, edges), labels))
+    return labeled_canonical_form(LabeledGraph(Hypergraph(r, n, edges), labels))
 
 
 def unlabel(A: LabeledGraph) -> Hypergraph:
@@ -165,14 +162,13 @@ def unlabel(A: LabeledGraph) -> Hypergraph:
 
 def unlabeled_product(A: LabeledGraph, B: LabeledGraph) -> Hypergraph:
     """unlabel(glue(A, B)) without building the labeled intermediate."""
-    n, edges, _ = _glue_raw(A, B)
-    return canonical_form(Hypergraph(A.r, n, edges))
+    r, n, edges, _ = _glue_raw(A.raw, B.raw)
+    return canonical_form(Hypergraph(r, n, edges))
 
 
 def product_counts(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
     """component_counts(unlabeled_product(A, B)), keying the components of the raw product."""
-    keys = [key for _, _, key in labeled_parts(A.r, *_glue_raw(A, B))]
-    return {key: keys.count(key) for key in keys}
+    return _key_counts(*_glue_raw(A.raw, B.raw))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +176,15 @@ def product_counts(A: LabeledGraph, B: LabeledGraph) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
+def _key_counts(r: int, n: int, edges, vlabs) -> dict[str, int]:
+    """Multiplicity of each connected component of a raw labeled graph, by key."""
+    keys = [key for _, _, key in labeled_parts(r, n, edges, vlabs)]
+    return {key: keys.count(key) for key in keys}
+
+
 def component_counts(G: Hypergraph) -> dict[str, int]:
     """Multiplicity of each connected component of G, by key."""
-    keys = [key for _, _, key in labeled_parts(G.r, G.n, G.edges, {})]
-    return {key: keys.count(key) for key in keys}
+    return _key_counts(G.r, G.n, G.edges, {})
 
 
 def alpha_vector(G: Hypergraph, basis) -> tuple[int, ...]:
@@ -383,6 +384,7 @@ def is_trivial_square(H: Hypergraph) -> bool:
     labels; a subgraph with all m edges squares to H only as a full copy.
     Isomorphic subgraphs have isomorphic squares, so one subgraph per multiset
     of component keys is tried, and a square is H when its component counts are.
+    Subgraphs and squares stay raw; only their keyed components are Hypergraphs.
     """
     if H.edge_count == 0:
         raise ValueError("trivial-square test requires at least one edge")
@@ -394,20 +396,21 @@ def is_trivial_square(H: Hypergraph) -> bool:
     for m in range((len(hedges) + 1) // 2, len(hedges)):
         for chosen in combinations(hedges, m):
             used = sorted({v for e in chosen for v in e})
-            s = 2 * len(used) - H.n
-            if not 0 <= s < len(used):
+            k, s = len(used), 2 * len(used) - H.n
+            if not 0 <= s < k:
                 continue
-            remap = {v: i for i, v in enumerate(used)}
-            F0 = Hypergraph.make(H.r, len(used), [tuple(remap[v] for v in e) for e in chosen])
-            shape = frozenset(component_counts(F0).items())
+            remap = {v: i for i, v in enumerate(used)}  # keeps each edge sorted
+            edges = frozenset(tuple(remap[v] for v in e) for e in chosen)
+            shape = frozenset(_key_counts(H.r, k, edges, {}).items())
             if shape in seen_shapes:
                 continue
             seen_shapes.add(shape)
-            for vset in combinations(range(F0.n), s):
-                F = LabeledGraph(F0, tuple((i + 1, v) for i, v in enumerate(vset)))
-                n, edges, _ = _glue_raw(F, F)
-                square = Hypergraph(H.r, n, edges)
-                same = square.edge_count == H.edge_count and sorted(square.degrees()) == degrees
-                if same and component_counts(square) == target:
+            for vset in combinations(range(k), s):
+                F = (H.r, k, edges, {v: i + 1 for i, v in enumerate(vset)})
+                square = _glue_raw(F, F)
+                if len(square[2]) != len(hedges):
+                    continue
+                sdegrees = Counter(chain(*square[2]))  # every vertex of a square is on an edge
+                if sorted(sdegrees.values()) == degrees and _key_counts(*square) == target:
                     return False
     return True

@@ -163,10 +163,7 @@ def named_graph(name: str) -> Hypergraph:
     k = int(power) if power.isdecimal() else 0
     if k < 1:
         raise ValueError(f"power must be a positive integer in {name!r}")
-    out = g
-    for _ in range(k - 1):
-        out = disjoint_union(out, g)
-    return out
+    return disjoint_union(*[g] * k)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +202,15 @@ def connected_components(G: Hypergraph) -> list[Hypergraph]:
     return [Hypergraph(G.r, len(vs), frozenset(es)) for vs, es in split_components(G.n, G.edges)]
 
 
-def disjoint_union(G1: Hypergraph, G2: Hypergraph) -> Hypergraph:
-    if G1.r != G2.r:
-        raise ValueError(f"uniformity mismatch: {G1.r} vs {G2.r}")
-    edges = list(G1.edges)
-    edges += [tuple(v + G1.n for v in e) for e in G2.edges]
-    return Hypergraph.make(G1.r, G1.n + G2.n, edges)
+def disjoint_union(G: Hypergraph, *more: Hypergraph) -> Hypergraph:
+    """G and then each graph of more on the following vertices, built as one Hypergraph."""
+    edges, n = set(G.edges), G.n
+    for H in more:
+        if H.r != G.r:
+            raise ValueError(f"uniformity mismatch: {G.r} vs {H.r}")
+        edges.update(tuple(v + n for v in e) for e in H.edges)
+        n += H.n
+    return Hypergraph(G.r, n, frozenset(edges))
 
 
 def direct_product(G1: Hypergraph, G2: Hypergraph) -> Hypergraph:
@@ -369,10 +369,7 @@ def canonical_form(G: Hypergraph) -> Hypergraph:
         (_canonical_connected(c) for c in comps),
         key=lambda c: (c.n, c.edge_count, c.sorted_edges()),
     )
-    out = parts[0]
-    for c in parts[1:]:
-        out = disjoint_union(out, c)
-    return out
+    return disjoint_union(*parts)
 
 
 # ---------------------------------------------------------------------------

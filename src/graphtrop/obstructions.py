@@ -36,10 +36,10 @@ from .gluing import (
 from .hypergraphs import (
     Hypergraph,
     basis_sort_key,
-    connected_components,
     graph_key,
     json_text,
     key_graph,
+    split_components,
 )
 
 log = logging.getLogger(__name__)
@@ -74,7 +74,7 @@ def y_vector(basis, p: int) -> dict[str, Fraction]:
     y = {}
     for key in basis:
         G = key_graph(key)
-        if G.n == 0 or len(connected_components(G)) != 1:
+        if G.n == 0 or len(split_components(G.n, G.edges)) != 1:
             raise ValueError("y-vector basis entries must be nonempty connected graphs")
         if key in y:
             raise ValueError("duplicate y-vector basis entries")
@@ -146,7 +146,7 @@ def _witness_key(C: Hypergraph, role: str = "witness") -> str:
     """The key of C, which must name a connected graph with at least one edge."""
     key = graph_key(C)
     G = key_graph(key)
-    if G.edge_count == 0 or len(connected_components(G)) != 1:
+    if G.edge_count == 0 or len(split_components(G.n, G.edges)) != 1:
         raise ValueError(f"{role} must be a connected graph with at least one edge: {key}")
     return key
 
@@ -159,7 +159,7 @@ def _census(M, i: int, j: int, ckey: str, parts) -> PairStats:
     """
     aa, bb = M.alpha_entry(i, i).get(ckey, 0), M.alpha_entry(j, j).get(ckey, 0)
     parts_a, parts_b = parts[i], parts[j]
-    parts_ab = labeled_parts(M.basis[i].r, *_glue_raw(M.basis[i], M.basis[j]))
+    parts_ab = labeled_parts(*_glue_raw(M.basis[i].raw, M.basis[j].raw))
     owner = {l: (labs, key) for labs, _, key in parts_ab for l in labs}
 
     def fully_labeled(comps):
@@ -204,7 +204,7 @@ def pair_stats(A: LabeledGraph, B: LabeledGraph, C) -> PairStats:
 
 def _pair_census(M, C) -> PairStats:
     """The census of the witness C on the one pair of a two-element moment matrix."""
-    parts = [labeled_parts(X.r, X.graph.n, X.graph.edges, X.vertex_labels()) for X in M.basis]
+    parts = [labeled_parts(*X.raw) for X in M.basis]
     return _census(M, 0, 1, _witness_key(C), parts)
 
 
@@ -364,7 +364,7 @@ def counting_obstruction(
     # a positive multiple of y in integers: the sign of a pairing is an int sum's
     weights = dict(zip(y, primitive(y.values())))
     position = {key: n for n, key in enumerate(vbasis)}
-    parts = [labeled_parts(L.r, L.graph.n, L.graph.edges, L.vertex_labels()) for L in M.basis]
+    parts = [labeled_parts(*L.raw) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
     # at each orbit's first pair: its verdict, and the verdict of a pair reached reversed
     census: dict[tuple[int, int], tuple[PairVerdict, PairVerdict] | None] = {}

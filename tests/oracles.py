@@ -21,11 +21,13 @@ and its refuting subset.  `reference_moment_matrix` builds every moment entry
 on its own, through the canonical form of the whole product, and is the
 reference for the orbit-shared `moment_matrix`.  `reference_v_basis` glues
 every pair of the "B" basis on its own and is the reference for the "V"
-basis, the `vbasis` of the moment matrix over "B".  `reference_basis` is the
-gluing basis as first built, from `reference_edge_shapes` (every edge subset
-of a large enough complete graph, keyed) and `reference_labelings` (a labeled
-canonical form for every labelling), and `reference_label_action` finds the
-images of its elements by a labeled canonical search each; they are the
+basis, the `vbasis` of the moment matrix over "B".  Both glue through
+`named_product` below, not through the package's raw gluing.
+`reference_basis` is the gluing basis as first built, from
+`reference_edge_shapes` (every edge subset of a large enough complete graph,
+keyed) and `reference_labelings` (a labeled canonical form for every
+labelling), and `reference_label_action` finds the images of its elements
+by a labeled canonical search each; they are the
 references for the bases built by one-edge augmentation, one search per orbit
 of labellings, and the label action that `enumerate_basis` carries.
 `reference_ordered_orbit` closes one ordered pair under that action, and is
@@ -85,9 +87,7 @@ from graphtrop.gluing import (
     glue,
     labeled_canonical_form,
     labeled_graph,
-    product_counts,
     unit,
-    unlabeled_product,
 )
 from graphtrop.hypergraphs import (
     Hypergraph,
@@ -546,11 +546,11 @@ def random_labeled(rng: Random, max_n: int, p: float, label_budget: int):
 
 def labeled_components(A):
     """Components of a labeled graph, each keeping its labels, in labeled canonical form."""
-    vlabs = A.vertex_labels()
+    vlabs = {v: l for l, v in A.labels}
     out = []
     for verts, edges in split_components(A.graph.n, A.graph.edges):
         labels = {vlabs[v]: i for i, v in enumerate(verts) if v in vlabs}
-        out.append(labeled_graph(A.r, len(verts), edges, labels))
+        out.append(labeled_graph(A.graph.r, len(verts), edges, labels))
     return out
 
 
@@ -718,13 +718,13 @@ def reference_moment_matrix(basis):
     """Every entry (i, j), i <= j, of the moment matrix built on its own, and the sorted keys.
 
     Each entry is the component counts of the canonical form of the whole
-    unlabeled product, with no sharing between pairs.
+    unlabeled product, glued by named_product, with no sharing between pairs.
     """
     elems = tuple(basis)
     counts = {}
     for i in range(len(elems)):
         for j in range(i, len(elems)):
-            counts[(i, j)] = component_counts(unlabeled_product(elems[i], elems[j]))
+            counts[(i, j)] = component_counts(named_product(elems[i], elems[j]))
     keys = {key for entry in counts.values() for key in entry}
     return counts, tuple(sorted(keys, key=basis_sort_key))
 
@@ -828,7 +828,7 @@ def reference_ordered_orbit(images, pair: tuple[int, int]) -> set[tuple[int, int
 
 
 def reference_v_basis(d: int, label_budget: int | None = None, r: int = 2) -> tuple[str, ...]:
-    """The "V" basis, the vbasis of the moment matrix over "B", by gluing every pair on its own.
+    """The "V" basis, the vbasis of the moment matrix over "B", by naming every pair's product.
 
     Keeps the sorted keys of the products that are connected and nonempty.
     """
@@ -836,7 +836,7 @@ def reference_v_basis(d: int, label_budget: int | None = None, r: int = 2) -> tu
     keys: set[str] = set()
     for i in range(len(elems)):
         for j in range(i, len(elems)):
-            counts = product_counts(elems[i], elems[j])
+            counts = component_counts(named_product(elems[i], elems[j]))
             if list(counts.values()) == [1]:
                 keys.update(counts)
     return tuple(sorted(keys, key=basis_sort_key))
@@ -1069,14 +1069,14 @@ def named_product(A: LabeledGraph, B: LabeledGraph) -> Hypergraph:
     index, so equally labeled vertices get one name and duplicate edges merge.
     """
     def names(X: LabeledGraph, side: str) -> list:
-        labs = X.vertex_labels()
+        labs = {v: l for l, v in X.labels}
         return [("label", labs[v]) if v in labs else (side, v) for v in range(X.graph.n)]
 
     na, nb = names(A, "A"), names(B, "B")
     index = {x: i for i, x in enumerate(sorted(set(na) | set(nb)))}
     edges = {tuple(sorted(index[na[v]] for v in e)) for e in A.graph.edges}
     edges |= {tuple(sorted(index[nb[v]] for v in e)) for e in B.graph.edges}
-    return canonical_form(Hypergraph(A.r, len(index), frozenset(edges)))
+    return canonical_form(Hypergraph(A.graph.r, len(index), frozenset(edges)))
 
 
 def square_expand(a: Combination) -> Combination:

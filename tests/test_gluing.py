@@ -179,13 +179,13 @@ def test_raw_gluing_splits_like_the_labeled_product(seed, max_n, p):
     """
     rng = Random(seed)
     A, B = random_labeled(rng, max_n, p, 3), random_labeled(rng, max_n, p, 3)
-    n, edges, vlabs = _glue_raw(A, B)
-    LabeledGraph(Hypergraph(A.r, n, edges), tuple(sorted((l, v) for v, l in vlabs.items())))
+    r, n, edges, vlabs = raw = _glue_raw(A.raw, B.raw)
+    LabeledGraph(Hypergraph(r, n, edges), tuple(sorted((l, v) for v, l in vlabs.items())))
     expected = Counter(
         (frozenset(l for l, _ in C.labels), C.graph.n, graph_key(C.graph))
         for C in labeled_components(glue(A, B))
     )
-    assert Counter(labeled_parts(A.r, n, edges, vlabs)) == expected
+    assert Counter(labeled_parts(*raw)) == expected
     assert product_counts(A, B) == product_counts(B, A) == component_counts(unlabeled_product(A, B))
 
 
@@ -634,8 +634,9 @@ def test_products_are_glued_without_labeled_graphs(monkeypatch):
 
     Each product is glued raw and split once, and only its components become
     Hypergraphs; gluing each into a LabeledGraph built 1,420 of them and
-    3,499 Hypergraphs.  The e+P3 vs P4 report at d=2, L=4 builds 157
-    LabeledGraphs, where it built 389.
+    3,499 Hypergraphs.  The e+P3 vs P4 report at d=2, L=4 builds 139
+    LabeledGraphs, where it built 389; its trivial-square search built 18 more
+    before it kept its subgraphs and squares raw.
     """
     import graphtrop.gluing as gluing
     import graphtrop.hypergraphs as hypergraphs
@@ -664,7 +665,7 @@ def test_products_are_glued_without_labeled_graphs(monkeypatch):
     built.clear()
     upper = Hypergraph.make(2, 6, [(0, 1), (2, 3), (3, 4), (4, 5)])
     counting_obstruction(upper, path_graph(4), 3, 2, 4)
-    assert built[LabeledGraph] == 157
+    assert built[LabeledGraph] == 139
 
 
 @pytest.mark.parametrize(
@@ -802,3 +803,49 @@ def test_trivial_square_keys_subgraphs_through_component_key(monkeypatch):
         searches.clear()
         is_trivial_square(Hypergraph.make(2, n, edges))
         assert len(searches) == pinned[name] <= whole[name] // 5, name
+
+
+def test_trivial_square_keeps_subgraphs_and_squares_raw(monkeypatch):
+    """Cold, each 12-edge search builds no LabeledGraph, and Hypergraphs only to key components.
+
+    A validated subgraph, a LabeledGraph per label set and a Hypergraph per
+    candidate square built 3,788, 1,370, 2,237, 4,401 and 5,602 Hypergraphs
+    and 1,162, 131, 280, 737 and 1,626 LabeledGraphs on these graphs.
+    """
+    import graphtrop.gluing as gluing
+    import graphtrop.hypergraphs as hypergraphs
+
+    built = Counter()
+
+    def counting(cls):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.update([cls]) or check(self))
+
+    counting(LabeledGraph)
+    counting(Hypergraph)
+    pinned = {"reproducer": 1457, "cube": 664, "wagner": 1029,
+              "c9_with_triangle": 2333, "k33_with_pendants": 2055}
+    for name, (n, edges) in TWELVE_EDGE_GRAPHS.items():
+        H = Hypergraph.make(2, n, edges)
+        monkeypatch.setattr(hypergraphs, "_KEY_REPS", {})
+        for module, f in ((hypergraphs, "_canonical_connected"), (gluing, "component_key")):
+            cold = functools.lru_cache(maxsize=None)(getattr(hypergraphs, f).__wrapped__)
+            monkeypatch.setattr(module, f, cold)
+        built.clear()
+        is_trivial_square(H)
+        assert (built[LabeledGraph], built[Hypergraph]) == (0, pinned[name]), name
+
+
+def test_trivial_square_verdict_ignores_vertex_numbering():
+    """The five 12-edge graphs and 20 atlas graphs keep their verdict under 3 renumberings each."""
+    atlas = [g for g in nx.graph_atlas_g()
+             if 5 <= g.number_of_edges() <= 8 and min(d for _, d in g.degree()) > 0]
+    graphs = [Hypergraph.make(2, n, edges) for n, edges in TWELVE_EDGE_GRAPHS.values()]
+    graphs += [Hypergraph.make(2, g.number_of_nodes(), list(g.edges())) for g in atlas[::11][:20]]
+    rng = Random(39)
+    verdicts = []
+    for H in graphs:
+        verdicts.append(is_trivial_square(H))
+        for _ in range(3):
+            assert is_trivial_square(random_permuted(rng, H)) == verdicts[-1], H
+    assert set(verdicts) == {True, False}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphtrop.gluing import glue, labeled_edge, product_counts
 from graphtrop.hypergraphs import (
     Hypergraph,
     canonical_form,
@@ -267,8 +268,18 @@ def test_direct_product_multiplicativity():
 
 
 def test_direct_product_uniformity_mismatch():
-    with pytest.raises(ValueError):
-        direct_product(single_edge(), single_edge(3))
+    """Every binary product of graphs refuses factors of different r, as do the gluings."""
+    e2, e3 = single_edge(), single_edge(3)
+    A, B = labeled_edge(1), labeled_edge(1, r=3)
+    for build in (
+        lambda: direct_product(e2, e3),
+        lambda: disjoint_union(e2, e3),
+        lambda: disjoint_union(e2, e2, e3),
+        lambda: glue(A, B),
+        lambda: product_counts(A, B),
+    ):
+        with pytest.raises(ValueError, match="uniformity mismatch: 2 vs 3"):
+            build()
 
 
 def test_disjoint_union_counts():
