@@ -86,6 +86,22 @@ def log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def format_12g(x: Fraction) -> str:
+    """'%.12g' of a positive rational, rounded half to even from its exact value in integers,
+    so that a value below float range, such as 1e-400, does not print as 0."""
+    n, d = x.numerator, x.denominator
+    exp = len(str(n)) - len(str(d))
+    exp -= n * 10 ** max(-exp, 0) < d * 10 ** max(exp, 0)  # now 10**exp <= x < 10**(exp + 1)
+    num, den = n * 10 ** max(11 - exp, 0), d * 10 ** max(exp - 11, 0)
+    m, r = divmod(num, den)
+    m += 2 * r > den or (2 * r == den and m & 1)
+    if m == 10**12:
+        m, exp = m // 10, exp + 1
+    if -4 <= exp < 12:  # a float prints the 12 rounded digits back exactly
+        return "%.12g" % float(f"{m}e{exp - 11}")
+    return "%.12ge%+03d" % (float(f"{m}e-11"), exp)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -236,7 +252,7 @@ def cmd_family_trajectory(args: argparse.Namespace) -> tuple[str, int]:
             sum((x / vnorm - t / tnorm) ** 2 for x, t in zip(coords, target))
         )
         rows.append(
-            ["%.12g" % float(param)] + ["%.12g" % x for x in coords] + ["%.12g" % dist]
+            [format_12g(param)] + ["%.12g" % x for x in coords] + ["%.12g" % dist]
         )
 
     header = ["parameter"] + names + ["distance"]

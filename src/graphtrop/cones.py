@@ -43,7 +43,7 @@ def _integer_scaled(vec) -> tuple[int, list[int]]:
 
 def primitive(vec) -> tuple[int, ...]:
     """Scale a vector of int and rational entries to coprime integers, keeping direction."""
-    _, ints = _integer_scaled(vec)
+    ints = vec if all(type(x) is int for x in vec) else _integer_scaled(vec)[1]
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 

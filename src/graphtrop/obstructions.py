@@ -451,7 +451,8 @@ def counting_obstruction(
 # A polynomial is a tuple of ints, ascending powers, no trailing zeros.  Every
 # helper returns a nonzero integer multiple of the rational polynomial it
 # stands for; remainders are positive multiples, so Sturm chains keep their
-# signs and counts of sign variations.
+# signs and counts of sign variations.  A point is dyadic, k / 2**e, held as
+# the two ints k and e.
 
 
 def _deriv(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -487,23 +488,44 @@ def _gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return primitive(a)
 
 
+_PRIME = 32749  # below 2**15, so a product of two residues is a one-digit int
+
+
+def _coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True only if a and b share no nonconstant factor; False proves nothing.
+
+    If _PRIME divides neither lead, the integer gcd keeps its degree modulo
+    _PRIME and divides the gcd there, so a constant gcd modulo _PRIME proves
+    a and b coprime (von zur Gathen and Gerhard, Modern Computer Algebra,
+    2013, ch. 6).  Pseudo-remainders scale by units and take no inverse.
+    """
+    if not b or a[-1] % _PRIME == 0 or b[-1] % _PRIME == 0:
+        return False
+    a, b = [c % _PRIME for c in a], [c % _PRIME for c in b]
+    while len(b) > 1:
+        while len(a) >= len(b):
+            scale, coeff, low = b[-1], a[-1], [0] * (len(a) - len(b)) + b
+            a = [(scale * c - coeff * d) % _PRIME for c, d in zip(a, low)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
 def _squarefree(a: tuple[int, ...]) -> tuple[int, ...]:
     """The product of the distinct irreducible factors of a: primitive, with positive lead."""
-    sf = primitive(_divmod(a, _gcd(a, _deriv(a)))[0])
+    d = _deriv(a)
+    sf = primitive(a) if _coprime(a, d) else primitive(_divmod(a, _gcd(a, d))[0])
     return sf if sf[-1] > 0 else tuple(-c for c in sf)
 
 
-def _sign_at(a: tuple[int, ...], x: Fraction) -> int:
-    """Sign of the integer polynomial a at the rational x, in integer arithmetic.
-
-    With x = p/q in lowest terms (q > 0) and n = deg a, the integer
-    q**n * a(x) = sum of a_i * p**i * q**(n - i) has the sign of a(x).
-    """
-    p, q = x.numerator, x.denominator
-    total, qpow = 0, 1
+def _sign_at(a: tuple[int, ...], k: int, e: int) -> int:
+    """Sign of the integer polynomial a at k / 2**e: with n = deg a, that of the integer
+    2**(e*n) * a(k / 2**e) = sum of a_i * k**i * 2**(e*(n - i)), by Horner's rule with shifts."""
+    total, shift = 0, 0
     for c in reversed(a):
-        total = total * p + c * qpow
-        qpow *= q
+        total = total * k + (c << shift)
+        shift += e
     return (total > 0) - (total < 0)
 
 
@@ -515,77 +537,66 @@ def _sturm_chain(a: tuple[int, ...]) -> list[tuple[int, ...]]:
     return chain[:-1]
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign_at(q, x) for q in chain) if s]
-    return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+def _roots_within(chain, lo: int, hi: int, e: int) -> int:
+    """Number of distinct roots in (lo / 2**e, hi / 2**e] of a squarefree chain head, by Sturm."""
+    lost = 0
+    for k, sign in ((lo, 1), (hi, -1)):
+        signs = [s for s in (_sign_at(q, k, e) for q in chain) if s]
+        lost += sign * sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+    return lost
 
 
-def _roots_within(chain, a: Fraction, b: Fraction) -> int:
-    """Number of distinct roots in (a, b], for a squarefree chain head."""
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
+def _isolate_core_roots(core: tuple[int, ...]):
+    """(core, rational roots (k, e), intervals (j, e) for (j / 2**e, (j + 1) / 2**e)) over (0, 1).
 
-
-def _isolate_core_roots(chain):
-    """Isolating intervals with non-root endpoints for all roots of chain[0] in (0, 1).
-
-    The chain's head is squarefree and nonzero at 0 and 1.  Bisection that
-    lands exactly on a root returns that rational root instead, so the caller
-    can deflate.
+    The given core is squarefree and nonzero at 0 and 1.  Bisection that lands
+    exactly on a root deflates the core by it and starts again, so each root
+    of the returned core lies alone in one interval.  Both lists ascend; right
+    halves are searched first, so the intervals are found descending.
     """
-    core = chain[0]
-    intervals = []
-    stack = [(Fraction(0), Fraction(1))]
+    rational, intervals, stack, chain = [], [], [(0, 0)], _sturm_chain(core)
     while stack:
-        lo, hi = stack.pop()
-        count = _roots_within(chain, lo, hi)
-        if count == 0:
-            continue
+        j, e = stack.pop()
+        count = _roots_within(chain, j, j + 1, e)
         if count == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if _sign_at(core, mid) == 0:
-            return mid
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    return sorted(intervals)
+            intervals.append((j, e))
+        elif count > 1 and _sign_at(core, 2 * j + 1, e + 1) == 0:
+            rational.append((2 * j + 1, e + 1))
+            core = primitive(_divmod(core, (-2 * j - 1, 1 << e + 1))[0])
+            intervals, stack, chain = [], [(0, 0)], _sturm_chain(core)
+        elif count > 1:
+            stack += [(2 * j, e + 1), (2 * j + 1, e + 1)]
+    top = max((e for _, e in rational), default=0)
+    return core, sorted(rational, key=lambda r: r[0] << top - r[1]), intervals[::-1]
 
 
-class _RootData:
-    """Root isolation for one polynomial over (0, 1).
-
-    ipol is the primitive polynomial; core is its squarefree part stripped of
-    the roots at 0, 1 and the rational roots met by bisection, so every root
-    of core in (0, 1) lies alone in one of the isolating intervals.  core keeps
-    a positive lead, so constraints with the same roots share one core.
-    """
-
-    def __init__(self, ipol: tuple[int, ...]) -> None:
-        self.ipol = ipol
-        core = _squarefree(ipol)
-        if core[0] == 0:
-            core = core[1:]
-        if sum(core) == 0:
-            core = primitive(_divmod(core, (-1, 1))[0])
-        rational = []
-        while isinstance(found := _isolate_core_roots(_sturm_chain(core)), Fraction):
-            rational.append(found)
-            core = primitive(_divmod(core, (-found.numerator, found.denominator))[0])
-        self.core = core
-        self.rational = sorted(rational)
-        self.intervals = found
+def _core_roots(ipol: tuple[int, ...], cores: dict):
+    """The isolated roots of a primitive ipol, from its squarefree part without roots
+    at 0 and 1, which keys cores: one isolation serves every constraint with those roots."""
+    key = _squarefree(ipol)
+    if key[0] == 0:
+        key = key[1:]
+    if sum(key) == 0:
+        key = primitive(_divmod(key, (-1, 1))[0])
+    if key not in cores:
+        cores[key] = _isolate_core_roots(key)
+    return cores[key]
 
 
 def _compare(a, b, gcds: dict) -> int:
     """Order two roots, -1, 0 or 1, refining their intervals until they are apart.
 
-    A root is a list [lo, hi, core, sign of core at lo]: the one root of the
-    squarefree core in (lo, hi), or the rational lo == hi when core is None.
-    Apart roots have disjoint intervals, or algebraic ones that only touch.
+    A root is a list [j, e, core, sign of core at j / 2**e]: the one root of
+    the squarefree core in (j / 2**e, (j + 1) / 2**e), or the rational
+    j / 2**e when core is None.  Apart roots have disjoint intervals, or
+    algebraic ones that only touch.
     """
     checked = False
     while True:
-        (alo, ahi, acore, _), (blo, bhi, bcore, _) = a, b
+        (aj, ae, acore, _), (bj, be, bcore, _) = a, b
+        e = max(ae, be)
+        alo, blo = aj << e - ae, bj << e - be
+        ahi, bhi = alo + (bool(acore) << e - ae), blo + (bool(bcore) << e - be)
         if ahi < blo or (ahi == blo and acore and bcore):
             return -1
         if bhi < alo or (bhi == alo and acore and bcore):
@@ -595,21 +606,21 @@ def _compare(a, b, gcds: dict) -> int:
         if not checked:
             checked = True
             if acore is None or bcore is None:
-                shared = _sign_at(acore or bcore, blo if acore else alo) == 0
+                shared = _sign_at(acore or bcore, *(b[:2] if acore else a[:2])) == 0
             else:
                 key = min(acore, bcore), max(acore, bcore)
                 if key not in gcds:
-                    gcds[key] = _sturm_chain(_gcd(*key))
-                shared = _roots_within(gcds[key], max(alo, blo), min(ahi, bhi)) > 0
+                    gcds[key] = [(1,)] if _coprime(*key) else _sturm_chain(_gcd(*key))
+                shared = _roots_within(gcds[key], max(alo, blo), min(ahi, bhi), e) > 0
             if shared:
                 return 0
-        x = a if ahi - alo >= bhi - blo else b
-        mid = (x[0] + x[1]) / 2
-        s = _sign_at(x[2], mid)
+        x = a if acore and (bcore is None or ae <= be) else b
+        j, e = 2 * x[0] + 1, x[1] + 1
+        s = _sign_at(x[2], j, e)
         if s == 0:
-            x[:] = [mid, mid, None, 0]
+            x[:] = [j, e, None, 0]
         else:
-            x[0 if s == x[3] else 1] = mid
+            x[:2] = [j - (s != x[3]), e]
 
 
 def _sign_table(polys):
@@ -617,55 +628,58 @@ def _sign_table(polys):
 
     The candidates, 0, 1 and every root in (0, 1), are merged into one order
     on copies of their isolating intervals: the 1-D case of Collins'
-    cylindrical algebraic decomposition.  A polynomial is 0 at its own roots
-    and keeps, up to the next one, its sign at the separator after the last.
-    A subset is feasible exactly when the AND of its masks is nonzero: its
-    own candidates lie among these, and they are complete, because a nonempty
-    feasible set is closed and each of its boundary points inside (0, 1)
-    zeroes some constraint.  Returns the masks and the witness of the whole
-    system, (feasible, point, interval): a rational witness point, or an
-    interval isolating an algebraic witness root of one constraint, searched
-    in the order 0, 1, rational roots, isolating intervals.
+    cylindrical algebraic decomposition; each distinct root is sorted once.
+    A polynomial is 0 at its own roots and keeps, up to the next one, its
+    sign at the separator after the last.  A subset is feasible exactly when
+    the AND of its masks is nonzero: its own candidates lie among these, and
+    they are complete, because a nonempty feasible set is closed and each of
+    its boundary points inside (0, 1) zeroes some constraint.  Returns the
+    masks and the witness of the whole system, (feasible, point, interval):
+    a rational witness point, or an interval isolating an algebraic witness
+    root of one constraint, searched in the order 0, 1, rational roots,
+    isolating intervals.
     """
     ipols = [primitive(p[: max((i + 1 for i, c in enumerate(p) if c), default=0)]) for p in polys]
-    datas = {ipol: _RootData(ipol) for ipol in ipols if ipol}
-    # (root, its key in the witness search, the polynomial it is a root of)
-    roots = [([r, r, None, 0], r, d.ipol) for d in datas.values() for r in d.rational]
-    roots += [
-        ([lo, hi, d.core, _sign_at(d.core, lo)], (d.core, lo, hi), d.ipol)
-        for d in datas.values()
-        for lo, hi in d.intervals
+    cores: dict = {}
+    datas = {ipol: _core_roots(ipol, cores) for ipol in dict.fromkeys(ipols) if ipol}
+    # each polynomial's roots, keyed (k, e) if rational and (core, j, e) if not
+    owned = {ipol: rs + [(c, *iv) for iv in ivs] for ipol, (c, rs, ivs) in datas.items()}
+    roots = [
+        ([*key, None, 0] if len(key) == 2 else [*key[1:], key[0], _sign_at(*key)], key)
+        for key in dict.fromkeys(key for keys in owned.values() for key in keys)
     ]
     gcds: dict = {}
     roots.sort(key=cmp_to_key(lambda u, v: _compare(u[0], v[0], gcds)))
-    where = {Fraction(0): 0}
-    own: dict[tuple[int, ...], list[int]] = {ipol: [] for ipol in datas}
+    where = {(0, 0): 0}
     separators = []
-    prev = [Fraction(0), Fraction(0), None, 0]
-    for root, key, ipol in roots + [([Fraction(1), Fraction(1), None, 0], Fraction(1), None)]:
+    prev = [0, 0, None, 0]
+    for root, key in roots + [([1, 0, None, 0], (1, 0))]:
         if _compare(prev, root, gcds):
-            separators.append(prev[1] if prev[1] == root[0] else (prev[1] + root[0]) / 2)
+            e = max(prev[1], root[1])  # prev's upper end and root's lower end, over 2**e
+            hi, lo = prev[0] + (prev[2] is not None) << e - prev[1], root[0] << e - root[1]
+            separators.append((hi, e) if hi == lo else (hi + lo, e + 1))
         where[key] = len(separators)
-        own.get(ipol, []).append(len(separators))  # the point 1 has no owner
         prev = root
     top = len(separators)  # the index of the point 1
     masks = {}
-    for ipol, ks in own.items():
-        bits = (_sign_at(ipol, Fraction(0)) >= 0) | (_sign_at(ipol, Fraction(1)) >= 0) << top
+    for ipol, keys in owned.items():
+        bits = (ipol[0] >= 0) | (sum(ipol) >= 0) << top  # the signs at 0 and 1
         last = 0
-        for j in ks + [top]:
-            if j - last > 1 and _sign_at(ipol, separators[last]) > 0:
+        for j in sorted(where[key] for key in keys) + [top]:
+            if j - last > 1 and _sign_at(ipol, *separators[last]) > 0:
                 bits |= ((1 << (j - last - 1)) - 1) << (last + 1)
             bits |= (j < top) << j
             last = j
         masks[ipol] = bits
-    points = [Fraction(0), Fraction(1)] + [r for d in datas.values() for r in d.rational]
+    points = [(0, 0), (1, 0)] + [r for _, rational, _ in datas.values() for r in rational]
     candidates = [(where[x], x, None) for x in points]
-    candidates += [(where[(d.core, *iv)], None, iv) for d in datas.values() for iv in d.intervals]
+    candidates += [(where[(c, *iv)], None, iv) for c, _, ivs in datas.values() for iv in ivs]
     out = [masks.get(ipol, -1) for ipol in ipols]
     mask = reduce(and_, out, -1)
-    witness = next(((True, x, iv) for k, x, iv in candidates if mask >> k & 1), (False, None, None))
-    return out, witness
+    k, x, iv = next((c for c in candidates if mask >> c[0] & 1), (None, None, None))
+    if iv:
+        iv = Fraction(iv[0], 1 << iv[1]), Fraction(iv[0] + 1, 1 << iv[1])
+    return out, (k is not None, x and Fraction(x[0], 1 << x[1]), iv)
 
 
 def _refuting_subset(masks) -> tuple[int, ...]:

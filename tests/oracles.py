@@ -17,7 +17,10 @@ raw-component census in `graphtrop.obstructions`.  `reference_system_feasible`
 and `reference_refutation` are the Sturm feasibility searches as first
 written, with a Tarski query per candidate root (`_sign_at_root`), and are
 the reference for the merged sign table: its witness, `_sign_table(polys)[1]`,
-and its refuting subset.  `reference_moment_matrix` builds every moment entry
+and its refuting subset.  They isolate roots with `reference_root_data`, the
+isolation as first written, with Fraction endpoints and Fraction evaluation,
+which is the reference for the isolation on dyadic integer points
+(`_core_roots`).  `reference_moment_matrix` builds every moment entry
 on its own, through the canonical form of the whole product, and is the
 reference for the orbit-shared `moment_matrix`.  `reference_v_basis` glues
 every pair of the "B" basis on its own and is the reference for the "V"
@@ -103,7 +106,7 @@ from graphtrop.hypergraphs import (
     key_graph,
     split_components,
 )
-from graphtrop.obstructions import _RootData, _deriv, _divmod, _sign_at, _sign_variations
+from graphtrop.obstructions import _deriv, _divmod
 
 
 def brute_hom(H: Hypergraph, G: Hypergraph) -> int:
@@ -471,18 +474,25 @@ def _poly_squarefree(a) -> list[Fraction]:
     return [c / quo[-1] for c in quo]
 
 
-def _fraction_roots_within(a, lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots of a in (lo, hi] by a Fraction Sturm chain."""
+def _fraction_chain(a) -> list[list[Fraction]]:
+    """Sturm chain of the squarefree part of a, in Fractions."""
     chain = [_poly_squarefree(a)]
     chain.append(_poly_trim([i * c for i, c in enumerate(chain[0])][1:]))
     while chain[-1]:
         chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    return chain
 
-    def variations(x):
-        signs = [v > 0 for v in (_poly_eval(q, x) for q in chain if q) if v != 0]
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
-    return variations(lo) - variations(hi)
+def _fraction_variations(chain, x: Fraction) -> int:
+    """Sign variations of a chain of int or Fraction polynomials at x, by Fraction evaluation."""
+    signs = [v > 0 for v in (_poly_eval(q, x) for q in chain if q) if v != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _fraction_roots_within(a, lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of a in (lo, hi] by a Fraction Sturm chain."""
+    chain = _fraction_chain(a)
+    return _fraction_variations(chain, lo) - _fraction_variations(chain, hi)
 
 
 def fraction_sign_at_root(p, q, lo: Fraction, hi: Fraction) -> int:
@@ -628,9 +638,62 @@ def reference_pair_stats(A, B, C):
 # Sturm feasibility by one Tarski query per candidate root
 # ---------------------------------------------------------------------------
 # The feasibility search and minimal-refutation search minor certificates used
-# before the merged sign table.  They share the library's integer root
-# isolation (_RootData), whose interval endpoints are printed, and decide the
-# sign of each constraint at each algebraic candidate with its own query.
+# before the merged sign table, over the root isolation as first written, with
+# Fraction endpoints and Fraction evaluation (reference_root_data); they
+# decide the sign of each constraint at each algebraic candidate with its own
+# query.
+
+
+@dataclass(frozen=True)
+class ReferenceRoots:
+    """The roots in (0, 1) of one primitive polynomial ipol.
+
+    core is its squarefree part, with positive lead, stripped of the roots at
+    0, 1 and the rational roots met by bisection; every root of core in
+    (0, 1) lies alone in one of the isolating intervals.
+    """
+
+    ipol: tuple[int, ...]
+    core: tuple[int, ...]
+    rational: list[Fraction]
+    intervals: list[tuple[Fraction, Fraction]]
+
+
+def _reference_isolate(core):
+    """Isolating intervals with non-root endpoints for the roots of core in (0, 1),
+    or the first rational root that bisection lands on."""
+    chain = _fraction_chain(core)
+    intervals = []
+    stack = [(Fraction(0), Fraction(1))]
+    while stack:
+        lo, hi = stack.pop()
+        count = _fraction_variations(chain, lo) - _fraction_variations(chain, hi)
+        if count == 0:
+            continue
+        if count == 1:
+            intervals.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if _poly_eval(core, mid) == 0:
+            return mid
+        stack.append((lo, mid))
+        stack.append((mid, hi))
+    return sorted(intervals)
+
+
+def reference_root_data(ipol) -> ReferenceRoots:
+    """Root isolation of a primitive polynomial over (0, 1) in Fractions: the reference for
+    graphtrop.obstructions._core_roots(ipol, {}), whose points are dyadic integer pairs."""
+    core = primitive(_poly_squarefree(ipol))
+    if core[0] == 0:
+        core = core[1:]
+    if sum(core) == 0:
+        core = primitive(_poly_divmod(core, [-1, 1])[0])
+    rational = []
+    while isinstance(found := _reference_isolate(core), Fraction):
+        rational.append(found)
+        core = primitive(_poly_divmod(core, [-found, 1])[0])
+    return ReferenceRoots(tuple(ipol), core, sorted(rational), found)
 
 
 def _int_mul(a, b) -> tuple[int, ...]:
@@ -661,7 +724,7 @@ def _sign_at_root(p, q, lo: Fraction, hi: Fraction) -> int:
     vanishes at that root.
     """
     chain = _remainder_chain(q, primitive(_divmod(_int_mul(_deriv(q), p), q)[1]))
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return _fraction_variations(chain, lo) - _fraction_variations(chain, hi)
 
 
 def reference_system_feasible(polys, roots: dict | None = None):
@@ -681,7 +744,7 @@ def reference_system_feasible(polys, roots: dict | None = None):
             ipol = ipol[:-1]
         if ipol:
             if ipol not in roots:
-                roots[ipol] = _RootData(ipol)
+                roots[ipol] = reference_root_data(ipol)
             datas.append(roots[ipol])
     if not datas:
         return True, Fraction(0), None
@@ -689,7 +752,7 @@ def reference_system_feasible(polys, roots: dict | None = None):
     for d in datas:
         points += [r for r in d.rational if r not in points]
     for x in points:
-        if all(_sign_at(p.ipol, x) >= 0 for p in datas):
+        if all(_poly_eval(p.ipol, x) >= 0 for p in datas):
             return True, x, None
     seen = set()
     for d in datas:

@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from graphtrop.cli import main
+from graphtrop.cli import format_12g, main
 from graphtrop.hypergraphs import (
     complete_bipartite,
     complete_graph,
@@ -401,6 +401,26 @@ def test_trajectory_star_converges(capsys):
     distances = [float(line.split(",")[-1]) for line in lines[1:]]
     assert distances[-1] < 0.05
     assert distances == sorted(distances, reverse=True)
+
+
+def test_trajectory_parameter_keeps_its_digits_below_float_range(capsys):
+    """A parameter below float range prints from its exact value, not as 0.
+
+    At 1e-400 float(param) is 0.0; the coordinates were already right, since
+    they go through log_fraction.  In float range the column equals
+    "%.12g" % float(param), ties at the twelfth digit aside.
+    """
+    code, out = run_cli(
+        capsys, "family-trajectory", "clique", "--l", "3", "--k", "2", "--schedule", "1e-400"
+    )
+    assert code == 0
+    assert out == "parameter,K2,K3,distance\n1e-400,-0.00075257498916,-3,0.0002508583238\n"
+    assert format_12g(Fraction(123456789012345, 10**420)) == "1.23456789012e-406"
+    rng = Random(1918)
+    values = [Fraction(1, 10**k) for k in range(1, 12)] + [Fraction(2) ** -18, Fraction(1, 3)]
+    values += [Fraction(rng.randint(1, 2**53), 2 ** rng.randint(1, 200)) for _ in range(300)]
+    for x in values:
+        assert format_12g(x) == "%.12g" % float(x), x
 
 
 def test_trajectory_single_point(capsys):

@@ -4,6 +4,7 @@ import json
 import random
 import signal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +35,9 @@ from graphtrop.hypergraphs import (
 )
 from graphtrop.obstructions import (
     PairVerdict,
-    _RootData,
+    _PRIME,
+    _coprime,
+    _core_roots,
     _deriv,
     _divmod,
     _gcd,
@@ -66,6 +69,7 @@ from oracles import (
     reference_json,
     reference_pair_stats,
     reference_refutation,
+    reference_root_data,
     reference_system_feasible,
 )
 
@@ -573,9 +577,9 @@ def test_sturm_root_counts():
     x_minus = lambda r: [Fraction(-r), Fraction(1)]
     p = _poly_mul(_poly_mul(x_minus(Fraction(1, 4)), x_minus(Fraction(1, 2))), x_minus(Fraction(3, 4)))
     chain = _sturm_chain(primitive(p))
-    assert _roots_within(chain, Fraction(0), Fraction(1)) == 3
-    assert _roots_within(chain, Fraction(0), Fraction(1, 2)) == 2
-    assert _roots_within(chain, Fraction(1, 2), Fraction(1)) == 1
+    assert _roots_within(chain, 0, 1, 0) == 3  # (0, 1]
+    assert _roots_within(chain, 0, 1, 1) == 2  # (0, 1/2]
+    assert _roots_within(chain, 1, 2, 1) == 1  # (1/2, 1]
 
 
 def _random_poly(rng, max_degree):
@@ -588,6 +592,21 @@ def _random_poly(rng, max_degree):
 
 def _sign(v):
     return (v > 0) - (v < 0)
+
+
+def _on_dyadic_grid(pol, *points):
+    """(polynomial, numerators, exponent) that put rational points on the dyadic grid k / 2**e.
+
+    When the points' common denominator q is 2**e, they are k / 2**e of pol
+    itself.  Otherwise they are k / 2**0 of q**n * pol(y / q), whose roots are
+    q times those of pol and whose signs at q * x are those of pol at x.
+    """
+    q = lcm(*(x.denominator for x in points))
+    ks = [x.numerator * (q // x.denominator) for x in points]
+    if q & (q - 1) == 0:
+        return primitive(pol), ks, q.bit_length() - 1
+    n = len(pol) - 1
+    return primitive([c * q ** (n - i) for i, c in enumerate(pol)]), ks, 0
 
 
 def test_sign_at_matches_exact_evaluation():
@@ -604,8 +623,10 @@ def test_sign_at_matches_exact_evaluation():
             ipol = primitive(pol)
             assert all(isinstance(c, int) for c in ipol)
             for x in points:
-                assert _sign_at(ipol, x) == _sign(_poly_eval(pol, x)), (pol, x)
-        assert _sign_at(primitive(with_root), root) == 0
+                grid, (k,), e = _on_dyadic_grid(pol, x)
+                assert _sign_at(grid, k, e) == _sign(_poly_eval(pol, x)), (pol, x)
+        grid, (k,), e = _on_dyadic_grid(with_root, root)
+        assert _sign_at(grid, k, e) == 0
 
 
 def test_roots_within_matches_sympy_count_roots():
@@ -635,7 +656,8 @@ def test_roots_within_matches_sympy_count_roots():
         rational = lambda c: sympy.Rational(c.numerator, c.denominator)
         poly = sympy.Poly([rational(c) for c in reversed(pol)], x)
         expected = poly.count_roots(rational(lo), rational(hi))
-        assert _roots_within(_sturm_chain(primitive(pol)), lo, hi) == expected, (pol, lo, hi)
+        grid, (klo, khi), e = _on_dyadic_grid(pol, lo, hi)
+        assert _roots_within(_sturm_chain(grid), klo, khi, e) == expected, (pol, lo, hi)
         checked += 1
 
 
@@ -682,17 +704,18 @@ def test_sign_at_root_matches_reference_and_sympy():
         q = (1,)
         for f in factors:
             q = primitive(_poly_mul(q, f))
-        data = _RootData(_squarefree(q))
+        core, _, intervals = _core_roots(q, {})
         if case % 3 == 0:
             p = _int_poly(rng, 5)
         elif case % 3 == 1:
-            p = primitive(_poly_mul(data.core, _int_poly(rng, 2)))
+            p = primitive(_poly_mul(core, _int_poly(rng, 2)))
         else:
             p = primitive(_poly_mul(rng.choice(factors), _int_poly(rng, 3)))
-        for lo, hi in data.intervals:
-            sign = _sign_at_root(p, data.core, lo, hi)
-            assert sign == fraction_sign_at_root(p, data.core, lo, hi), (p, data.core, lo, hi)
-            assert sign == sympy_sign(p, data.core, lo, hi), (p, data.core, lo, hi)
+        for j, e in intervals:
+            lo, hi = Fraction(j, 2**e), Fraction(j + 1, 2**e)
+            sign = _sign_at_root(p, core, lo, hi)
+            assert sign == fraction_sign_at_root(p, core, lo, hi), (p, core, lo, hi)
+            assert sign == sympy_sign(p, core, lo, hi), (p, core, lo, hi)
             checked += 1
             zeros += sign == 0
     assert zeros >= 100 and checked - zeros >= 100
@@ -849,6 +872,105 @@ def test_sign_table_matches_sympy_intervals():
                 bits.append(vanishes or q.eval((a + b) / 2) > 0)
             bits.append(q.eval(1) >= 0)
             assert mask == sum(1 << k for k, bit in enumerate(bits) if bit), (polys, q)
+
+
+def _c06_constraints(monkeypatch, k3):
+    """The constraints minor_certificate hands to the sign table at a c06 point."""
+    import graphtrop.obstructions as obstructions
+
+    handed = []
+    solver = obstructions._sign_table
+    monkeypatch.setattr(obstructions, "_sign_table", lambda polys: handed.append(polys) or solver(polys))
+    minor_certificate({single_edge(): Fraction(7, 10), complete_graph(3): k3}, path_graph(2), 2)
+    monkeypatch.undo()
+    return handed[0]
+
+
+def test_dyadic_isolation_matches_fraction_reference(monkeypatch):
+    """Isolation on dyadic integer points gives the Fraction reference's cores, rational roots
+    and intervals, on the corpus of test_sign_table_matches_sympy_intervals and on both c06
+    constraint lists."""
+    rng = random.Random(1414)
+    polys = []
+    for _ in range(60):
+        shared = [rng.choice(_FACTORS) for _ in range(2)]
+        for _ in range(rng.randint(2, 5)):
+            pol = (rng.choice((-2, -1, 1, 3)),)
+            for f in rng.sample(shared, rng.randint(0, 2)) + [rng.choice(_FACTORS)]:
+                pol = _int_mul(pol, f)
+            polys.append(pol)
+    for k3 in (Fraction(3, 25), Fraction(343, 1000)):
+        polys += _c06_constraints(monkeypatch, k3)
+    rational_roots = 0
+    for ipol in dict.fromkeys(primitive(p) for p in polys):
+        core, rational, intervals = _core_roots(ipol, {})
+        reference = reference_root_data(ipol)
+        assert core == reference.core, ipol
+        assert [Fraction(k, 2**e) for k, e in rational] == reference.rational, ipol
+        assert [(Fraction(j, 2**e), Fraction(j + 1, 2**e)) for j, e in intervals] == reference.intervals
+        rational_roots += len(rational)
+    assert rational_roots > 0
+
+
+@pytest.mark.parametrize(
+    "k3, counts",
+    [(Fraction(3, 25), (55, 157, 752, 528)), (Fraction(343, 1000), (54, 155, 737, 515))],
+    ids=["refuted", "moment point"],
+)
+def test_sign_table_work_counts_at_the_c06_points(monkeypatch, k3, counts):
+    """Root isolations, integer gcds, pseudo-divisions and root comparisons of one c06 table.
+
+    The table keeps no state between calls, so every call is cold.  Roots are
+    isolated once per open core (the squarefree part without roots at 0 and
+    1), and a gcd is taken only when the modular pretest leaves a pair
+    undecided.  When each of the 166 constraints isolated its own roots, the
+    counts were 166 isolations, 535 and 533 gcds, 2,270 and 2,278
+    pseudo-divisions and 1,186 and 1,187 comparisons.
+    """
+    import graphtrop.obstructions as obstructions
+
+    polys = _c06_constraints(monkeypatch, k3)
+    names = ("_isolate_core_roots", "_gcd", "_divmod", "_compare")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(obstructions, name, counted(name, getattr(obstructions, name)))
+    obstructions._sign_table(polys)
+    assert (len(polys), len({primitive(p) for p in polys})) == (166, 122)
+    assert tuple(calls[name] for name in names) == counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from((-3, -2, -1, 1, 2, 5, _PRIME, -_PRIME, 2 * _PRIME, _PRIME + 1)), min_size=1, max_size=3
+        ),
+        min_size=3,
+        max_size=3,
+    )
+)
+@example([[-1, _PRIME], [1, 1], [1]])
+@example([[1, 2], [_PRIME, 1], [3, _PRIME]])
+def test_coprime_pretest_never_misses_a_common_factor(factors):
+    """A pair with a nonconstant gcd is never called coprime by the mod-p pretest.
+
+    a = s * f and b = s * g share s; coefficients that are multiples of p
+    drop degrees modulo p.  The first example is p x - 1 against
+    (p x - 1)(x + 1): modulo p the first is a constant, so only the check of
+    the leading coefficients keeps the pretest from calling them coprime.
+    """
+    s, f, g = (tuple(c) for c in factors)
+    a, b = _int_mul(s, f), _int_mul(s, g)
+    if len(_poly_gcd(a, b)) > 1:
+        assert not _coprime(a, b) and not _coprime(b, a), (a, b)
 
 
 # ---------------------------------------------------------------------------

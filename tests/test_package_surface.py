@@ -34,9 +34,6 @@ DIVISIONS = {
         "Fraction over Fraction",
     "obstructions.counting_obstruction: 2 * target_pairing / upper_counts[witness]":
         "Fraction over int: the chain bound",
-    "obstructions._isolate_core_roots: (lo + hi) / 2": "bisection midpoint of Fraction endpoints",
-    "obstructions._compare: (x[0] + x[1]) / 2": "bisection midpoint of Fraction endpoints",
-    "obstructions._sign_table: (prev[1] + root[0]) / 2": "midpoint of two Fraction endpoints",
     "cli.cmd_family_trajectory: log_fraction(t) / base": "float output: a trajectory coordinate",
     "cli.cmd_family_trajectory: x / vnorm": "float output: the normalised coordinate",
     "cli.cmd_family_trajectory: t / tnorm": "float output: the normalised target",
