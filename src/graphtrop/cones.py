@@ -37,6 +37,8 @@ def dot(a, b):
 
 def _integer_scaled(vec) -> tuple[int, list[int]]:
     """The least s > 0 with s * vec integral, and s * vec, for int and rational entries."""
+    if all(type(x) is int for x in vec):
+        return 1, list(vec)
     den = lcm(*(x.denominator for x in vec))
     return den, [x.numerator * (den // x.denominator) for x in vec]
 
@@ -238,7 +240,7 @@ def cone_member(target, generators) -> Membership:
         row += [1 if j == i else 0 for j in range(m)]
         row.append(sigma[i] * t[i])
         rows.append(row)
-    cost = [-sum(row[j] for row in rows) for j in range(n + m + 1)]
+    cost = [-sum(col) for col in zip(*rows)] if m else [0] * (n + 1)
     for i in range(m):
         cost[n + i] += 1
     basis = [n + i for i in range(m)]

@@ -13,6 +13,7 @@ import json
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, permutations, product
 from types import MappingProxyType
 
@@ -242,10 +243,14 @@ def _placement_orbits(G: Hypergraph):
 
 
 class Basis(tuple):
-    """Labeled graphs that carry their label action.
+    """Labeled graphs that carry their label action and the names of their restrictions.
 
     action holds their index images under the swap of labels 1 and 2 and
     under the cycle of all labels, which generate every label permutation.
+    restricted(i, S) names element i with only its labels in the sorted S,
+    renumbered 1..|S| in order: (its shape's orbit function, the orbit of its
+    placement restricted to S and padded with ()), so two restrictions share
+    a name exactly when they are isomorphic as labeled graphs.
     """
 
 
@@ -283,6 +288,13 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
         [index[orbit, orbit(move(p))] for _, orbit, p in found]
         for move in (lambda p: p[1::-1] + p[2:], lambda p: p[-1:] + p[:-1])
     )
+
+    @cache
+    def restricted(i: int, S: tuple[int, ...]):
+        _, orbit, p = found[i]
+        return orbit, orbit(tuple(p[l - 1] for l in S) + ((),) * (len(p) - len(S)))
+
+    basis.restricted = restricted
     return basis
 
 
@@ -296,9 +308,11 @@ class MomentMatrix:
     """Symmetric matrix of unlabeled gluing products over a labeled basis.
 
     Only the component counts of each product are stored, for i <= j; they
-    are read-only and shared by every caller of alpha_entry.  orbit maps each
-    such pair to the first pair, in row-major order, of its orbit under the
-    permutations of the labels; every pair of an orbit holds the same entry.
+    are read-only and shared by every caller of alpha_entry, and by every
+    pair whose factors restrict to the same pair of labeled graphs on their
+    shared labels.  orbit maps each such pair to the first pair, in row-major
+    order, of its orbit under the permutations of the labels; every pair of
+    an orbit holds the same entry.
     reversed holds the pairs (i, j) onto which such a permutation carries
     their orbit's first pair (a, b) as a -> j and b -> i.  vbasis holds the
     sorted keys of every component that occurs.
@@ -337,21 +351,33 @@ def moment_matrix(basis) -> MomentMatrix:
 
     Gluing reads only which labels are equal, so relabeling both factors by
     one permutation keeps their product.  Each pair that no orbit holds yet,
-    in row-major order, is glued once; its orbit is then walked under the
-    label permutations that an enumerated basis carries (Basis.action).  Any
-    other sequence gets the trivial group: every pair is its own orbit.  An
-    image (a, b) with a > b is stored as (b, a), so it is reached reversed
-    from the pair it came from; directions compose along the walk.
+    in row-major order, starts an orbit, which is then walked under the label
+    permutations that an enumerated basis carries (Basis.action).  Gluing
+    also reads only the labels that both factors carry, so the first pair is
+    glued only when no earlier one restricts to the same pair of names on its
+    shared labels (Basis.restricted); otherwise it takes that pair's entry.
+    Any other sequence gets the trivial group and the trivial naming: every
+    pair is its own orbit and glued once.  An image (a, b) with a > b is
+    stored as (b, a), so it is reached reversed from the pair it came from;
+    directions compose along the walk.
     """
     elems, action = tuple(basis), getattr(basis, "action", ())
+    name = getattr(basis, "restricted", lambda i, S: i)
+    labels = [frozenset(l for l, _ in A.labels) for A in elems]
     pairs = [(i, j) for i in range(len(elems)) for j in range(i, len(elems))]
     first: dict[tuple[int, int], tuple[int, int]] = {}
     flipped: dict[tuple[int, int], bool] = {}  # reached reversed from the orbit's first pair
     entries: dict[tuple[int, int], Mapping[str, int]] = {}
+    glued: dict[tuple, Mapping[str, int]] = {}  # by the names of both factors on their shared labels
     for pair in pairs:
         if pair in first:
             continue
-        entries[pair] = MappingProxyType(product_counts(elems[pair[0]], elems[pair[1]]))
+        i, j = pair
+        shared = tuple(sorted(labels[i] & labels[j]))
+        key = name(i, shared), name(j, shared)
+        if key not in glued:
+            glued[key] = MappingProxyType(product_counts(elems[i], elems[j]))
+        entries[pair] = glued[key]
         first[pair], flipped[pair], todo = pair, False, [pair]
         while todo:
             i, j = todo.pop()
@@ -364,7 +390,7 @@ def moment_matrix(basis) -> MomentMatrix:
                     todo.append(moved)
     orbit = {pair: first[pair] for pair in pairs}
     counts = {pair: entries[rep] for pair, rep in orbit.items()}
-    vbasis = tuple(sorted(set().union(*entries.values()), key=basis_sort_key))
+    vbasis = tuple(sorted(set().union(*glued.values()), key=basis_sort_key))
     reversed_pairs = frozenset(pair for pair, rev in flipped.items() if rev)
     return MomentMatrix(elems, vbasis, counts, orbit, reversed_pairs)
 

@@ -499,7 +499,9 @@ def _coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     a and b coprime (von zur Gathen and Gerhard, Modern Computer Algebra,
     2013, ch. 6).  Pseudo-remainders scale by units and take no inverse.
     """
-    if not b or a[-1] % _PRIME == 0 or b[-1] % _PRIME == 0:
+    if not b:
+        return len(a) == 1  # gcd(a, 0) = a
+    if a[-1] % _PRIME == 0 or b[-1] % _PRIME == 0:
         return False
     a, b = [c % _PRIME for c in a], [c % _PRIME for c in b]
     while len(b) > 1:

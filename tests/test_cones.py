@@ -301,6 +301,8 @@ def _membership_instances(draw):
 @given(_membership_instances())
 @example(((0, 0, 0), [(1, -1, 0), (-1, 1, 2)]))
 @example(((Fraction(0), 0), []))
+@example(((), []))
+@example(((), [()]))
 @example(((2, -3), []))
 @example(((1, 1), [(1, 1)]))
 @example(((2, 2, 1), [(1, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 0)]))

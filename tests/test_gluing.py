@@ -5,6 +5,7 @@ import json
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations
 from random import Random
 
 import networkx as nx
@@ -569,12 +570,46 @@ def test_orbit_moment_matrix_basis_not_closed():
     assert all(rep == pair for pair, rep in M.orbit.items())
 
 
-def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
-    """d=3, L=3 builds 1,420 of its 7,381 products; d=2, L=4 builds 178 of 2,485.
+@pytest.mark.parametrize(
+    "kind, d, labels, r, restrictions, classes",
+    [
+        ("B_tilde", 3, 3, 2, 589, 86),
+        ("B_tilde", 2, 4, 2, 385, 23),
+        ("B_tilde", 2, 3, 3, 303, 41),
+        ("B", 2, 3, 2, 148, 20),
+        ("B", 2, 4, 2, 420, 23),
+    ],
+)
+def test_restriction_names_are_labeled_isomorphism_classes(kind, d, labels, r, restrictions, classes):
+    """Two restrictions of basis elements share a name exactly when they are isomorphic.
 
-    The minor certificate and the "V" basis read the moment matrix, so they
-    build one product per orbit too: 178 for a c06 point, whose basis is the
-    d=2, L=4 one, and 283 for "V" at d=2, L=4, over the 83 elements of "B".
+    Each element is restricted to every subset S of its labels, renumbered
+    1..|S| in order, and put in labeled canonical form independently of its
+    placement.
+    """
+    basis = enumerate_basis(kind, d, labels, r)
+    named = []
+    for i, A in enumerate(basis):
+        own = [l for l, _ in A.labels]
+        for S in chain.from_iterable(combinations(own, k) for k in range(len(own) + 1)):
+            renumber = {l: k + 1 for k, l in enumerate(S)}
+            kept = tuple((renumber[l], v) for l, v in A.labels if l in renumber)
+            form = labeled_canonical_form(LabeledGraph(A.graph, kept)).to_json()
+            named.append((basis.restricted(i, S), form))
+    assert len(named) == restrictions
+    assert len({n for n, _ in named}) == len({f for _, f in named}) == len(set(named)) == classes
+
+
+def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
+    """d=3, L=3 builds 545 of its 7,381 products; d=2, L=4 builds 52 of 2,485.
+
+    Each orbit's first pair is glued only when no earlier pair restricts to
+    the same pair of names on its shared labels: 545 of the 1,420 orbits and
+    52 of the 178 (one product per orbit built 1,420 and 178).  The minor
+    certificate and the "V" basis read the moment matrix, so they build 52
+    for a c06 point, whose basis is the d=2, L=4 one, and 52 for "V" at d=2,
+    L=4, over the 83 elements of "B" (one per orbit built 178 and 283).  A
+    plain tuple of the d=2, L=4 basis glues all 2,485 into the same counts.
     """
     import graphtrop.gluing as gluing
     import graphtrop.obstructions as obstructions
@@ -587,18 +622,22 @@ def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
 
     product_counts = gluing.product_counts
     monkeypatch.setattr(gluing, "product_counts", counted)
-    for d, labels, entries, orbits in ((3, 3, 7381, 1420), (2, 4, 2485, 178)):
+    for d, labels, entries, orbits, glued in ((3, 3, 7381, 1420, 545), (2, 4, 2485, 178, 52)):
         basis = enumerate_basis("B_tilde", d, labels)
         calls.clear()
         M = moment_matrix(basis)
-        assert (len(M.counts), len(calls), len(set(M.orbit.values()))) == (entries, orbits, orbits)
+        assert (len(M.counts), len(set(M.orbit.values()))) == (entries, orbits)
+        assert len(calls) == glued
+    calls.clear()
+    plain = moment_matrix(tuple(basis))  # no action and no names: every pair is glued
+    assert len(calls) == 2485 and (plain.counts, plain.vbasis) == (M.counts, M.vbasis)
     calls.clear()
     fixed = {single_edge(): Fraction(7, 10), complete_graph(3): Fraction(3, 25)}
     obstructions.minor_certificate(fixed, path_graph(2), 2)
-    assert len(calls) == 178
+    assert len(calls) == 52
     calls.clear()
     v_basis(2, 4)
-    assert len(calls) == 283
+    assert len(calls) == 52
 
 
 def test_key_cache_runs_one_canonical_search_per_key(monkeypatch):
@@ -630,13 +669,14 @@ def test_key_cache_runs_one_canonical_search_per_key(monkeypatch):
 
 
 def test_products_are_glued_without_labeled_graphs(monkeypatch):
-    """Cold, the d=3, L=3 moment matrix builds no LabeledGraph and 2,079 Hypergraphs.
+    """Cold, the d=3, L=3 moment matrix builds no LabeledGraph and 880 Hypergraphs.
 
     Each product is glued raw and split once, and only its components become
     Hypergraphs; gluing each into a LabeledGraph built 1,420 of them and
-    3,499 Hypergraphs.  The e+P3 vs P4 report at d=2, L=4 builds 139
-    LabeledGraphs, where it built 389; its trivial-square search built 18 more
-    before it kept its subgraphs and squares raw.
+    3,499 Hypergraphs, and one raw product per orbit built 2,079 Hypergraphs.
+    The e+P3 vs P4 report at d=2, L=4 builds 139 LabeledGraphs, where it
+    built 389; its trivial-square search built 18 more before it kept its
+    subgraphs and squares raw.
     """
     import graphtrop.gluing as gluing
     import graphtrop.hypergraphs as hypergraphs
@@ -661,7 +701,7 @@ def test_products_are_glued_without_labeled_graphs(monkeypatch):
     counting(LabeledGraph)
     counting(Hypergraph)
     moment_matrix(basis)
-    assert (built[LabeledGraph], built[Hypergraph]) == (0, 2079)
+    assert (built[LabeledGraph], built[Hypergraph]) == (0, 880)
     built.clear()
     upper = Hypergraph.make(2, 6, [(0, 1), (2, 3), (3, 4), (4, 5)])
     counting_obstruction(upper, path_graph(4), 3, 2, 4)

@@ -914,7 +914,7 @@ def test_dyadic_isolation_matches_fraction_reference(monkeypatch):
 
 @pytest.mark.parametrize(
     "k3, counts",
-    [(Fraction(3, 25), (55, 157, 752, 528)), (Fraction(343, 1000), (54, 155, 737, 515))],
+    [(Fraction(3, 25), (55, 156, 751, 528)), (Fraction(343, 1000), (54, 154, 736, 515))],
     ids=["refuted", "moment point"],
 )
 def test_sign_table_work_counts_at_the_c06_points(monkeypatch, k3, counts):
@@ -923,9 +923,11 @@ def test_sign_table_work_counts_at_the_c06_points(monkeypatch, k3, counts):
     The table keeps no state between calls, so every call is cold.  Roots are
     isolated once per open core (the squarefree part without roots at 0 and
     1), and a gcd is taken only when the modular pretest leaves a pair
-    undecided.  When each of the 166 constraints isolated its own roots, the
-    counts were 166 isolations, 535 and 533 gcds, 2,270 and 2,278
-    pseudo-divisions and 1,186 and 1,187 comparisons.
+    undecided; the constant constraint (1,) is coprime to its zero derivative
+    with no gcd (it took one gcd and one division per point).  When each of
+    the 166 constraints isolated its own roots, the counts were 166
+    isolations, 535 and 533 gcds, 2,270 and 2,278 pseudo-divisions and 1,186
+    and 1,187 comparisons.
     """
     import graphtrop.obstructions as obstructions
 

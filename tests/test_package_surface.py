@@ -1,7 +1,7 @@
 """Every module-level function and class, and every method of a class, is used or public.
 
-Every true division in the package is on a list that says why it is exact or why
-its float is output.
+Every true division, and every call that makes a float, in the package is on a
+list that says why it is exact or why its float is output.
 """
 
 import ast
@@ -38,6 +38,25 @@ DIVISIONS = {
     "cli.cmd_family_trajectory: x / vnorm": "float output: the normalised coordinate",
     "cli.cmd_family_trajectory: t / tnorm": "float output: the normalised target",
 }
+
+# Every call of float or of a float-valued math function, as "module.definition:
+# expression", with the reason its float may stay.  A float in exact code would
+# round a verdict or a certificate.
+FLOAT_SOURCES = {
+    "cli.log_fraction: math.log(x.numerator)": "float output: a log-density coordinate",
+    "cli.log_fraction: math.log(x.denominator)": "float output: a log-density coordinate",
+    "cli.format_12g: float(f'{m}e{exp - 11}')": "float output: 12 digits rounded exactly, printed back",
+    "cli.format_12g: float(f'{m}e-11')": "float output: 12 digits rounded exactly, printed back",
+    "cli.cmd_family_trajectory: math.sqrt(sum((t * t for t in target)))":
+        "float output: the target's norm",
+    "cli.cmd_family_trajectory: math.sqrt(sum((x * x for x in coords)))":
+        "float output: a trajectory point's norm",
+    "cli.cmd_family_trajectory: math.sqrt(sum(((x / vnorm - t / tnorm) ** 2 for x, t in zip(coords, target))))":
+        "float output: the distance to the target direction",
+}
+
+# math functions whose value is an int for int and Fraction arguments.
+_INT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm", "trunc"}
 
 
 def _definitions_and_uses():
@@ -108,3 +127,31 @@ def test_every_true_division_is_listed():
                 if isinstance(getattr(node, "op", None), ast.Div):
                     found.add(f"{path.stem}.{getattr(stmt, 'name', '')}: {ast.unparse(node)}")
     assert found == set(DIVISIONS)
+
+
+def test_every_float_source_is_listed():
+    """A float call that is not on FLOAT_SOURCES fails, and so does a listed one that is gone.
+
+    A math function imported by name counts as well as one read off `math`.
+    """
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        floats = {"float"} | {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "math"
+            for alias in node.names
+            if alias.name not in _INT_MATH
+        }
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                f = getattr(node, "func", None)
+                if (isinstance(f, ast.Name) and f.id in floats) or (
+                    isinstance(f, ast.Attribute)
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "math"
+                    and f.attr not in _INT_MATH
+                ):
+                    found.add(f"{path.stem}.{getattr(stmt, 'name', '')}: {ast.unparse(node)}")
+    assert found == set(FLOAT_SOURCES)
