@@ -10,15 +10,15 @@ their connected components.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 from types import MappingProxyType
 
 from .hypergraphs import (
     Hypergraph,
+    _find,
     _min_relabeling,
     _refine_classes,
     basis_sort_key,
@@ -403,40 +403,39 @@ def moment_matrix(basis) -> MomentMatrix:
 def is_trivial_square(H: Hypergraph) -> bool:
     """True when the only labeled graphs whose glued square is H are full copies of H.
 
-    Exhaustive: any F with [[F^2]] = H embeds in H, so candidates are subgraphs
-    of H with labeled vertices.  A square of F with s labels has 2|V(F)| - s
-    vertices and at most 2|E(F)| edges, so only subgraphs with ceil(m/2) to
-    m - 1 of the m edges of H are tried, each with s = 2|V(F)| - |V(H)| < |V(F)|
-    labels; a subgraph with all m edges squares to H only as a full copy.
-    Isomorphic subgraphs have isomorphic squares, so one subgraph per multiset
-    of component keys is tried, and a square is H when its component counts are.
-    Subgraphs and squares stay raw; only their keyed components are Hypergraphs.
+    H = [[F^2]] for an F with an unlabeled vertex exactly when an involution
+    s != id of Aut(H) splits its moved vertices into X and sX with no edge
+    meeting both (swap the copies of F; conversely, label Fix(s) in
+    H[Fix(s) + X]): no component of the moved vertices, joined along each
+    edge's moved part, holds v and s(v).  H with an isolated vertex is trivial.
     """
     if H.edge_count == 0:
         raise ValueError("trivial-square test requires at least one edge")
     if H.edge_count > _TRIVIAL_SQUARE_EDGE_LIMIT:
         raise ValueError("trivial-square search limited to 12 edges")
-    target = component_counts(H)
-    hedges, degrees = H.sorted_edges(), sorted(H.degrees())
-    seen_shapes: set[frozenset[tuple[str, int]]] = set()
-    for m in range((len(hedges) + 1) // 2, len(hedges)):
-        for chosen in combinations(hedges, m):
-            used = sorted({v for e in chosen for v in e})
-            k, s = len(used), 2 * len(used) - H.n
-            if not 0 <= s < k:
-                continue
-            remap = {v: i for i, v in enumerate(used)}  # keeps each edge sorted
-            edges = frozenset(tuple(remap[v] for v in e) for e in chosen)
-            shape = frozenset(_key_counts(H.r, k, edges, {}).items())
-            if shape in seen_shapes:
-                continue
-            seen_shapes.add(shape)
-            for vset in combinations(range(k), s):
-                F = (H.r, k, edges, {v: i + 1 for i, v in enumerate(vset)})
-                square = _glue_raw(F, F)
-                if len(square[2]) != len(hedges):
-                    continue
-                sdegrees = Counter(chain(*square[2]))  # every vertex of a square is on an edge
-                if sorted(sdegrees.values()) == degrees and _key_counts(*square) == target:
-                    return False
-    return True
+    deg, sigma = H.degrees(), [-1] * H.n
+    at = [[e for e in H.sorted_edges() if v in e] for v in range(H.n)]
+
+    def fits(v: int) -> bool:  # each edge at v maps into an edge and holds no u, sigma(u) != u
+        return all(any(({sigma[u] for u in e} - {-1}).issubset(g) for g in at[sigma[v]])
+                   and not any(sigma[u] != u and sigma[u] in e for u in e) for e in at[v])
+
+    def search() -> bool:  # extends sigma, keeping sigma(sigma(v)) = v
+        free = [v for v in range(H.n) if sigma[v] < 0]
+        if not free:
+            moved, parent = [v for v in range(H.n) if sigma[v] != v], list(range(H.n))
+            for part in ([v for v in e if sigma[v] != v] for e in H.edges):
+                for u in part[1:]:
+                    parent[_find(parent, u)] = _find(parent, part[0])
+            return bool(moved) and all(_find(parent, v) != _find(parent, sigma[v]) for v in moved)
+        # a free vertex on an edge with a mapped one comes first, so edges are checked early
+        near = (u for w in range(H.n) if sigma[w] >= 0 for e in at[w] for u in e if sigma[u] < 0)
+        v = next(near, free[0])
+        for w in [v] + [w for w in free if w != v and deg[w] == deg[v]]:
+            sigma[v], sigma[w] = w, v
+            if fits(v) and fits(w) and search():
+                return True
+            sigma[v] = sigma[w] = -1
+        return False
+
+    return 0 in deg or not search()

@@ -35,11 +35,14 @@ references for the bases built by one-edge augmentation, one search per orbit
 of labellings, and the label action that `enumerate_basis` carries.
 `reference_ordered_orbit` closes one ordered pair under that action, and is
 the reference for the pairs that `moment_matrix` records as reached reversed.
-`reference_is_trivial_square` is the trivial-square search as first written,
-over every subgraph and every label set, with each square built by naming
-its vertices and compared by networkx; it is the reference for the vertex
-and edge counts that `is_trivial_square` uses to skip candidates, and for its
-keying of subgraphs and squares by component counts.
+Two references check the trivial-square verdict of `is_trivial_square`'s
+involution search.  `reference_is_trivial_square` checks the definition: it
+is the search as first written, over every subgraph and every label set,
+with each square built by naming its vertices and compared with H by
+networkx.  `reference_split_involution` checks the characterisation the
+search relies on: it tries every involution of the vertex set (n <= 10),
+keeps the automorphisms, and splits the moved vertices by networkx's
+connected components; it reaches graphs the subgraph search is too slow for.
 `reference_json` is the JSON encoder as first written, the standard
 library's over a copy of the object, and is the reference for `json_text`.
 
@@ -959,6 +962,46 @@ def reference_is_trivial_square(H: Hypergraph) -> bool:
                     ):
                         return False
     return True
+
+
+def _involutions(todo: list[int]):
+    """Every involution of the elements of todo, as a dict, by pairing the first one or not."""
+    if not todo:
+        yield {}
+        return
+    v, rest = todo[0], todo[1:]
+    for sigma in _involutions(rest):
+        yield {**sigma, v: v}
+    for i, w in enumerate(rest):
+        for sigma in _involutions(rest[:i] + rest[i + 1 :]):
+            yield {**sigma, v: w, w: v}
+
+
+def reference_split_involution(H: Hypergraph):
+    """An involutive automorphism s != id of H whose moved vertices split, or None.
+
+    Every involution of range(n) is tried (meant for n <= 10).  The split is
+    X and sX with no edge meeting both; it exists when no connected component
+    of the moved vertices, joined by networkx along each edge's moved part,
+    holds both v and s(v).  H with an isolated vertex is no glued square, so
+    it gets None, the verdict "trivial square".
+    """
+    if H.edge_count == 0:
+        raise ValueError("trivial-square test requires at least one edge")
+    if 0 in H.degrees():
+        return None
+    for sigma in _involutions(list(range(H.n))):
+        moved = [v for v in range(H.n) if sigma[v] != v]
+        if not moved or {tuple(sorted(sigma[v] for v in e)) for e in H.edges} != H.edges:
+            continue
+        joined = nx.Graph()
+        joined.add_nodes_from(moved)
+        for e in H.edges:
+            part = [v for v in e if sigma[v] != v]
+            joined.add_edges_from(zip(part, part[1:]))
+        if all(sigma[v] not in c for c in nx.connected_components(joined) for v in c):
+            return tuple(sigma[v] for v in range(H.n))
+    return None
 
 
 def _jsonable(x):

@@ -362,6 +362,26 @@ def test_obstruction_on_twelve_edge_upper_graph_reports_precondition(capsys):
     assert ["upper graph is a trivial square", False] in report["preconditions"]
 
 
+def test_obstruction_on_twelve_edge_4_graph_reports_trivial_square_fast(capsys):
+    """A connected 12-edge 4-graph on 15 vertices is a trivial square, found in well under 1 s.
+
+    The subgraph search took about 10 s on it, with no early stop.
+    """
+    edges = [[0, 1, 6, 7], [0, 5, 12, 14], [0, 6, 8, 11], [0, 6, 9, 12], [0, 8, 10, 14],
+             [1, 2, 9, 12], [1, 3, 9, 12], [1, 4, 7, 12], [3, 6, 7, 10], [3, 6, 10, 14],
+             [3, 7, 12, 13], [4, 7, 11, 14]]
+    upper = json.dumps({"r": 4, "n": 15, "edges": edges})
+    lower = json.dumps({"r": 4, "n": 48, "edges": [list(range(4 * i, 4 * i + 4)) for i in range(12)]})
+    start = time.monotonic()
+    code = main(["obstruction", upper, lower, "--k", "1", "--d", "1", "--labels", "2"])
+    captured = capsys.readouterr()
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "precondition-failure"
+    assert ["upper graph is a trivial square", True] in report["preconditions"]
+
+
 def test_obstruction_bad_flags_exit_2(capsys):
     """A nonpositive exponent is rejected before any computation."""
     assert run_cli(capsys, "obstruction", "P3", "edge^3", "--k", "0", "--d", "1")[0] == 2

@@ -155,3 +155,21 @@ def test_every_float_source_is_listed():
                 ):
                     found.add(f"{path.stem}.{getattr(stmt, 'name', '')}: {ast.unparse(node)}")
     assert found == set(FLOAT_SOURCES)
+
+
+def test_every_imported_name_is_read():
+    """Every name a package module imports is read in that module; `__future__` is exempt."""
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread.update(f"{path.stem}.{name}" for name in bound if name not in read)
+    assert unread == set()
