@@ -907,8 +907,11 @@ def test_trivial_square_verdict_ignores_vertex_numbering():
     assert set(verdicts) == {True, False}
 
 
-def _cycle(k):
-    return Hypergraph.make(2, k, [(i, (i + 1) % k) for i in range(k)])
+def _loose(k, r, cycle):
+    """The loose r-uniform cycle or path with k edges, consecutive edges sharing one vertex
+    (for r = 2, the plain cycle or path)."""
+    n = k * (r - 1) + (not cycle)
+    return Hypergraph.make(r, n, [[(i * (r - 1) + j) % n for j in range(r)] for i in range(k)])
 
 
 # Symmetric and hypergraph cases up to the edge limit, with the verdicts of the
@@ -920,17 +923,17 @@ SYMMETRIC_VERDICTS = {
     "2K4": (lambda: disjoint_union(complete_graph(4), complete_graph(4)), False),
     "K1,12": (lambda: complete_bipartite(1, 12), False),
     "K3,4": (lambda: complete_bipartite(3, 4), False),
-    "C12": (lambda: _cycle(12), False),
-    "3C4": (lambda: disjoint_union(*[_cycle(4)] * 3), False),
+    "C12": (lambda: _loose(12, 2, True), False),
+    "3C4": (lambda: disjoint_union(*[_loose(4, 2, True)] * 3), False),
     "cube": (lambda: Hypergraph.make(2, *TWELVE_EDGE_GRAPHS["cube"]), False),
-    "2C6": (lambda: disjoint_union(_cycle(6), _cycle(6)), False),
+    "2C6": (lambda: disjoint_union(_loose(6, 2, True), _loose(6, 2, True)), False),
     "P12": (lambda: path_graph(12), False),
     "12 3-edges": (lambda: disjoint_union(*[single_edge(3)] * 12), False),
     "3K4^(3)": (lambda: disjoint_union(*[complete_graph(4, 3)] * 3), False),
     "K5^(3)": (lambda: complete_graph(5, 3), True),
-    "C5+C7": (lambda: disjoint_union(_cycle(5), _cycle(7)), True),
-    "K3+C9": (lambda: disjoint_union(complete_graph(3), _cycle(9)), True),
-    "C11+K2": (lambda: disjoint_union(_cycle(11), single_edge()), True),
+    "C5+C7": (lambda: disjoint_union(_loose(5, 2, True), _loose(7, 2, True)), True),
+    "K3+C9": (lambda: disjoint_union(complete_graph(3), _loose(9, 2, True)), True),
+    "C11+K2": (lambda: disjoint_union(_loose(11, 2, True), single_edge()), True),
 }
 
 
@@ -942,12 +945,6 @@ def test_trivial_square_verdicts_on_symmetric_graphs(name):
     assert H.edge_count in (10, 12)
     assert is_trivial_square(H) is verdict
     assert is_trivial_square(random_permuted(Random(43), H)) is verdict
-
-
-def _loose(k, r, cycle):
-    """The loose r-uniform cycle or path with k edges: consecutive edges share one vertex."""
-    n = k * (r - 1) + (not cycle)
-    return Hypergraph.make(r, n, [[(i * (r - 1) + j) % n for j in range(r)] for i in range(k)])
 
 
 def test_trivial_square_search_stays_small_on_renumbered_loose_hypergraphs():
