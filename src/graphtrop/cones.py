@@ -11,9 +11,9 @@ exact and independently re-checked before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .gluing import MomentMatrix
 from .hypergraphs import complete_graph, graph_key, star_hypergraph
@@ -172,8 +172,7 @@ def _adjacent(rp, rn, common: int, rays, quotient_dim: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(NamedTuple):
     """Polyhedral cone over named coordinates, with exact H- and V-representations."""
 
     basis: tuple[str, ...]
@@ -204,8 +203,7 @@ class RationalCone:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     """Outcome of a conic membership test, with a re-verified certificate."""
 
     inside: bool

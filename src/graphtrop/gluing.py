@@ -10,11 +10,12 @@ their connected components.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .hypergraphs import (
     Hypergraph,
@@ -33,29 +34,28 @@ from .hypergraphs import (
 _TRIVIAL_SQUARE_EDGE_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(namedtuple("LabeledGraph", "graph labels")):
     """Hypergraph plus an injective partial labeling, stored as (label, vertex) pairs."""
 
-    graph: Hypergraph
-    labels: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        labs = [l for l, _ in self.labels]
-        verts = [v for _, v in self.labels]
-        if sorted(labs) != sorted(set(labs)) or list(self.labels) != sorted(self.labels):
+    def __new__(cls, graph: Hypergraph, labels: tuple[tuple[int, int], ...]) -> "LabeledGraph":
+        labs = [l for l, _ in labels]
+        verts = [v for _, v in labels]
+        if sorted(labs) != sorted(set(labs)) or list(labels) != sorted(labels):
             raise ValueError("labels must be distinct and sorted")
         if len(set(verts)) != len(verts):
             raise ValueError("labeling must be injective on vertices")
-        for l, v in self.labels:
+        for l, v in labels:
             if l < 1:
                 raise ValueError(f"label {l} must be a positive integer")
-            if not 0 <= v < self.graph.n:
+            if not 0 <= v < graph.n:
                 raise ValueError(f"labeled vertex {v} out of range")
-        if self.graph.n > 0:
-            deg = self.graph.degrees()
+        if graph.n > 0:
+            deg = graph.degrees()
             if min(deg) == 0:
                 raise ValueError("isolated vertices are only allowed in the empty graph")
+        return super().__new__(cls, graph, labels)
 
     @property
     def raw(self) -> tuple[int, int, frozenset[tuple[int, ...]], dict[int, int]]:
@@ -303,8 +303,7 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MomentMatrix:
+class MomentMatrix(NamedTuple):
     """Symmetric matrix of unlabeled gluing products over a labeled basis.
 
     Only the component counts of each product are stored, for i <= j; they

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -21,26 +21,24 @@ MAX_CANON_VERTICES = 20
 _SEARCH_NODE_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(namedtuple("Hypergraph", "r n edges")):
     """An r-uniform hypergraph on vertices 0..n-1 with a frozen edge set."""
 
-    r: int
-    n: int
-    edges: frozenset[tuple[int, ...]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"uniformity must be at least 2, got {self.r}")
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        for e in self.edges:
-            if len(e) != self.r or len(set(e)) != self.r:
-                raise ValueError(f"edge {e} is not a set of {self.r} distinct vertices")
+    def __new__(cls, r: int, n: int, edges: frozenset[tuple[int, ...]]) -> "Hypergraph":
+        if r < 2:
+            raise ValueError(f"uniformity must be at least 2, got {r}")
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        for e in edges:
+            if len(e) != r or len(set(e)) != r:
+                raise ValueError(f"edge {e} is not a set of {r} distinct vertices")
             if tuple(sorted(e)) != e:
                 raise ValueError(f"edge {e} is not sorted")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise ValueError(f"edge {e} out of range for n={self.n}")
+            if e[0] < 0 or e[-1] >= n:
+                raise ValueError(f"edge {e} out of range for n={n}")
+        return super().__new__(cls, r, n, edges)
 
     @staticmethod
     def make(r: int, n: int, edges) -> "Hypergraph":
@@ -484,8 +482,8 @@ def fraction_str(x) -> str:
 
 def json_text(obj) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it once each Fraction is
-    its fraction_str, each dict key its str and each dataclass its fields.  A dataclass
-    object is encoded once per depth.  Other types, floats included, raise TypeError."""
+    its fraction_str, each dict key its str and each named tuple its fields.  A named
+    tuple is encoded once per depth.  Other types, floats included, raise TypeError."""
     return _json_value(obj, 0, {})
 
 
@@ -498,9 +496,9 @@ def _json_value(x, depth: int, memo: dict[tuple[int, int], str]) -> str:
         return int.__repr__(x)
     if isinstance(x, Fraction):
         return f'"{fraction_str(x)}"'
-    if hasattr(x, "__dataclass_fields__"):  # a report object: its fields, once per depth
+    if hasattr(x, "_asdict"):  # a report object: its fields, once per depth
         if (id(x), depth) not in memo:
-            memo[id(x), depth] = _json_value(vars(x), depth, memo)
+            memo[id(x), depth] = _json_value(x._asdict(), depth, memo)
         return memo[id(x), depth]
     sep, end = ",\n" + "  " * (depth + 1), "\n" + "  " * depth
     if isinstance(x, (list, tuple)):

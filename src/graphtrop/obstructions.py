@@ -15,12 +15,12 @@ refined by bisection, gives each constraint's sign at every candidate point.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 from operator import and_
+from typing import NamedTuple
 
 from .cones import CertificateError, cone_member, dot, primitive
 from .gluing import (
@@ -114,8 +114,7 @@ def _key_sorted(counts: dict[str, int]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairStats:
+class PairStats(NamedTuple):
     """Census of the copies of a witness component C across A, B, and their gluing.
 
     Fully labeled copies are keyed by their label set and classified by whether
@@ -208,8 +207,7 @@ def _pair_census(M, C) -> PairStats:
     return _census(M, 0, 1, _witness_key(C), parts)
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     """Result of the census bounds for one pair against one witness component."""
 
     stats: PairStats
@@ -232,11 +230,11 @@ def _verdict(stats: PairStats, pairing: Fraction) -> PairVerdict:
 def _swapped(verdict: PairVerdict) -> PairVerdict:
     """The verdict on (B, A) from the one on (A, B): every a and b field of the census trades."""
     s = verdict.stats
-    stats = replace(
-        s, z_a=s.z_b, z_b=s.z_a, l_a=s.l_b, l_b=s.l_a, u_a=s.u_b, u_b=s.u_a,
+    stats = s._replace(
+        z_a=s.z_b, z_b=s.z_a, l_a=s.l_b, l_b=s.l_a, u_a=s.u_b, u_b=s.u_a,
         self_glue_a=s.self_glue_b, self_glue_b=s.self_glue_a,
     )
-    return replace(verdict, stats=stats)
+    return verdict._replace(stats=stats)
 
 
 def positive_pair_check(A: LabeledGraph, B: LabeledGraph, C, p: int = 1) -> PairVerdict:
@@ -257,8 +255,7 @@ def positive_pair_check(A: LabeledGraph, B: LabeledGraph, C, p: int = 1) -> Pair
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Outcome of the counting and LP analysis of one binomial density target."""
 
     upper: str
@@ -313,6 +310,8 @@ def counting_obstruction(
     if label_budget is None:
         label_budget = 2 * degree
     upper_key, lower_key = graph_key(upper), graph_key(lower)
+    if upper.r != lower.r:
+        raise ValueError(f"uniformity mismatch: {upper.r} vs {lower.r}")
     upper_c, lower_c = key_graph(upper_key), key_graph(lower_key)
     upper_counts = component_counts(upper_c)
     lower_counts = component_counts(lower_c)
@@ -696,16 +695,14 @@ def _refuting_subset(masks) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinorConstraint:
+class MinorConstraint(NamedTuple):
     """One principal-minor constraint, as a polynomial in the free density."""
 
     indices: tuple[int, ...]
     coefficients: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class MinorCertificate:
+class MinorCertificate(NamedTuple):
     """Sturm-exact feasibility verdict for one partially fixed density point."""
 
     status: str
@@ -785,6 +782,8 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
     free_key = _witness_key(free, "free coordinate")
     fixed_map: dict[str, Fraction] = {}
     for g, value in fixed.items():
+        if g.r != free.r:
+            raise ValueError(f"uniformity mismatch: {free.r} vs {g.r}")
         key = _witness_key(g, "fixed coordinate")
         if key in fixed_map:
             raise ValueError("duplicate fixed coordinate")

@@ -1006,14 +1006,16 @@ def reference_split_involution(H: Hypergraph):
 
 def _jsonable(x):
     """x with each Fraction as its fraction_str, each dict key as its str, and
-    each dataclass as its fields; anything else as it is."""
+    each named tuple as its fields; anything else as it is."""
     if isinstance(x, Fraction):
         return fraction_str(x)
+    if hasattr(x, "_asdict"):
+        return _jsonable(x._asdict())
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    return _jsonable(vars(x)) if hasattr(x, "__dataclass_fields__") else x
+    return x
 
 
 def reference_json(x) -> str:

@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from graphtrop.cli import format_12g, main
+from graphtrop.cli import format_12g, load_graph, main
 from graphtrop.hypergraphs import (
     complete_bipartite,
     complete_graph,
@@ -348,6 +348,22 @@ def test_obstruction_precondition_exit_2(capsys):
     assert obj["status"] == "precondition-failure"
 
 
+def test_obstruction_refuses_mixed_uniformities(capsys):
+    """Upper and lower graphs of different uniformity exit 2 with the message alone.
+
+    A 3-uniform path against edge^3 printed a validated obstruction, its basis
+    extended by the 2-uniform edge; an upper graph that failed a precondition
+    printed a precondition report.
+    """
+    path = '{"r":3,"n":7,"edges":[[0,1,2],[2,3,4],[4,5,6]]}'
+    for upper, lower, message in ((path, "edge^3", "3 vs 2"), ("edge^3", path, "2 vs 3"),
+                                  ("edge", '{"r":3,"n":3,"edges":[[0,1,2]]}', "2 vs 3")):
+        code = main(["obstruction", upper, lower, "--k", "7", "--d", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"graphtrop: precondition failure: uniformity mismatch: {message}\n"
+
+
 def test_obstruction_on_twelve_edge_upper_graph_reports_precondition(capsys):
     """A 12-edge upper graph that is no trivial square gets its report, not a refusal."""
     upper = ('{"r":2,"n":8,"edges":[[0,2],[0,4],[0,7],[1,2],[1,5],[2,3],[2,5],[2,6],'
@@ -530,7 +546,8 @@ def test_module_entry_point():
 
 
 def test_runtime_imports_no_test_only_library():
-    """The CLI, a density and a minor certificate run without numpy or a test-only library."""
+    """The CLI, a density and a minor certificate run without numpy or a test-only library,
+    and without dataclasses or inspect: the core types are named tuples."""
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
@@ -541,12 +558,13 @@ def test_runtime_imports_no_test_only_library():
         "cert = minor_certificate({single_edge(): Fraction(1, 2)}, path_graph(2), 1)\n"
         "test_only = ('numpy', 'sympy', 'networkx', 'hypothesis', 'scipy')\n"
         "print(t, cert.status, [m for m in test_only if m in sys.modules])\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "3/8 inconclusive []\n"
+    assert proc.stdout == "3/8 inconclusive []\n[]\n"
 
 
 # sha256 of the stdout of fast runs.  Refactors of keys, products and cone
@@ -628,6 +646,60 @@ def test_precondition_report_byte_identical_to_recorded_hash(capsys):
     assert _sha256(out) == PRECONDITION_REPORT_SHA256
 
 
+# README's density, test-binomial, obstruction and minor-cert examples, with the
+# positions of their graph arguments
+README_EXAMPLES = (
+    (("density", "path2", "K4"), (1, 2)),
+    (("test-binomial", "star", "path2", "edge^2", "--r", "2", "--c", "1", "--l", "2"), (2, 3)),
+    (("test-binomial", "clique", "edge^3", "K3^2", "--r", "2", "--l", "3"), (2, 3)),
+    (("obstruction", "P3", "edge^3", "--k", "7", "--d", "2", "--labels", "4"), (1, 2)),
+    (("minor-cert", "path2", "--fixed", "edge", "7/10", "--fixed", "K3", "3/25", "--d", "2"),
+     (1, 3, 6)),
+)
+
+
+def _numbered(spec, rng):
+    """The graph spec names as explicit JSON: in its own numbering when rng is None, else
+    under a random numbering, with its edges and the vertices in each edge shuffled."""
+    G = load_graph(spec)
+    edges = [list(e) for e in G.sorted_edges()]
+    if rng is not None:
+        perm = rng.sample(range(G.n), G.n)
+        edges = [rng.sample([perm[v] for v in e], len(e)) for e in edges]
+        rng.shuffle(edges)
+    return json.dumps({"r": G.r, "n": G.n, "edges": edges})
+
+
+def test_readme_examples_do_not_depend_on_the_vertex_numbering(capsys):
+    """Each README example gives the same exit code, stdout and stderr with every graph
+    argument as explicit JSON, in its own numbering and in two seeded random ones, with its
+    --fixed flags in reverse order (minor-cert), and each of these with cold and warm caches."""
+    from graphtrop import hypergraphs
+
+    def run(argv, cold):
+        if cold:
+            for cached in (hypergraphs._canonical_connected, hypergraphs.component_key,
+                           hypergraphs.key_graph):
+                cached.cache_clear()
+            hypergraphs._KEY_REPS.clear()
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    rng = Random(20261020)
+    for argv, at in README_EXAMPLES:
+        want = run(argv, True)
+        assert want[0] == 0 and want[2] == "", argv
+        variants = [argv]
+        for numbering in (None, rng, rng):
+            variants.append(tuple(_numbered(a, numbering) if i in at else a
+                                  for i, a in enumerate(argv)))
+        if argv[0] == "minor-cert":
+            variants += [(*v[:2], *v[5:8], *v[2:5], *v[8:]) for v in variants]
+        for variant in variants:
+            assert run(variant, True) == run(variant, False) == want, variant
+
+
 def test_c06_certificates_byte_identical_to_recorded_hashes():
     """The refuted and the moment point of c06 keep their recorded certificate bytes."""
     for k3, digest in C06_CERTIFICATE_SHA256.items():
@@ -667,6 +739,23 @@ def test_minor_cert_command_exit_codes(capsys):
     assert f"duplicate fixed coordinate {graph_key(single_edge())}" in err
     assert "fixed coordinate must be a connected graph with at least one edge" in err
     assert "free coordinate must be a connected graph with at least one edge" in err
+
+
+def test_minor_cert_refuses_mixed_uniformities(capsys):
+    """A fixed graph whose uniformity differs from the free one's exits 2 with the message.
+
+    Its density never entered a minor, so the point came back inconclusive.
+    """
+    triple = '{"r":3,"n":3,"edges":[[0,1,2]]}'
+    for free, fixed, message in ((triple, "edge", "3 vs 2"), ("path2", triple, "2 vs 3")):
+        code = main(["minor-cert", free, "--fixed", fixed, "1/2", "--d", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"graphtrop: precondition failure: uniformity mismatch: {message}\n"
+    with pytest.raises(ValueError, match="uniformity mismatch: 2 vs 3"):
+        minor_certificate(
+            {single_edge(): Fraction(1, 2), single_edge(3): Fraction(1, 2)}, path_graph(2), 1
+        )
 
 
 def test_minor_cert_value_outside_unit_interval_exits_2(capsys):

@@ -1,10 +1,10 @@
 """Tests for exact hypergraph densities, products, canonical forms and families."""
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -482,8 +482,7 @@ def test_density_vector():
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Report:
+class _Report(NamedTuple):
     name: str
     values: tuple
 

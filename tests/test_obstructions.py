@@ -374,18 +374,16 @@ def test_report_encodes_each_verdict_once(monkeypatch):
     upper = Hypergraph.make(2, 6, [(0, 1), (2, 3), (3, 4), (4, 5)])
     rep = counting_obstruction(upper, path_graph(4), 3, 2, 4)
     verdicts = {id(v): v for v in rep.positive_pair_verdicts}
-    fields = {id(vars(v)) for v in verdicts.values()}
     listed, encoded = [], []
-    value = hypergraphs._json_value
+    value, asdict = hypergraphs._json_value, PairVerdict._asdict
 
     def counted(x, depth, memo):
         if isinstance(x, PairVerdict):
             listed.append(x)
-        elif id(x) in fields:
-            encoded.append(x)
         return value(x, depth, memo)
 
     monkeypatch.setattr(hypergraphs, "_json_value", counted)
+    monkeypatch.setattr(PairVerdict, "_asdict", lambda v: encoded.append(v) or asdict(v))
     text = rep.to_json()
     assert (len(listed), len(verdicts), len(encoded)) == (615, 52, 52)
     monkeypatch.undo()
