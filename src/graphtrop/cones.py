@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .gluing import MomentMatrix
@@ -32,7 +33,7 @@ class CertificateError(RuntimeError):
 
 def dot(a, b):
     """Exact inner product; an int when both vectors are integer."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _integer_scaled(vec) -> tuple[int, list[int]]:

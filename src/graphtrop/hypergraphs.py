@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from operator import itemgetter
+from operator import itemgetter, lshift
 
 MAX_CANON_VERTICES = 20
 _SEARCH_NODE_CAP = 100_000
@@ -229,19 +229,24 @@ def direct_product(G1: Hypergraph, G2: Hypergraph) -> Hypergraph:
 
 
 def _refine_classes(n: int, edges, seed_inv: dict[int, int]) -> list[list[int]]:
-    """Partition vertices by iterated neighborhood invariants, classes in invariant order."""
-    inc: dict[int, list] = {v: [] for v in range(n)}
-    for e in edges:
+    """Partition vertices by iterated neighborhood invariants, classes in invariant order.
+
+    A round gives each edge one signature, its sorted invariants, and each
+    vertex its own invariant with the sorted signatures of its edges. Every
+    signature at v holds inv[v] once more than the same edge's signature
+    without v, and adding one value to multisets of one size keeps their
+    order, so the classes and their order are those of the signatures without v.
+    """
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
         for v in e:
-            inc[v].append(e)
-    inv = dict(seed_inv)
+            inc[v].append(i)
+    inv = [seed_inv[v] for v in range(n)]
     for _ in range(3):
-        sigs = {}
-        for v in range(n):
-            esigs = sorted(tuple(sorted(inv[u] for u in e if u != v)) for e in inc[v])
-            sigs[v] = (inv[v], tuple(esigs))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        new_inv = {v: ranks[sigs[v]] for v in range(n)}
+        esig = [tuple(sorted([inv[u] for u in e])) for e in edges]
+        sigs = [(inv[v], tuple(sorted([esig[i] for i in inc[v]]))) for v in range(n)]
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new_inv = [ranks[s] for s in sigs]
         if new_inv == inv:
             break
         inv = new_inv
@@ -268,6 +273,14 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
     keep their tuple. A candidate's bound is its sorted list of tuples, and at
     a leaf that list is the encoding.
 
+    Each tuple is carried as one int, its entries as digits of `bits` bits,
+    most significant first; ints of tuples of one length sort as the tuples do.
+    `bump[i]` sums the place values of edge i's unplaced class-c slots, so the
+    shift is one addition per edge, and placing a vertex drops the top place
+    value at each of its edges. At the last index of a block one candidate is
+    left and only its edges hold the slot, so its bound is the node's own, which
+    the parent has just compared with the best: the node passes it on unchanged.
+
     Two leaves with equal encodings differ by an automorphism that keeps the
     classes and the pinned vertices; each one found is recorded. At a node, a
     candidate is skipped when a recorded automorphism fixing every vertex mapped
@@ -286,12 +299,19 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
             owner[t], stop[t] = ci, start + len(cl)
         start += len(cl)
 
+    r, bits = (len(edges[0]) if edges else 0), n.bit_length()
+    shifts = [bits * (r - 1 - k) for k in range(r)]  # slot k's place value is 1 << shifts[k]
+    rows = {c: [0] * len(edges) for c, cl in enumerate(classes) if len(cl) > 1}  # bump at block start
     inc: list[list[int]] = [[] for _ in range(n)]  # the edges at each vertex
-    tuples = []  # the root's bound: pinned indices, then each block's first slots
+    codes = []  # the root's bound: pinned indices, then each block's first slots
     for i, e in enumerate(edges):
         free = sorted(base[v] for v in e if v not in fixed)
         slots = [b + j - free.index(b) for j, b in enumerate(free)]
-        tuples.append(tuple(sorted(fixed[v] for v in e if v in fixed)) + tuple(slots))
+        tup = sorted(fixed[v] for v in e if v in fixed) + slots
+        codes.append(sum(map(lshift, tup, shifts)))
+        for s, b in zip(shifts[r - len(free) :], free):
+            if owner[b] in rows:
+                rows[owner[b]][i] += 1 << s
         for v in e:
             inc[v].append(i)
 
@@ -301,20 +321,27 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
     automorphisms: list[list[int]] = []
     nodes = 0
 
-    def rec(t: int, cur: list[tuple[int, ...]]):
+    def rec(t: int, cur: list[int]):
         nonlocal best, best_at, nodes
         nodes += 1
         if nodes > _SEARCH_NODE_CAP:
             raise ValueError("graph too symmetric for canonical relabeling")
         if t == n:
-            enc = tuple(sorted(cur))
+            enc = sorted(cur)
             if best is None or enc < best:
                 best, best_at = enc, sorted(mapping, key=mapping.get)
             elif enc == best:
                 automorphisms.append([best_at[mapping[v]] for v in range(n)])
             return
-        c, end = owner[t], stop[t]
-        shifted = [tuple(x + (t <= x < end) for x in tup) if t in tup else tup for tup in cur]
+        c = owner[t]
+        if stop[t] == t + 1:  # forced: the child's bound is cur itself
+            v = next(v for v in classes[c] if v not in mapping)
+            mapping[v] = t
+            rec(t + 1, cur)
+            del mapping[v]
+            return
+        bump = rows[c]
+        shifted = [x + w for x, w in zip(cur, bump)]
         scored = []
         for v in classes[c]:
             if v in mapping:
@@ -322,8 +349,8 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
             child = shifted.copy()
             for i in inc[v]:
                 child[i] = cur[i]
-            scored.append((tuple(sorted(child)), v, child))
-        scored.sort()  # candidates are distinct, so the lists are never compared
+            scored.append((sorted(child), v, child))
+        scored.sort()  # candidates are distinct, so the children are never compared
         orbit = {v: v for _, v, _ in scored}  # union-find over the candidates
         merged = 0
         tried: list[int] = []
@@ -340,11 +367,17 @@ def _min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, in
                 continue
             tried.append(v)
             mapping[v] = t
+            drops = [(i, 1 << (bump[i].bit_length() - 1)) for i in inc[v]]
+            for i, w in drops:
+                bump[i] -= w
             rec(t + 1, child)
+            for i, w in drops:
+                bump[i] += w
             del mapping[v]
 
-    rec(len(fixed), tuples)
-    return best
+    rec(len(fixed), codes)
+    mask = (1 << bits) - 1
+    return tuple([tuple([x >> s & mask for s in shifts]) for x in best])
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,9 @@ Everything here is deliberately naive: full enumeration over all vertex maps,
 no pruning, no shared code with the library internals beyond the Hypergraph
 and Membership containers.  The one exception is `brute_canonical`, which
 takes the refinement classes from the library because they are part of what a
-key means.  `reference_min_relabeling` is the canonical search as first
+key means.  `reference_refine_classes` is that refinement as first written,
+one signature per vertex per edge, and is the reference for the refinement
+that signs each edge once per round.  `reference_min_relabeling` is the canonical search as first
 written, rebuilding its bound for every candidate; it shares the library's
 union-find and node cap, and is the reference for the search that carries
 each edge's bound tuple down the tree.  The Fraction
@@ -49,8 +51,8 @@ library's over a copy of the object, and is the reference for `json_text`.
 The last section holds helpers that only the tests use, kept out of the
 package: cones from facets, a cone's generators, membership checked against
 the facets, cone equality, isomorphism with and without labels, the bilinear gluing of
-combinations, density vectors, and the explicit clique joined to a regular
-graph.  Three of them
+combinations, density vectors, the explicit clique joined to a regular
+graph, and loose cycles and paths.  Three of them
 are references for what the package computes in one way only:
 - `Combination`, `lift`, `square_expand` and `eval_combination` expand a
   glued square sum c_i c_j [[A_i A_j]] pair by pair, gluing through
@@ -173,6 +175,29 @@ def brute_canonical(G: Hypergraph, pinned=()) -> tuple[tuple[int, ...], ...]:
         if best is None or enc < best:
             best = enc
     return best
+
+
+def reference_refine_classes(n: int, edges, seed_inv: dict[int, int]) -> list[list[int]]:
+    """Partition vertices by iterated neighborhood invariants, classes in invariant order."""
+    inc: dict[int, list] = {v: [] for v in range(n)}
+    for e in edges:
+        for v in e:
+            inc[v].append(e)
+    inv = dict(seed_inv)
+    for _ in range(3):
+        sigs = {}
+        for v in range(n):
+            esigs = sorted(tuple(sorted(inv[u] for u in e if u != v)) for e in inc[v])
+            sigs[v] = (inv[v], tuple(esigs))
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
+        new_inv = {v: ranks[sigs[v]] for v in range(n)}
+        if new_inv == inv:
+            break
+        inv = new_inv
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(inv[v], []).append(v)
+    return [classes[k] for k in sorted(classes)]
 
 
 def reference_min_relabeling(n: int, edges, classes: list[list[int]], fixed: dict[int, int]):
@@ -530,6 +555,13 @@ def random_permuted(rng: Random, G: Hypergraph) -> Hypergraph:
     perm = list(range(G.n))
     rng.shuffle(perm)
     return Hypergraph.make(G.r, G.n, [tuple(perm[v] for v in e) for e in G.edges])
+
+
+def loose_hypergraph(k: int, r: int, cycle: bool) -> Hypergraph:
+    """The loose r-uniform cycle or path with k edges, consecutive edges sharing one vertex
+    (for r = 2, the plain cycle or path)."""
+    n = k * (r - 1) + (not cycle)
+    return Hypergraph.make(r, n, [[(i * (r - 1) + j) % n for j in range(r)] for i in range(k)])
 
 
 def clique_count(G: Hypergraph, j: int) -> int:

@@ -26,13 +26,19 @@ from graphtrop.hypergraphs import (
     disjoint_union,
     graph_key,
 )
-from oracles import brute_canonical, random_permuted, reference_min_relabeling
+from oracles import (
+    brute_canonical,
+    loose_hypergraph,
+    random_permuted,
+    reference_min_relabeling,
+    reference_refine_classes,
+)
 
 
 @st.composite
-def pinned_graphs(draw, max_n=7):
-    """An r-graph (r = 2 or 3) without isolated vertices and 0-3 of its vertices in label order."""
-    r = draw(st.sampled_from([2, 3]))
+def pinned_graphs(draw, max_n=7, uniformities=(2, 3)):
+    """An r-graph (r in uniformities) without isolated vertices and 0-3 of its vertices in label order."""
+    r = draw(st.sampled_from(uniformities))
     n = draw(st.integers(r, max_n))
     edges = draw(st.sets(st.sampled_from(list(combinations(range(n), r))), min_size=1))
     used = sorted({v for e in edges for v in e})
@@ -193,12 +199,26 @@ def test_vertex_transitive_keys_match_networkx():
     assert keys["rook4x4"] != keys["Shrikhande"]
 
 
-def _search_args(G, pinned=()):
-    """What both canonical forms hand the search for G with pinned[i] at index i."""
+def _seed(G, pinned):
+    """The refinement's seed for G with pinned[i] labelled i + 1, as `labeled_canonical_form` builds it."""
     seed = {v: 0 for v in range(G.n)}
     for i, v in enumerate(pinned):
         seed[v] = i + 1
-    classes = [cl for cl in _refine_classes(G.n, G.sorted_edges(), seed) if cl[0] not in pinned]
+    return seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_graphs(max_n=9, uniformities=(2, 3, 4)))
+def test_refinement_matches_reference(case):
+    """One signature per edge per round gives the reference's classes, in the reference's order."""
+    G, pinned = case
+    args = G.n, G.sorted_edges(), _seed(G, pinned)
+    assert _refine_classes(*args) == reference_refine_classes(*args)
+
+
+def _search_args(G, pinned=()):
+    """What both canonical forms hand the search for G with pinned[i] at index i."""
+    classes = [cl for cl in _refine_classes(G.n, G.sorted_edges(), _seed(G, pinned)) if cl[0] not in pinned]
     return G.n, G.sorted_edges(), classes, {v: i for i, v in enumerate(pinned)}
 
 
@@ -261,6 +281,21 @@ def test_carried_bound_search_matches_reference_on_symmetric_graphs(name, pins):
 
 def test_carried_bound_search_matches_reference_on_rook_graph():
     _assert_search_matches_reference(VERTEX_TRANSITIVE["rook4x4"])
+
+
+@pytest.mark.parametrize(
+    "k, r, cycle", [(8, 3, True), (7, 3, False), (8, 3, False), (5, 4, True), (5, 4, False), (6, 4, False)]
+)
+def test_carried_bound_search_matches_reference_on_loose_hypergraphs(k, r, cycle):
+    """Renumbered 3- and 4-uniform loose cycles and paths on 15-19 vertices, with 0-2 pins.
+
+    A bound entry is at most n - 1 and takes n.bit_length() bits, 4 at n = 15
+    and 5 from n = 16 on, so these cover both sides of that step.
+    """
+    G = random_permuted(Random(k * r + cycle), loose_hypergraph(k, r, cycle))
+    assert 15 <= G.n <= 19
+    for pins in (0, 1, 2):
+        _assert_search_matches_reference(G, (0, 1)[:pins])
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from oracles import (
     labeled_components,
     labeled_isomorphic,
     lift,
+    loose_hypergraph,
     random_graph,
     random_labeled,
     random_permuted,
@@ -907,13 +908,6 @@ def test_trivial_square_verdict_ignores_vertex_numbering():
     assert set(verdicts) == {True, False}
 
 
-def _loose(k, r, cycle):
-    """The loose r-uniform cycle or path with k edges, consecutive edges sharing one vertex
-    (for r = 2, the plain cycle or path)."""
-    n = k * (r - 1) + (not cycle)
-    return Hypergraph.make(r, n, [[(i * (r - 1) + j) % n for j in range(r)] for i in range(k)])
-
-
 # Symmetric and hypergraph cases up to the edge limit, with the verdicts of the
 # subgraph search that the involution search replaced
 SYMMETRIC_VERDICTS = {
@@ -923,17 +917,17 @@ SYMMETRIC_VERDICTS = {
     "2K4": (lambda: disjoint_union(complete_graph(4), complete_graph(4)), False),
     "K1,12": (lambda: complete_bipartite(1, 12), False),
     "K3,4": (lambda: complete_bipartite(3, 4), False),
-    "C12": (lambda: _loose(12, 2, True), False),
-    "3C4": (lambda: disjoint_union(*[_loose(4, 2, True)] * 3), False),
+    "C12": (lambda: loose_hypergraph(12, 2, True), False),
+    "3C4": (lambda: disjoint_union(*[loose_hypergraph(4, 2, True)] * 3), False),
     "cube": (lambda: Hypergraph.make(2, *TWELVE_EDGE_GRAPHS["cube"]), False),
-    "2C6": (lambda: disjoint_union(_loose(6, 2, True), _loose(6, 2, True)), False),
+    "2C6": (lambda: disjoint_union(loose_hypergraph(6, 2, True), loose_hypergraph(6, 2, True)), False),
     "P12": (lambda: path_graph(12), False),
     "12 3-edges": (lambda: disjoint_union(*[single_edge(3)] * 12), False),
     "3K4^(3)": (lambda: disjoint_union(*[complete_graph(4, 3)] * 3), False),
     "K5^(3)": (lambda: complete_graph(5, 3), True),
-    "C5+C7": (lambda: disjoint_union(_loose(5, 2, True), _loose(7, 2, True)), True),
-    "K3+C9": (lambda: disjoint_union(complete_graph(3), _loose(9, 2, True)), True),
-    "C11+K2": (lambda: disjoint_union(_loose(11, 2, True), single_edge()), True),
+    "C5+C7": (lambda: disjoint_union(loose_hypergraph(5, 2, True), loose_hypergraph(7, 2, True)), True),
+    "K3+C9": (lambda: disjoint_union(complete_graph(3), loose_hypergraph(9, 2, True)), True),
+    "C11+K2": (lambda: disjoint_union(loose_hypergraph(11, 2, True), single_edge()), True),
 }
 
 
@@ -959,8 +953,8 @@ def test_trivial_square_search_stays_small_on_renumbered_loose_hypergraphs():
     rng = Random(5)
     start = time.monotonic()
     for k, r, cycle, verdict in cases:
-        H = _loose(k, r, cycle)
+        H = loose_hypergraph(k, r, cycle)
         assert [is_trivial_square(random_permuted(rng, H)) for _ in range(3)] == [verdict] * 3, H
     assert time.monotonic() - start < 2.0
-    for H in (_loose(5, 3, True), _loose(4, 3, True), _loose(3, 4, False), _loose(4, 3, False)):
+    for H in (loose_hypergraph(5, 3, True), loose_hypergraph(4, 3, True), loose_hypergraph(3, 4, False), loose_hypergraph(4, 3, False)):
         assert is_trivial_square(H) == (reference_split_involution(H) is None), H
