@@ -113,45 +113,33 @@ def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
     return json_text({"H": graph_key(H), "G": graph_key(G), "density": density(H, G)}) + "\n", 0
 
 
-def trop_sos_cone(d: int, label_budget: int | None):
-    """The degree-d moment matrix over B_tilde and its minor cone."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    M = moment_matrix(enumerate_basis("B_tilde", d, label_budget))
-    return M, minor_cone(M)
-
-
-def cmd_trop_sos(args: argparse.Namespace) -> tuple[str, int]:
-    M, cone = trop_sos_cone(args.d, args.labels)
-    return cone_json(cone, moment_basis_size=M.size, degenerate=not cone.basis), 0
-
-
-def cmd_clique_cone(args: argparse.Namespace) -> tuple[str, int]:
-    return cone_json(clique_trop_cone(args.r, args.l)), 0
-
-
-def cmd_star_cone(args: argparse.Namespace) -> tuple[str, int]:
-    return cone_json(star_trop_cone(args.r, args.c, args.l)), 0
-
-
 def build_cone(args: argparse.Namespace):
-    source = args.cone
-    if source == "clique":
-        cone = clique_trop_cone(args.r, args.l)
-        descriptor = {"source": "clique", "r": args.r, "l": args.l}
-    elif source == "star":
+    """The cone named by args.cone, its descriptor, and the keys that trop-sos adds to it."""
+    if args.cone == "clique":
+        return clique_trop_cone(args.r, args.l), {"source": "clique", "r": args.r, "l": args.l}, {}
+    if args.cone == "star":
         cone = star_trop_cone(args.r, args.c, args.l)
-        descriptor = {"source": "star", "r": args.r, "c": args.c, "l": args.l}
-    else:
-        cone = trop_sos_cone(args.d, args.labels)[1]
-        descriptor = {"source": "trop-sos", "d": args.d, "labels": args.labels}
-    return cone, descriptor
+        return cone, {"source": "star", "r": args.r, "c": args.c, "l": args.l}, {}
+    if args.d < 1:
+        raise ValueError("degree must be positive")
+    M = moment_matrix(enumerate_basis("B_tilde", args.d, args.labels))
+    cone = minor_cone(M)
+    descriptor = {"source": "trop-sos", "d": args.d, "labels": args.labels}
+    return cone, descriptor, {"moment_basis_size": M.size, "degenerate": not cone.basis}
 
 
-def cmd_test_binomial(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_cone(args: argparse.Namespace) -> tuple[str, int]:
+    """A cone command prints the cone; test-binomial tests t(H1) >= t(H2) on it."""
+    if args.command != "test-binomial":
+        cone, _, extra = build_cone(args)
+        return cone_json(cone, **extra), 0
     H1 = load_graph(args.H1)
     H2 = load_graph(args.H2)
-    cone, descriptor = build_cone(args)
+    r = 2 if args.cone == "trop-sos" else args.r
+    for H in (H1, H2):
+        if H.r != r:
+            raise ValueError(f"uniformity mismatch: {r} vs {H.r}")
+    cone, descriptor, _ = build_cone(args)
     a1 = alpha_vector(H1, cone.basis)
     a2 = alpha_vector(H2, cone.basis)
     diff = tuple(x - y for x, y in zip(a1, a2))
@@ -228,14 +216,9 @@ def trajectory_setup(args: argparse.Namespace):
 
 
 def cmd_family_trajectory(args: argparse.Namespace) -> tuple[str, int]:
-    if args.schedule:
-        schedule = [parse_fraction(tok) for tok in args.schedule.split(",")]
-    elif args.family == "clique" and args.alpha is not None:
-        schedule = [parse_fraction(args.alpha)]
-    elif args.family == "star" and args.rho is not None:
-        schedule = [parse_fraction(args.rho)]
-    else:
-        raise ValueError("a --schedule or a single parameter value is required")
+    if not args.schedule:
+        raise ValueError("--schedule is required")
+    schedule = [parse_fraction(tok) for tok in args.schedule.split(",")]
     for param in schedule:
         if not 0 < param < 1:
             raise ValueError(f"schedule values must lie strictly between 0 and 1: {param}")
@@ -271,10 +254,10 @@ def cmd_family_trajectory(args: argparse.Namespace) -> tuple[str, int]:
 
 COMMANDS = {
     "density": cmd_density,
-    "trop-sos": cmd_trop_sos,
-    "clique-cone": cmd_clique_cone,
-    "star-cone": cmd_star_cone,
-    "test-binomial": cmd_test_binomial,
+    "trop-sos": cmd_cone,
+    "clique-cone": cmd_cone,
+    "star-cone": cmd_cone,
+    "test-binomial": cmd_cone,
     "obstruction": cmd_obstruction,
     "minor-cert": cmd_minor_cert,
     "family-trajectory": cmd_family_trajectory,
@@ -306,15 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trop-sos", help="minor cone of the degree-d moment matrix")
     p.add_argument("--d", type=int, required=True, help="degree bound")
     p.add_argument("--labels", type=int, default=None, help="label budget (default 2d)")
+    p.set_defaults(cone="trop-sos")
 
     p = sub.add_parser("clique-cone", help="tropical cone of clique densities")
     p.add_argument("--r", type=int, default=2, help="uniformity / smallest clique")
     p.add_argument("--l", type=int, required=True, help="largest clique")
+    p.set_defaults(cone="clique")
 
     p = sub.add_parser("star-cone", help="tropical cone of sunflower densities")
     p.add_argument("--r", type=int, default=2, help="uniformity")
     p.add_argument("--c", type=int, default=1, help="core size")
     p.add_argument("--l", type=int, required=True, help="largest branch count")
+    p.set_defaults(cone="star")
 
     p = sub.add_parser("test-binomial", help="test t(H1) >= t(H2) on a tropical cone")
     p.add_argument("cone", choices=("clique", "star", "trop-sos"), help="cone source")
@@ -350,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, required=True, help="ray index (clique) or exponent (star)")
     p.add_argument("--schedule", help="comma-separated parameter values, e.g. 1e-1,1e-2")
-    p.add_argument("--alpha", help="single clique-fraction value")
-    p.add_argument("--rho", help="single edge-density value")
 
     for command_parser in sub.choices.values():
         add_output_flags(command_parser, top=False)

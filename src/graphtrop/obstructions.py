@@ -14,7 +14,6 @@ refined by bisection, gives each constraint's sign at every candidate point.
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from itertools import combinations, combinations_with_replacement, permutations
@@ -41,8 +40,6 @@ from .hypergraphs import (
     key_graph,
     split_components,
 )
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +343,6 @@ def counting_obstruction(
     vkeys = set(M.vbasis) | set(upper_counts) | set(lower_counts)
     vbasis = tuple(sorted(vkeys, key=basis_sort_key))
     extensions = tuple(sorted(vkeys - set(M.vbasis), key=basis_sort_key))
-    log.info(
-        "moment matrix over %d basis elements: %d entries in %d orbits",
-        M.size, len(M.counts), len(set(M.orbit.values())),
-    )
-    if extensions:
-        log.info("moment basis extended by %d component(s) for the target", len(extensions))
     y = y_vector(vbasis, p)
     up = alpha_vector(upper_c, vbasis)
     low = alpha_vector(lower_c, vbasis)

@@ -3,7 +3,6 @@
 import hashlib
 import io
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -249,6 +248,24 @@ def test_binomial_on_trop_sos_cone(capsys):
     assert obj["verdict"] == "valid on trop"
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["clique", "edge", "K3", "--l", "3", "--r", "3"], "3 vs 2"),
+        (["star", '{"r":3,"n":3,"edges":[[0,1,2]]}', "edge", "--l", "2", "--r", "3"], "3 vs 2"),
+        (["trop-sos", '{"r":3,"n":3,"edges":[[0,1,2]]}', "edge", "--d", "1", "--labels", "2"],
+         "2 vs 3"),
+    ],
+    ids=["clique", "star", "trop-sos"],
+)
+def test_binomial_refuses_a_graph_of_another_uniformity(capsys, argv, want):
+    """A graph whose uniformity is not the cone's is refused, H1 then H2, with both named."""
+    assert main(["test-binomial", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"graphtrop: precondition failure: uniformity mismatch: {want}\n"
+
+
 def test_binomial_missing_parameters_exit_2(capsys):
     """Each cone source insists on its size parameter."""
     assert run_cli(capsys, "test-binomial", "clique", "edge", "edge")[0] == 2
@@ -329,16 +346,6 @@ def test_obstruction_command(capsys):
     assert obj["status"] == "validated-obstruction"
     assert obj["chain_bound"] == "12/1"
     assert obj["lp_separator"] == [0, 0, -1]
-
-
-def test_obstruction_logs_moment_orbits_and_keeps_stdout(capsys, caplog):
-    """One info record gives the basis size, entries and orbits; stdout is the same with it on."""
-    argv = ("obstruction", "P3", "edge^3", "--k", "1", "--d", "1", "--labels", "2")
-    quiet = run_cli(capsys, *argv)
-    caplog.set_level(logging.INFO, logger="graphtrop.obstructions")
-    assert run_cli(capsys, *argv) == quiet
-    messages = [r.getMessage() for r in caplog.records if r.name == "graphtrop.obstructions"]
-    assert "moment matrix over 4 basis elements: 10 entries in 7 orbits" in messages
 
 
 def test_obstruction_precondition_exit_2(capsys):
@@ -462,7 +469,7 @@ def test_trajectory_parameter_keeps_its_digits_below_float_range(capsys):
 def test_trajectory_single_point(capsys):
     """A single parameter value yields one row without a schedule."""
     code, out = run_cli(
-        capsys, "family-trajectory", "clique", "--l", "3", "--k", "1", "--alpha", "1e-2"
+        capsys, "family-trajectory", "clique", "--l", "3", "--k", "1", "--schedule", "1e-2"
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 2
@@ -472,11 +479,19 @@ def test_trajectory_json_format(capsys):
     """The JSON format wraps the same rows with a column manifest."""
     code, obj = run_json(
         capsys, "--format", "json", "family-trajectory", "star", "--l", "2",
-        "--k", "1", "--rho", "1e-3",
+        "--k", "1", "--schedule", "1e-3",
     )
     assert code == 0
     assert obj["columns"] == ["parameter", "S1", "S2", "distance"]
     assert len(obj["rows"]) == 1
+
+
+def test_trajectory_single_value_flag_is_refused(capsys):
+    """A single value is a one-value --schedule: --alpha is a usage error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["family-trajectory", "clique", "--l", "3", "--k", "2", "--alpha", "1e-2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --alpha 1e-2" in capsys.readouterr().err
 
 
 def test_trajectory_bad_parameters(capsys):
@@ -547,7 +562,8 @@ def test_module_entry_point():
 
 def test_runtime_imports_no_test_only_library():
     """The CLI, a density and a minor certificate run without numpy or a test-only library,
-    and without dataclasses or inspect: the core types are named tuples."""
+    without dataclasses or inspect (the core types are named tuples), and without logging
+    or traceback (the package writes no log records)."""
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
@@ -559,12 +575,13 @@ def test_runtime_imports_no_test_only_library():
         "test_only = ('numpy', 'sympy', 'networkx', 'hypothesis', 'scipy')\n"
         "print(t, cert.status, [m for m in test_only if m in sys.modules])\n"
         "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        "print([m for m in ('logging', 'traceback') if m in sys.modules])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "3/8 inconclusive []\n[]\n"
+    assert proc.stdout == "3/8 inconclusive []\n[]\n[]\n"
 
 
 # sha256 of the stdout of fast runs.  Refactors of keys, products and cone
