@@ -266,11 +266,18 @@ COMMANDS = {
 GRAPH_HELP = "graph as inline JSON, @file, '-' for stdin, or a name like K3 or edge^3"
 
 
-def add_output_flags(parser: argparse.ArgumentParser, top: bool) -> None:
-    """Output flags, accepted both before and after the subcommand."""
-    kw = {} if top else {"default": argparse.SUPPRESS}
-    parser.add_argument("--out", help="write output to this path instead of stdout", **kw)
-    parser.add_argument("--format", choices=("json", "csv"), help="output format", **kw)
+def add_cone_options(parser: argparse.ArgumentParser, cone: str) -> None:
+    """The size options of one cone kind, for its cone command, test-binomial and family-trajectory."""
+    if cone == "trop-sos":
+        parser.add_argument("--d", type=int, required=True, help="degree bound")
+        parser.add_argument("--labels", type=int, default=None, help="label budget (default 2d)")
+    elif cone == "clique":
+        parser.add_argument("--r", type=int, default=2, help="uniformity / smallest clique")
+        parser.add_argument("--l", type=int, required=True, help="largest clique")
+    else:
+        parser.add_argument("--r", type=int, default=2, help="uniformity")
+        parser.add_argument("--c", type=int, default=1, help="core size")
+        parser.add_argument("--l", type=int, required=True, help="largest branch count")
 
 
 @cache  # one parser per process: parse_args keeps no state in it
@@ -279,38 +286,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="graphtrop",
         description="Exact homomorphism densities, tropical cones, and obstruction certificates.",
     )
-    add_output_flags(parser, top=True)
+    parser.add_argument("--out", help="write output to this path instead of stdout")
+    parser.add_argument("--format", choices=("json", "csv"), help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("density", help="homomorphism density t(H; G)")
     p.add_argument("H", help=GRAPH_HELP)
     p.add_argument("G", help=GRAPH_HELP)
 
-    p = sub.add_parser("trop-sos", help="minor cone of the degree-d moment matrix")
-    p.add_argument("--d", type=int, required=True, help="degree bound")
-    p.add_argument("--labels", type=int, default=None, help="label budget (default 2d)")
-    p.set_defaults(cone="trop-sos")
-
-    p = sub.add_parser("clique-cone", help="tropical cone of clique densities")
-    p.add_argument("--r", type=int, default=2, help="uniformity / smallest clique")
-    p.add_argument("--l", type=int, required=True, help="largest clique")
-    p.set_defaults(cone="clique")
-
-    p = sub.add_parser("star-cone", help="tropical cone of sunflower densities")
-    p.add_argument("--r", type=int, default=2, help="uniformity")
-    p.add_argument("--c", type=int, default=1, help="core size")
-    p.add_argument("--l", type=int, required=True, help="largest branch count")
-    p.set_defaults(cone="star")
+    for command, cone, text in (
+        ("trop-sos", "trop-sos", "minor cone of the degree-d moment matrix"),
+        ("clique-cone", "clique", "tropical cone of clique densities"),
+        ("star-cone", "star", "tropical cone of sunflower densities"),
+    ):
+        p = sub.add_parser(command, help=text)
+        add_cone_options(p, cone)
+        p.set_defaults(cone=cone)
 
     p = sub.add_parser("test-binomial", help="test t(H1) >= t(H2) on a tropical cone")
-    p.add_argument("cone", choices=("clique", "star", "trop-sos"), help="cone source")
-    p.add_argument("H1", help=GRAPH_HELP)
-    p.add_argument("H2", help=GRAPH_HELP)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--labels", type=int, default=None)
+    kinds = p.add_subparsers(dest="cone", required=True)
+    for cone in ("clique", "star", "trop-sos"):
+        p = kinds.add_parser(cone)
+        p.add_argument("H1", help=GRAPH_HELP)
+        p.add_argument("H2", help=GRAPH_HELP)
+        add_cone_options(p, cone)
 
     p = sub.add_parser("obstruction", help="counting obstruction report for k*upper >= (k+1)*lower")
     p.add_argument("upper", help=GRAPH_HELP)
@@ -330,26 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=int, default=None, help="label budget (default 2d)")
 
     p = sub.add_parser("family-trajectory", help="extremal family log-density trajectory as CSV")
-    p.add_argument("family", choices=("clique", "star"))
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="ray index (clique) or exponent (star)")
-    p.add_argument("--schedule", help="comma-separated parameter values, e.g. 1e-1,1e-2")
-
-    for command_parser in sub.choices.values():
-        add_output_flags(command_parser, top=False)
+    families = p.add_subparsers(dest="family", required=True)
+    for family, k_help in (("clique", "ray index"), ("star", "exponent")):
+        p = families.add_parser(family)
+        add_cone_options(p, family)
+        p.add_argument("--k", type=int, required=True, help=k_help)
+        p.add_argument("--schedule", help="comma-separated parameter values, e.g. 1e-1,1e-2")
     return parser
-
-
-def validate(args: argparse.Namespace) -> None:
-    if args.command == "test-binomial":
-        if args.cone in ("clique", "star") and args.l is None:
-            raise ValueError(f"--l is required for the {args.cone} cone")
-        if args.cone == "trop-sos" and args.d is None:
-            raise ValueError("--d is required for the trop-sos cone")
-    if args.format == "csv" and args.command != "family-trajectory":
-        raise ValueError(f"command {args.command} only emits JSON")
 
 
 def main(argv=None) -> int:
@@ -357,7 +343,8 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = "csv" if args.command == "family-trajectory" else "json"
     try:
-        validate(args)
+        if args.format == "csv" and args.command != "family-trajectory":
+            raise ValueError(f"command {args.command} only emits JSON")
         text, code = COMMANDS[args.command](args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, formats, and exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -267,9 +268,12 @@ def test_binomial_refuses_a_graph_of_another_uniformity(capsys, argv, want):
 
 
 def test_binomial_missing_parameters_exit_2(capsys):
-    """Each cone source insists on its size parameter."""
-    assert run_cli(capsys, "test-binomial", "clique", "edge", "edge")[0] == 2
-    assert run_cli(capsys, "test-binomial", "trop-sos", "edge", "edge")[0] == 2
+    """Each cone source insists on its size parameter: a usage error, exit 2."""
+    for cone, flag in (("clique", "--l"), ("trop-sos", "--d")):
+        with pytest.raises(SystemExit) as exc:
+            main(["test-binomial", cone, "edge", "edge"])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {flag}" in capsys.readouterr().err
 
 
 def test_trop_sos_cone_refuses_nonpositive_degree(capsys):
@@ -492,6 +496,67 @@ def test_trajectory_single_value_flag_is_refused(capsys):
         main(["family-trajectory", "clique", "--l", "3", "--k", "2", "--alpha", "1e-2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --alpha 1e-2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "test-binomial clique edge K3 --l 3 --d 5 --labels 9 --c 4",
+    "test-binomial trop-sos path2 edge^2 --d 1 --labels 2 --r 7 --l 1 --c 3",
+    "family-trajectory clique --l 3 --k 2 --c 9 --schedule 1e-1",
+    "test-binomial star path2 edge^2 --l 2 --labels 4",
+    "density P3 K4 --out OUT",
+])
+def test_options_of_another_kind_are_refused(capsys, tmp_path, argv):
+    """An option that the command, cone kind or family does not read is a usage error, exit 2;
+    --out and --format are read only before the subcommand."""
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([str(out) if tok == "OUT" else tok for tok in argv.split()])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Every parser by its path of subcommands, with the options it declares besides -h.
+PARSER_OPTIONS = {
+    (): {"--out", "--format"},
+    ("density",): set(),
+    ("trop-sos",): {"--d", "--labels"},
+    ("clique-cone",): {"--r", "--l"},
+    ("star-cone",): {"--r", "--c", "--l"},
+    ("test-binomial",): set(),
+    ("test-binomial", "clique"): {"--r", "--l"},
+    ("test-binomial", "star"): {"--r", "--c", "--l"},
+    ("test-binomial", "trop-sos"): {"--d", "--labels"},
+    ("obstruction",): {"--k", "--d", "--labels", "--p"},
+    ("minor-cert",): {"--fixed", "--d", "--labels"},
+    ("family-trajectory",): set(),
+    ("family-trajectory", "clique"): {"--r", "--l", "--k", "--schedule"},
+    ("family-trajectory", "star"): {"--r", "--c", "--l", "--k", "--schedule"},
+}
+
+
+def test_each_parser_declares_exactly_its_options(capsys):
+    """The option contract as a table: every parser, leaf or not, declares exactly the
+    options above, and -h on every leaf prints its help and exits 0."""
+    from graphtrop.cli import build_parser
+
+    found, leaves = {}, []
+    stack = [((), build_parser())]
+    while stack:
+        path, parser = stack.pop()
+        options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        found[path] = options
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for action in subs:
+            stack.extend((path + (name,), child) for name, child in action.choices.items())
+        if not subs:
+            leaves.append(path)
+    assert found == PARSER_OPTIONS
+    for path in leaves:
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: graphtrop {' '.join(path)} [-h]")
 
 
 def test_trajectory_bad_parameters(capsys):
