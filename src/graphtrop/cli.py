@@ -9,13 +9,10 @@ precondition failure, 4 input or I/O error, 3 internal certificate mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .cones import (
     CertificateError,
@@ -24,6 +21,7 @@ from .cones import (
     cone_member,
     dot,
     minor_cone,
+    minor_facets,
     star_ray,
     star_trop_cone,
 )
@@ -123,8 +121,10 @@ def build_cone(args: argparse.Namespace):
     if args.d < 1:
         raise ValueError("degree must be positive")
     M = moment_matrix(enumerate_basis("B_tilde", args.d, args.labels))
-    cone = minor_cone(M)
     descriptor = {"source": "trop-sos", "d": args.d, "labels": args.labels}
+    if args.command == "test-binomial":  # (basis, facets) only: the test reads no rays
+        return (M.vbasis, minor_facets(M)), descriptor, {}
+    cone = minor_cone(M)
     return cone, descriptor, {"moment_basis_size": M.size, "degenerate": not cone.basis}
 
 
@@ -139,22 +139,20 @@ def cmd_cone(args: argparse.Namespace) -> tuple[str, int]:
     for H in (H1, H2):
         if H.r != r:
             raise ValueError(f"uniformity mismatch: {r} vs {H.r}")
-    cone, descriptor, _ = build_cone(args)
-    a1 = alpha_vector(H1, cone.basis)
-    a2 = alpha_vector(H2, cone.basis)
-    diff = tuple(x - y for x, y in zip(a1, a2))
-    membership = cone_member(diff, cone.facets)
+    (basis, facets, *_), descriptor, _ = build_cone(args)
+    diff = tuple(x - y for x, y in zip(alpha_vector(H1, basis), alpha_vector(H2, basis)))
+    membership = cone_member(diff, facets)
     obj = {
         "H1": graph_key(H1),
         "H2": graph_key(H2),
         "cone": descriptor,
-        "basis": list(cone.basis),
+        "basis": list(basis),
         "difference": list(diff),
     }
     if membership.inside:
         recon = [
-            sum(c * f[j] for c, f in zip(membership.coefficients, cone.facets))
-            for j in range(len(cone.basis))
+            sum(c * f[j] for c, f in zip(membership.coefficients, facets))
+            for j in range(len(basis))
         ]
         if recon != list(diff):
             raise CertificateError("Farkas combination does not reproduce the difference")
@@ -162,7 +160,7 @@ def cmd_cone(args: argparse.Namespace) -> tuple[str, int]:
         obj["coefficients"] = membership.coefficients
     else:
         sep = membership.separator
-        if not (dot(sep, diff) < 0 and all(dot(sep, f) >= 0 for f in cone.facets)):
+        if not (dot(sep, diff) < 0 and all(dot(sep, f) >= 0 for f in facets)):
             raise CertificateError("separating cone point failed re-verification")
         obj["verdict"] = "not valid"
         obj["separator"] = list(sep)
@@ -241,11 +239,8 @@ def cmd_family_trajectory(args: argparse.Namespace) -> tuple[str, int]:
     header = ["parameter"] + names + ["distance"]
     if args.format == "json":
         return json_text({"columns": header, "rows": rows}) + "\n", 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue(), 0
+    # no field holds a comma, a quote or a newline, so no field needs CSV quoting
+    return "".join(",".join(row) + "\n" for row in [header, *rows]), 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +257,8 @@ COMMANDS = {
     "minor-cert": cmd_minor_cert,
     "family-trajectory": cmd_family_trajectory,
 }
+
+Parser = partial(argparse.ArgumentParser, allow_abbrev=False)  # --l is not read as --labels
 
 GRAPH_HELP = "graph as inline JSON, @file, '-' for stdin, or a name like K3 or edge^3"
 
@@ -282,13 +279,13 @@ def add_cone_options(parser: argparse.ArgumentParser, cone: str) -> None:
 
 @cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="graphtrop",
         description="Exact homomorphism densities, tropical cones, and obstruction certificates.",
     )
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), help="output format")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     p = sub.add_parser("density", help="homomorphism density t(H; G)")
     p.add_argument("H", help=GRAPH_HELP)
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(cone=cone)
 
     p = sub.add_parser("test-binomial", help="test t(H1) >= t(H2) on a tropical cone")
-    kinds = p.add_subparsers(dest="cone", required=True)
+    kinds = p.add_subparsers(dest="cone", required=True, parser_class=Parser)
     for cone in ("clique", "star", "trop-sos"):
         p = kinds.add_parser(cone)
         p.add_argument("H1", help=GRAPH_HELP)
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=int, default=None, help="label budget (default 2d)")
 
     p = sub.add_parser("family-trajectory", help="extremal family log-density trajectory as CSV")
-    families = p.add_subparsers(dest="family", required=True)
+    families = p.add_subparsers(dest="family", required=True, parser_class=Parser)
     for family, k_help in (("clique", "ray index"), ("star", "exponent")):
         p = families.add_parser(family)
         add_cone_options(p, family)
@@ -358,7 +355,7 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"graphtrop: certificate mismatch: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"graphtrop: i/o error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

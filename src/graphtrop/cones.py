@@ -355,12 +355,11 @@ def star_trop_cone(r: int, c: int, l: int) -> RationalCone:
     return cone
 
 
-def minor_cone(M: MomentMatrix) -> RationalCone:
-    """Cone cut out by the 2x2 principal minors of a moment matrix, in log space."""
+def minor_facets(M: MomentMatrix) -> tuple[tuple[int, ...], ...]:
+    """Sorted distinct primitive rows over M.vbasis of the 2x2 principal minors, in log space."""
     if not any(el.graph.n == 0 for el in M.basis):
         raise ValueError("moment matrix basis must contain the empty graph")
-    vbasis = M.vbasis
-    rows = {}
+    rows = set()
     for i in range(M.size):
         for j in range(i + 1, M.size):
             if M.orbit[(i, j)] != (i, j):  # same generator as its orbit's first pair
@@ -371,10 +370,14 @@ def minor_cone(M: MomentMatrix) -> RationalCone:
                     f"symbolically zero 2x2 minor for basis pair ({i}, {j}); "
                     "use a basis whose components are all labeled"
                 )
-            row = primitive([vec.get(k, 0) for k in vbasis])
-            rows.setdefault(row, row)
-    facets = tuple(sorted(rows))
-    lines, rays = dd_rays(facets, len(vbasis))
-    cone = RationalCone(vbasis, facets, tuple(sorted(rays)), tuple(lines))
+            rows.add(primitive([vec.get(k, 0) for k in M.vbasis]))
+    return tuple(sorted(rows))
+
+
+def minor_cone(M: MomentMatrix) -> RationalCone:
+    """Cone cut out by the 2x2 principal minors of a moment matrix, in log space."""
+    facets = minor_facets(M)
+    lines, rays = dd_rays(facets, len(M.vbasis))
+    cone = RationalCone(M.vbasis, facets, tuple(sorted(rays)), tuple(lines))
     cone.validate()
     return cone

@@ -75,11 +75,17 @@ def test_density_at_file(capsys, tmp_path):
     assert obj["density"] == "2/9"
 
 
-def test_input_errors_exit_4(capsys):
-    """Unknown names, malformed JSON, and missing files exit with code 4."""
+def test_input_errors_exit_4(capsys, tmp_path):
+    """Unknown names, malformed JSON, missing files and files that are not UTF-8 exit with
+    code 4."""
     assert run_cli(capsys, "density", "nosuch", "edge")[0] == 4
     assert run_cli(capsys, "density", '{"bad": 1}', "edge")[0] == 4
     assert run_cli(capsys, "density", "@/no/such/file", "edge")[0] == 4
+    path = tmp_path / "g.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["density", f"@{path}", "edge"]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "can't decode" in err
 
 
 def test_input_error_messages_are_precise(capsys):
@@ -114,6 +120,23 @@ def test_double_description_names_needed_dimension(capsys):
     assert main(["trop-sos", "--d", "3", "--labels", "2"]) == 2
     err = capsys.readouterr().err
     assert "double description limited to dimension 12, got 50" in err
+
+
+def test_binomial_on_trop_sos_reads_no_rays(capsys, monkeypatch):
+    """test-binomial reads only the cone's basis and facets, so it answers on a trop-sos
+    cone beyond the double-description limit without computing a ray."""
+    import graphtrop.cones
+
+    def no_rays(*args):
+        raise AssertionError("test-binomial computed rays")
+
+    monkeypatch.setattr(graphtrop.cones, "dd_rays", no_rays)
+    argv = ["test-binomial", "trop-sos", "P3", "edge^3", "--d", "3", "--labels", "2"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verdict"] == "not valid" and len(obj["basis"]) == 50
+    assert _sha256(out) == "66b2d89ab54b04beda56ff45d333898ac3dcb97b44f065fecb6a551c6068fb98"
 
 
 def test_density_in_large_complete_bipartite_graphs(capsys):
@@ -516,6 +539,26 @@ def test_options_of_another_kind_are_refused(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("trop-sos --d 1 --lab 2", "unrecognized arguments: --lab 2"),
+    ("test-binomial trop-sos path2 edge^2 --d 1 --labels 2 --l 1", "unrecognized arguments: --l 1"),
+    ("family-trajectory clique --l 3 --k 2 --sched 1e-1", "unrecognized arguments: --sched 1e-1"),
+    ("obstruction P3 edge^3 --k 1 --d 1 --lab 2", "unrecognized arguments: --lab 2"),
+    ("minor-cert path2 --fix edge 1/2 --d 1", "the following arguments are required: --fixed"),
+    ("--ou OUT density K3 K4", "invalid choice: "),
+    ("--fo json density K3 K4", "invalid choice: 'json'"),
+])
+def test_options_are_read_only_by_their_full_names(capsys, tmp_path, argv, message):
+    """A prefix of an option, such as --l for --labels, is a usage error, exit 2; before the
+    subcommand its value is then read as the command."""
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([str(out) if tok == "OUT" else tok for tok in argv.split()])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Every parser by its path of subcommands, with the options it declares besides -h.
 PARSER_OPTIONS = {
     (): {"--out", "--format"},
@@ -537,21 +580,25 @@ PARSER_OPTIONS = {
 
 def test_each_parser_declares_exactly_its_options(capsys):
     """The option contract as a table: every parser, leaf or not, declares exactly the
-    options above, and -h on every leaf prints its help and exits 0."""
+    options above and reads none by a prefix, and -h on every leaf prints its help and
+    exits 0."""
     from graphtrop.cli import build_parser
 
-    found, leaves = {}, []
+    found, leaves, abbreviating = {}, [], []
     stack = [((), build_parser())]
     while stack:
         path, parser = stack.pop()
         options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
         found[path] = options
+        if parser.allow_abbrev:
+            abbreviating.append(path)
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         for action in subs:
             stack.extend((path + (name,), child) for name, child in action.choices.items())
         if not subs:
             leaves.append(path)
     assert found == PARSER_OPTIONS
+    assert abbreviating == []
     for path in leaves:
         with pytest.raises(SystemExit) as exc:
             main([*path, "-h"])
@@ -627,8 +674,9 @@ def test_module_entry_point():
 
 def test_runtime_imports_no_test_only_library():
     """The CLI, a density and a minor certificate run without numpy or a test-only library,
-    without dataclasses or inspect (the core types are named tuples), and without logging
-    or traceback (the package writes no log records)."""
+    without dataclasses or inspect (the core types are named tuples), without logging
+    or traceback (the package writes no log records), and without csv (the trajectory
+    CSV is a plain join)."""
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
@@ -641,12 +689,13 @@ def test_runtime_imports_no_test_only_library():
         "print(t, cert.status, [m for m in test_only if m in sys.modules])\n"
         "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
         "print([m for m in ('logging', 'traceback') if m in sys.modules])\n"
+        "print('csv' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "3/8 inconclusive []\n[]\n[]\n"
+    assert proc.stdout == "3/8 inconclusive []\n[]\n[]\nFalse\n"
 
 
 # sha256 of the stdout of fast runs.  Refactors of keys, products and cone
@@ -687,6 +736,14 @@ OUTPUT_SHA256 = {
         "6359660c961a997fb67f26fd9d7546b98f9b9426e08b57df76fef5c3373c967f",
     "--format json family-trajectory clique --r 2 --l 3 --k 2 --schedule 1e-1,1e-2,1e-3,1e-4":
         "e366b3dcc3f2ebe7749f1ea57818dba78d2e4057a34b3ba7ee1a2e7941f05e0c",
+    "family-trajectory clique --r 2 --l 3 --k 2 --schedule 1e-1,1e-2,1e-3,1e-4":
+        "e79fae641370a828e08c125a48f6de857c0f609b1d166f73184c67c700682f70",
+    "family-trajectory star --r 2 --c 1 --l 3 --k 2 --schedule 1e-1,1e-2,1e-3,1e-4":
+        "62ce80fcc7972d1ee519881bd06b278d565c4b20a4a2aa4589ca1ef9200460e9",
+    "family-trajectory clique --l 3 --k 2 --schedule 1e-400":
+        "0742557f07e4de87c44b297ac7378dd28a3315a474e075a72651c9f06d90f34e",
+    "test-binomial trop-sos P3 edge^3 --d 2 --labels 4":
+        "c2b51f989804cafa2c7b6747abdc61be014ce0b22767e374f058b99006962a1c",
 }
 # sha256 of a precondition-failure report, which exits 2.
 PRECONDITION_REPORT_SHA256 = "f05b9b5f1998346c2225ef1fc67a3a1e6fa221f2225e8c16df7dd97f66862bff"
