@@ -360,17 +360,16 @@ def minor_facets(M: MomentMatrix) -> tuple[tuple[int, ...], ...]:
     if not any(el.graph.n == 0 for el in M.basis):
         raise ValueError("moment matrix basis must contain the empty graph")
     rows = set()
-    for i in range(M.size):
-        for j in range(i + 1, M.size):
-            if M.orbit[(i, j)] != (i, j):  # same generator as its orbit's first pair
-                continue
-            vec = M.generator(i, j)
-            if not vec:
-                raise ValueError(
-                    f"symbolically zero 2x2 minor for basis pair ({i}, {j}); "
-                    "use a basis whose components are all labeled"
-                )
-            rows.add(primitive([vec.get(k, 0) for k in M.vbasis]))
+    for i, j in M.entries:  # one generator per orbit, at its first pair
+        if i == j:
+            continue
+        vec = M.generator(i, j)
+        if not vec:
+            raise ValueError(
+                f"symbolically zero 2x2 minor for basis pair ({i}, {j}); "
+                "use a basis whose components are all labeled"
+            )
+        rows.add(primitive([vec.get(k, 0) for k in M.vbasis]))
     return tuple(sorted(rows))
 
 

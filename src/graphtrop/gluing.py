@@ -306,12 +306,12 @@ def enumerate_basis(kind: str, d: int, label_budget: int | None = None, r: int =
 class MomentMatrix(NamedTuple):
     """Symmetric matrix of unlabeled gluing products over a labeled basis.
 
-    Only the component counts of each product are stored, for i <= j; they
-    are read-only and shared by every caller of alpha_entry, and by every
-    pair whose factors restrict to the same pair of labeled graphs on their
-    shared labels.  orbit maps each such pair to the first pair, in row-major
-    order, of its orbit under the permutations of the labels; every pair of
-    an orbit holds the same entry.
+    Only the component counts of each product are stored, once per orbit of
+    the pairs i <= j under the permutations of the labels.  orbit maps each
+    pair to its orbit's first pair in row-major order, and entries maps each
+    first pair, in that order, to its entry.  Entries are read-only and
+    shared by every caller of alpha_entry, and by every first pair whose
+    factors restrict to the same pair of labeled graphs on their shared labels.
     reversed holds the pairs (i, j) onto which such a permutation carries
     their orbit's first pair (a, b) as a -> j and b -> i.  vbasis holds the
     sorted keys of every component that occurs.
@@ -319,16 +319,16 @@ class MomentMatrix(NamedTuple):
 
     basis: tuple[LabeledGraph, ...]
     vbasis: tuple[str, ...]
-    counts: dict[tuple[int, int], Mapping[str, int]]
+    entries: dict[tuple[int, int], Mapping[str, int]]
     orbit: dict[tuple[int, int], tuple[int, int]]
-    reversed: frozenset[tuple[int, int]]
+    reversed: set[tuple[int, int]]
 
     @property
     def size(self) -> int:
         return len(self.basis)
 
     def alpha_entry(self, i: int, j: int) -> Mapping[str, int]:
-        return self.counts[(i, j) if i <= j else (j, i)]
+        return self.entries[self.orbit[(i, j) if i <= j else (j, i)]]
 
     def generator(self, i: int, j: int) -> dict[str, int]:
         """The 2x2-minor generator alpha([[A^2]]) + alpha([[B^2]]) - 2 alpha([[AB]]).
@@ -336,11 +336,10 @@ class MomentMatrix(NamedTuple):
         A and B are basis elements i and j; the result holds the nonzero
         counts by key, read from the stored entries.
         """
-        c = self.counts
-        out = dict(c[(i, i)])
-        for key, k in c[(j, j)].items():
+        out = dict(self.alpha_entry(i, i))
+        for key, k in self.alpha_entry(j, j).items():
             out[key] = out.get(key, 0) + k
-        for key, k in c[(i, j) if i <= j else (j, i)].items():
+        for key, k in self.alpha_entry(i, j).items():
             out[key] = out.get(key, 0) - 2 * k
         return {key: k for key, k in out.items() if k}
 
@@ -363,35 +362,34 @@ def moment_matrix(basis) -> MomentMatrix:
     elems, action = tuple(basis), getattr(basis, "action", ())
     name = getattr(basis, "restricted", lambda i, S: i)
     labels = [frozenset(l for l, _ in A.labels) for A in elems]
-    pairs = [(i, j) for i in range(len(elems)) for j in range(i, len(elems))]
-    first: dict[tuple[int, int], tuple[int, int]] = {}
-    flipped: dict[tuple[int, int], bool] = {}  # reached reversed from the orbit's first pair
+    orbit: dict[tuple[int, int], tuple[int, int]] = {}
     entries: dict[tuple[int, int], Mapping[str, int]] = {}
+    reversed_pairs: set[tuple[int, int]] = set()  # reached reversed from the orbit's first pair
     glued: dict[tuple, Mapping[str, int]] = {}  # by the names of both factors on their shared labels
-    for pair in pairs:
-        if pair in first:
-            continue
-        i, j = pair
-        shared = tuple(sorted(labels[i] & labels[j]))
-        key = name(i, shared), name(j, shared)
-        if key not in glued:
-            glued[key] = MappingProxyType(product_counts(elems[i], elems[j]))
-        entries[pair] = glued[key]
-        first[pair], flipped[pair], todo = pair, False, [pair]
-        while todo:
-            i, j = todo.pop()
-            for image in action:
-                a, b = image[i], image[j]
-                moved = (a, b) if a <= b else (b, a)
-                if moved not in first:
-                    first[moved] = pair
-                    flipped[moved] = flipped[i, j] != (a > b)
-                    todo.append(moved)
-    orbit = {pair: first[pair] for pair in pairs}
-    counts = {pair: entries[rep] for pair, rep in orbit.items()}
+    for i in range(len(elems)):
+        for j in range(i, len(elems)):
+            if (i, j) in orbit:
+                continue
+            first = i, j
+            shared = tuple(sorted(labels[i] & labels[j]))
+            key = name(i, shared), name(j, shared)
+            if key not in glued:
+                glued[key] = MappingProxyType(product_counts(elems[i], elems[j]))
+            entries[first] = glued[key]
+            orbit[first], todo = first, [first]
+            while todo:
+                pair = todo.pop()
+                flipped = pair in reversed_pairs
+                for image in action:
+                    a, b = image[pair[0]], image[pair[1]]
+                    moved = (a, b) if a <= b else (b, a)
+                    if moved not in orbit:
+                        orbit[moved] = first
+                        if flipped != (a > b):
+                            reversed_pairs.add(moved)
+                        todo.append(moved)
     vbasis = tuple(sorted(set().union(*glued.values()), key=basis_sort_key))
-    reversed_pairs = frozenset(pair for pair, rev in flipped.items() if rev)
-    return MomentMatrix(elems, vbasis, counts, orbit, reversed_pairs)
+    return MomentMatrix(elems, vbasis, entries, orbit, reversed_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -785,12 +785,13 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         label_budget = 2 * degree
     M = moment_matrix(enumerate_basis("B_tilde", degree, label_budget, free.r))
     allowed = set(fixed_map) | {free_key}
-    # the monomial of every entry (i <= j) whose graphs are all coordinates
-    terms = {
-        ij: _entry_term(counts, fixed_map, free_key)
-        for ij, counts in M.counts.items()
+    # the monomial of every entry (i <= j) whose graphs are all coordinates, once per orbit
+    orbit_terms = {
+        first: _entry_term(counts, fixed_map, free_key)
+        for first, counts in M.entries.items()
         if counts.keys() <= allowed
     }
+    terms = {ij: orbit_terms[first] for ij, first in M.orbit.items() if first in orbit_terms}
     diag = [i for i in range(M.size) if (i, i) in terms]
     index_sets = [(i,) for i in diag]
     index_sets += [S for S in combinations(diag, 2) if S in terms]

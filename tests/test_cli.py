@@ -744,6 +744,8 @@ OUTPUT_SHA256 = {
         "0742557f07e4de87c44b297ac7378dd28a3315a474e075a72651c9f06d90f34e",
     "test-binomial trop-sos P3 edge^3 --d 2 --labels 4":
         "c2b51f989804cafa2c7b6747abdc61be014ce0b22767e374f058b99006962a1c",
+    "test-binomial trop-sos P3 edge^3 --d 3 --labels 4":
+        "e3eec73f81b7fa8ea51fdc19196e6c60f0be5188a3c1bcd544e69d26f1a2d4b7",
 }
 # sha256 of a precondition-failure report, which exits 2.
 PRECONDITION_REPORT_SHA256 = "f05b9b5f1998346c2225ef1fc67a3a1e6fa221f2225e8c16df7dd97f66862bff"

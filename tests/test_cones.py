@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -443,10 +444,14 @@ def test_minor_cone_degree_one_frozen():
 
 
 def test_minor_cone_rejects_unlabeled_components():
-    """Bases with fully unlabeled components have symbolically zero minors."""
-    M = moment_matrix(enumerate_basis("B", 1, 2))
-    with pytest.raises(ValueError):
-        minor_cone(M)
+    """Bases with fully unlabeled components have symbolically zero minors.
+
+    The refusal names the first such pair in row-major order.
+    """
+    for d, labels, pair in ((1, 2, "(0, 4)"), (2, 4, "(0, 11)")):
+        M = moment_matrix(enumerate_basis("B", d, labels))
+        with pytest.raises(ValueError, match=rf"basis pair {re.escape(pair)}"):
+            minor_cone(M)
 
 
 def test_minor_cone_requires_unit():

@@ -540,12 +540,14 @@ def _assert_matches_full_build(basis):
     """moment_matrix equals the full build entry by entry, with one shared entry per orbit."""
     M = moment_matrix(basis)
     counts, vbasis = reference_moment_matrix(basis)
-    assert M.counts.keys() == counts.keys() == M.orbit.keys()
+    assert counts.keys() == M.orbit.keys()
+    assert M.entries.keys() == set(M.orbit.values())
+    assert list(M.entries) == sorted(M.entries)  # first pairs in row-major order
     for pair, entry in counts.items():
-        assert M.counts[pair] == entry, pair
+        assert M.alpha_entry(*pair) == entry, pair
         rep = M.orbit[pair]
         assert rep <= pair and M.orbit[rep] == rep, pair
-        assert M.counts[pair] is M.counts[rep], pair
+        assert M.alpha_entry(*pair) is M.entries[rep], pair
     assert M.vbasis == vbasis
     return M
 
@@ -554,7 +556,7 @@ def _assert_matches_full_build(basis):
     "d, labels", [(d, labels) for d in (1, 2, 3) for labels in (1, 2, 3, 4) if (d, labels) != (3, 4)]
 )
 def test_orbit_moment_matrix_matches_full_build(d, labels):
-    """B_tilde at each degree and label budget whose full build stays small (d=3, L=4 has 64,261 entries)."""
+    """B_tilde at each degree and label budget whose full build stays small (d=3, L=4 has 64,261 pairs)."""
     _assert_matches_full_build(enumerate_basis("B_tilde", d, labels))
 
 
@@ -562,7 +564,7 @@ def test_orbit_moment_matrix_matches_full_build_other_bases():
     """An r=3 basis and a "B" basis, both closed under the label permutations."""
     for basis in (enumerate_basis("B_tilde", 2, 3, r=3), enumerate_basis("B", 2, 3)):
         M = _assert_matches_full_build(basis)
-        assert len(set(M.orbit.values())) < len(M.counts)
+        assert len(M.entries) < len(M.orbit)
 
 
 def test_orbit_moment_matrix_basis_not_closed():
@@ -603,11 +605,12 @@ def test_restriction_names_are_labeled_isomorphism_classes(kind, d, labels, r, r
 
 
 def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
-    """d=3, L=3 builds 545 of its 7,381 products; d=2, L=4 builds 52 of 2,485.
+    """d=3, L=3 builds 545 of its 7,381 products; d=3, L=4 883 of 64,261; d=2, L=4 52 of 2,485.
 
     Each orbit's first pair is glued only when no earlier pair restricts to
-    the same pair of names on its shared labels: 545 of the 1,420 orbits and
-    52 of the 178 (one product per orbit built 1,420 and 178).  The minor
+    the same pair of names on its shared labels: 545 of the 1,420 orbits,
+    883 of the 3,469 and 52 of the 178 (one product per orbit built 1,420,
+    3,469 and 178).  The matrix stores one entry per orbit.  The minor
     certificate and the "V" basis read the moment matrix, so they build 52
     for a c06 point, whose basis is the d=2, L=4 one, and 52 for "V" at d=2,
     L=4, over the 83 elements of "B" (one per orbit built 178 and 283).  A
@@ -624,15 +627,17 @@ def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
 
     product_counts = gluing.product_counts
     monkeypatch.setattr(gluing, "product_counts", counted)
-    for d, labels, entries, orbits, glued in ((3, 3, 7381, 1420, 545), (2, 4, 2485, 178, 52)):
+    cases = ((3, 3, 7381, 1420, 545), (3, 4, 64261, 3469, 883), (2, 4, 2485, 178, 52))
+    for d, labels, pairs, orbits, glued in cases:
         basis = enumerate_basis("B_tilde", d, labels)
         calls.clear()
         M = moment_matrix(basis)
-        assert (len(M.counts), len(set(M.orbit.values()))) == (entries, orbits)
+        assert (len(M.orbit), len(M.entries), len(set(M.orbit.values()))) == (pairs, orbits, orbits)
         assert len(calls) == glued
     calls.clear()
     plain = moment_matrix(tuple(basis))  # no action and no names: every pair is glued
-    assert len(calls) == 2485 and (plain.counts, plain.vbasis) == (M.counts, M.vbasis)
+    assert len(calls) == 2485 and plain.vbasis == M.vbasis and plain.orbit.keys() == M.orbit.keys()
+    assert all(plain.alpha_entry(*pair) == M.alpha_entry(*pair) for pair in M.orbit)
     calls.clear()
     fixed = {single_edge(): Fraction(7, 10), complete_graph(3): Fraction(3, 25)}
     obstructions.minor_certificate(fixed, path_graph(2), 2)
