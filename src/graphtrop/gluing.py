@@ -307,28 +307,27 @@ class MomentMatrix(NamedTuple):
     """Symmetric matrix of unlabeled gluing products over a labeled basis.
 
     Only the component counts of each product are stored, once per orbit of
-    the pairs i <= j under the permutations of the labels.  orbit maps each
-    pair to its orbit's first pair in row-major order, and entries maps each
-    first pair, in that order, to its entry.  Entries are read-only and
+    the pairs i <= j under the permutations of the labels.  orbit[i][j - i]
+    holds the first pair (a, b) of (i, j)'s orbit in row-major order, as
+    (b, a) when such a permutation carries a -> j and b -> i.  entries maps
+    each first pair, in that order, to its entry.  Entries are read-only and
     shared by every caller of alpha_entry, and by every first pair whose
-    factors restrict to the same pair of labeled graphs on their shared labels.
-    reversed holds the pairs (i, j) onto which such a permutation carries
-    their orbit's first pair (a, b) as a -> j and b -> i.  vbasis holds the
-    sorted keys of every component that occurs.
+    factors restrict to the same pair of labeled graphs on their shared
+    labels.  vbasis holds the sorted keys of every component that occurs.
     """
 
     basis: tuple[LabeledGraph, ...]
     vbasis: tuple[str, ...]
     entries: dict[tuple[int, int], Mapping[str, int]]
-    orbit: dict[tuple[int, int], tuple[int, int]]
-    reversed: set[tuple[int, int]]
+    orbit: list[list[tuple[int, int]]]
 
     @property
     def size(self) -> int:
         return len(self.basis)
 
     def alpha_entry(self, i: int, j: int) -> Mapping[str, int]:
-        return self.entries[self.orbit[(i, j) if i <= j else (j, i)]]
+        a, b = self.orbit[min(i, j)][abs(j - i)]
+        return self.entries[(a, b) if a <= b else (b, a)]
 
     def generator(self, i: int, j: int) -> dict[str, int]:
         """The 2x2-minor generator alpha([[A^2]]) + alpha([[B^2]]) - 2 alpha([[AB]]).
@@ -355,41 +354,39 @@ def moment_matrix(basis) -> MomentMatrix:
     glued only when no earlier one restricts to the same pair of names on its
     shared labels (Basis.restricted); otherwise it takes that pair's entry.
     Any other sequence gets the trivial group and the trivial naming: every
-    pair is its own orbit and glued once.  An image (a, b) with a > b is
-    stored as (b, a), so it is reached reversed from the pair it came from;
-    directions compose along the walk.
+    pair is its own orbit and glued once.  A pair's cell holds the first pair
+    in the order that carries it onto the pair, so an image (a, b) with
+    a > b takes the cell's pair flipped, at (b, a).
     """
     elems, action = tuple(basis), getattr(basis, "action", ())
     name = getattr(basis, "restricted", lambda i, S: i)
     labels = [frozenset(l for l, _ in A.labels) for A in elems]
-    orbit: dict[tuple[int, int], tuple[int, int]] = {}
+    n = len(elems)
+    orbit: list[list[tuple[int, int] | None]] = [[None] * (n - i) for i in range(n)]
     entries: dict[tuple[int, int], Mapping[str, int]] = {}
-    reversed_pairs: set[tuple[int, int]] = set()  # reached reversed from the orbit's first pair
     glued: dict[tuple, Mapping[str, int]] = {}  # by the names of both factors on their shared labels
-    for i in range(len(elems)):
-        for j in range(i, len(elems)):
-            if (i, j) in orbit:
+    for i in range(n):
+        for j in range(i, n):
+            if orbit[i][j - i] is not None:
                 continue
-            first = i, j
+            first, flip = (i, j), (j, i)
             shared = tuple(sorted(labels[i] & labels[j]))
             key = name(i, shared), name(j, shared)
             if key not in glued:
                 glued[key] = MappingProxyType(product_counts(elems[i], elems[j]))
             entries[first] = glued[key]
-            orbit[first], todo = first, [first]
+            orbit[i][j - i], todo = first, [first]
             while todo:
-                pair = todo.pop()
-                flipped = pair in reversed_pairs
+                p, q = todo.pop()
+                ahead, back = (first, flip) if orbit[p][q - p] == first else (flip, first)
                 for image in action:
-                    a, b = image[pair[0]], image[pair[1]]
-                    moved = (a, b) if a <= b else (b, a)
-                    if moved not in orbit:
-                        orbit[moved] = first
-                        if flipped != (a > b):
-                            reversed_pairs.add(moved)
-                        todo.append(moved)
+                    a, b = image[p], image[q]
+                    a, b, cell = (a, b, ahead) if a <= b else (b, a, back)
+                    if orbit[a][b - a] is None:
+                        orbit[a][b - a] = cell
+                        todo.append((a, b))
     vbasis = tuple(sorted(set().union(*glued.values()), key=basis_sort_key))
-    return MomentMatrix(elems, vbasis, entries, orbit, reversed_pairs)
+    return MomentMatrix(elems, vbasis, entries, orbit)
 
 
 # ---------------------------------------------------------------------------

@@ -356,16 +356,16 @@ def counting_obstruction(
     position = {key: n for n, key in enumerate(vbasis)}
     parts = [labeled_parts(*L.raw) for L in M.basis]
     generators: dict[tuple[int, ...], None] = {}
-    # at each orbit's first pair: its verdict, and the verdict of a pair reached reversed
-    census: dict[tuple[int, int], tuple[PairVerdict, PairVerdict] | None] = {}
+    # at each orbit's first pair (a, b): its verdict at (a, b) and, swapped, at (b, a)
+    census: dict[tuple[int, int], PairVerdict | None] = {}
     pos_indices = []
     verdicts = []
     pair_count = 0
     for i in range(M.size):
         for j in range(i + 1, M.size):
             pair_count += 1
-            rep = M.orbit[(i, j)]
-            if rep == (i, j):  # the orbit is checked and its census taken here
+            cell = M.orbit[i][j - i]
+            if cell == (i, j):  # the orbit is checked and its census taken here
                 entry = M.generator(i, j)
                 if sum(weights[key] * c for key, c in entry.items()) < 0:
                     raise CertificateError(f"negative weight pairing for basis pair ({i}, {j})")
@@ -375,15 +375,15 @@ def counting_obstruction(
                     for key, c in entry.items():
                         dense[position[key]] = c // g
                     generators.setdefault(tuple(dense))
-                census[rep] = None
+                census[i, j] = census[j, i] = None
                 if entry.get(witness, 0) > 0:
                     verdict = _verdict(_census(M, i, j, witness, parts), y_pairing(y, entry))
                     if not verdict.passed:
                         raise CertificateError(f"census bounds failed for basis pair ({i}, {j})")
-                    census[rep] = (verdict, _swapped(verdict))
-            if census[rep] is not None:
+                    census[i, j], census[j, i] = verdict, _swapped(verdict)
+            if census[cell] is not None:
                 pos_indices.append((i, j))
-                verdicts.append(census[rep][(i, j) in M.reversed])
+                verdicts.append(census[cell])
 
     membership = cone_member(target, tuple(generators))
     if membership.inside:
@@ -785,13 +785,15 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         label_budget = 2 * degree
     M = moment_matrix(enumerate_basis("B_tilde", degree, label_budget, free.r))
     allowed = set(fixed_map) | {free_key}
-    # the monomial of every entry (i <= j) whose graphs are all coordinates, once per orbit
+    # the monomial of every entry whose graphs are all coordinates, at its first pair both ways
     orbit_terms = {
         first: _entry_term(counts, fixed_map, free_key)
         for first, counts in M.entries.items()
         if counts.keys() <= allowed
     }
-    terms = {ij: orbit_terms[first] for ij, first in M.orbit.items() if first in orbit_terms}
+    orbit_terms |= {(j, i): term for (i, j), term in orbit_terms.items()}
+    terms = {(i, i + k): orbit_terms[cell] for i, row in enumerate(M.orbit)
+             for k, cell in enumerate(row) if cell in orbit_terms}
     diag = [i for i in range(M.size) if (i, i) in terms]
     index_sets = [(i,) for i in diag]
     index_sets += [S for S in combinations(diag, 2) if S in terms]

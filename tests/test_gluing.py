@@ -3,6 +3,7 @@
 import functools
 import json
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
@@ -396,28 +397,59 @@ def test_one_labeled_search_per_orbit(monkeypatch):
         assert len(calls) == searches == len(basis) - 1
 
 
-@pytest.mark.parametrize("d, labels, r", [(1, 2, 2), (2, 3, 2), (2, 4, 2), (3, 3, 2), (2, 3, 3)])
+def _cells(M):
+    """Each pair i <= j of M mapped to its cell in the triangular orbit table."""
+    return {(i, i + k): cell for i, row in enumerate(M.orbit) for k, cell in enumerate(row)}
+
+
+def _in_order(pair):
+    return tuple(sorted(pair))
+
+
+@pytest.mark.parametrize(
+    "d, labels, r", [(1, 2, 2), (2, 3, 2), (2, 4, 2), (3, 3, 2), (2, 3, 3), (3, 4, 2), (4, 2, 2)]
+)
 def test_carried_action_gives_reference_orbits(d, labels, r):
-    """The carried action is the searched one, and M.orbit closes pairs under it."""
+    """The carried action is the searched one, and M.orbit closes pairs under it.
+
+    Each cell, put in order, is its pair's least orbit pair, and the
+    permutations carry the cell as stored onto the pair.
+    """
     basis = enumerate_basis("B_tilde", d, labels, r)
     images = reference_label_action(basis)
     assert list(basis.action) == images
     M = moment_matrix(basis)
-    assert M.orbit == reference_pair_orbits(len(basis), images)
-    orbits = {rep: reference_ordered_orbit(images, rep) for rep in set(M.orbit.values())}
-    for (i, j), rep in M.orbit.items():
-        assert ((j, i) if (i, j) in M.reversed else (i, j)) in orbits[rep]
-    assert all(rep not in M.reversed for rep in orbits)
+    cells = _cells(M)
+    assert {pair: _in_order(cell) for pair, cell in cells.items()} == reference_pair_orbits(
+        len(basis), images
+    )
+    ordered = {cell: reference_ordered_orbit(images, cell) for cell in set(cells.values())}
+    for pair, cell in cells.items():
+        assert pair in ordered[cell], pair
+    assert all(cells[_in_order(cell)] == _in_order(cell) for cell in ordered)
 
 
 def test_plain_sequence_gets_trivial_group():
     """Only an enumerated basis carries its action; the same elements in a list are not merged."""
     basis = enumerate_basis("B_tilde", 2, 2)
     M = moment_matrix(basis)
-    assert len(set(M.orbit.values())) < len(M.orbit)
+    assert len(set(map(_in_order, _cells(M).values()))) < sum(map(len, M.orbit))
     for plain in (list(basis), tuple(basis), basis[:]):
         M = moment_matrix(plain)
-        assert all(rep == pair for pair, rep in M.orbit.items())
+        assert all(cell == pair for pair, cell in _cells(M).items())
+
+
+def test_moment_matrix_at_three_edges_and_four_labels_stays_small():
+    """The d=3, L=4 matrix (64,261 pairs) retains under 3 MB: no dict or set over its pairs."""
+    basis = enumerate_basis("B_tilde", 3, 4)
+    tracemalloc.start()
+    try:
+        M = moment_matrix(basis)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, M.orbit)) == 64261
+    assert retained < 3 * 2**20, retained
 
 
 def v_basis(d, labels, r=2):
@@ -540,13 +572,14 @@ def _assert_matches_full_build(basis):
     """moment_matrix equals the full build entry by entry, with one shared entry per orbit."""
     M = moment_matrix(basis)
     counts, vbasis = reference_moment_matrix(basis)
-    assert counts.keys() == M.orbit.keys()
-    assert M.entries.keys() == set(M.orbit.values())
+    cells = _cells(M)
+    assert counts.keys() == cells.keys()
+    assert M.entries.keys() == set(map(_in_order, cells.values()))
     assert list(M.entries) == sorted(M.entries)  # first pairs in row-major order
     for pair, entry in counts.items():
         assert M.alpha_entry(*pair) == entry, pair
-        rep = M.orbit[pair]
-        assert rep <= pair and M.orbit[rep] == rep, pair
+        rep = _in_order(cells[pair])
+        assert rep <= pair and cells[rep] == rep, pair
         assert M.alpha_entry(*pair) is M.entries[rep], pair
     assert M.vbasis == vbasis
     return M
@@ -564,14 +597,14 @@ def test_orbit_moment_matrix_matches_full_build_other_bases():
     """An r=3 basis and a "B" basis, both closed under the label permutations."""
     for basis in (enumerate_basis("B_tilde", 2, 3, r=3), enumerate_basis("B", 2, 3)):
         M = _assert_matches_full_build(basis)
-        assert len(M.entries) < len(M.orbit)
+        assert len(M.entries) < sum(map(len, M.orbit))
 
 
 def test_orbit_moment_matrix_basis_not_closed():
     """Dropping the edge labeled 2 breaks the swap of labels 1 and 2: every pair is its own orbit."""
     basis = [unit(), labeled_edge(1), labeled_edge(1, 2), cherry(1, 2, 3), cherry(3, 1, 2)]
     M = _assert_matches_full_build(basis)
-    assert all(rep == pair for pair, rep in M.orbit.items())
+    assert all(cell == pair for pair, cell in _cells(M).items())
 
 
 @pytest.mark.parametrize(
@@ -632,12 +665,13 @@ def test_orbit_moment_matrix_builds_one_product_per_orbit(monkeypatch):
         basis = enumerate_basis("B_tilde", d, labels)
         calls.clear()
         M = moment_matrix(basis)
-        assert (len(M.orbit), len(M.entries), len(set(M.orbit.values()))) == (pairs, orbits, orbits)
+        firsts = set(map(_in_order, _cells(M).values()))
+        assert (sum(map(len, M.orbit)), len(M.entries), len(firsts)) == (pairs, orbits, orbits)
         assert len(calls) == glued
     calls.clear()
     plain = moment_matrix(tuple(basis))  # no action and no names: every pair is glued
-    assert len(calls) == 2485 and plain.vbasis == M.vbasis and plain.orbit.keys() == M.orbit.keys()
-    assert all(plain.alpha_entry(*pair) == M.alpha_entry(*pair) for pair in M.orbit)
+    assert len(calls) == 2485 and plain.vbasis == M.vbasis and _cells(plain).keys() == _cells(M).keys()
+    assert all(plain.alpha_entry(*pair) == M.alpha_entry(*pair) for pair in _cells(M))
     calls.clear()
     fixed = {single_edge(): Fraction(7, 10), complete_graph(3): Fraction(3, 25)}
     obstructions.minor_certificate(fixed, path_graph(2), 2)

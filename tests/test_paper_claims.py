@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from random import Random
 
 import pytest
 
 from graphtrop.cli import main
+from test_cli import OUTPUT_SHA256, _numbered
 
 
 def path_json(k: int) -> str:
@@ -73,3 +75,23 @@ def test_p3_obstruction_is_validated_at_every_k(capsys, k):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["status"] == "validated-obstruction"
+
+
+def test_ledger_does_not_depend_on_the_vertex_numbering(capsys):
+    """P5 and P6 at degree 3 and the k=7 obstruction for P3 keep their pinned bytes, exit 0
+    and print nothing on stderr with every graph argument as explicit JSON under two seeded
+    random numberings."""
+    runs = [
+        (("test-binomial", "trop-sos", path_json(k), f"edge^{k}", "--d", "3", "--labels", "2"),
+         (2, 3), PATH_SHA256[k])
+        for k in (5, 6)
+    ]
+    c08 = "obstruction P3 edge^3 --k 7 --d 2 --labels 4"
+    runs.append((tuple(c08.split()), (1, 2), OUTPUT_SHA256[c08]))
+    rng = Random(20261021)
+    for argv, at, digest in runs:
+        for _ in range(2):
+            variant = tuple(_numbered(a, rng) if i in at else a for i, a in enumerate(argv))
+            code, out, err = run_cli(capsys, *variant)
+            assert (code, err) == (0, ""), variant
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, variant
