@@ -150,10 +150,12 @@ def cmd_cone(args: argparse.Namespace) -> tuple[str, int]:
         "difference": list(diff),
     }
     if membership.inside:
-        recon = [
-            sum(c * f[j] for c, f in zip(membership.coefficients, facets))
-            for j in range(len(basis))
-        ]
+        recon = [0] * len(basis)  # the same sums, over the support only
+        for c, f in zip(membership.coefficients, facets):
+            if c:
+                for j, x in enumerate(f):
+                    if x:
+                        recon[j] += c * x
         if recon != list(diff):
             raise CertificateError("Farkas combination does not reproduce the difference")
         obj["verdict"] = "valid on trop"

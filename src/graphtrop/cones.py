@@ -215,79 +215,117 @@ class Membership(NamedTuple):
 def cone_member(target, generators) -> Membership:
     """Decide target in cone(generators); returns coefficients or a Farkas separator.
 
-    Phase-1 simplex in integers (Edmonds 1967; Bareiss 1968): each vector is
-    scaled to integers, and the tableau is stored times one positive common
-    denominator d, the last pivot, so each update (p * x - f * y) // d is
-    exact.  Signs and ratios are the rational tableau's, so the pivots, the
-    coefficients and the separator are those of the simplex over rationals.
+    Dense vectors of ints and rationals: sparse_cone_member on their nonzero
+    entries, each generator scaled to integers.
     """
-    generators = tuple(generators)
     target = tuple(target)
-    t_scale, t = _integer_scaled(target)
-    scaled = [_integer_scaled(g) for g in generators]
-    m = len(t)
-    n = len(scaled)
-    for _, g in scaled:
+    m = len(target)
+    columns, scales = [], []
+    for g in generators:
         if len(g) != m:
             raise ValueError("generator dimension mismatch")
+        nonzero = [(k, x) for k, x in enumerate(g) if x]
+        s, ints = _integer_scaled([x for _, x in nonzero])
+        columns.append(tuple((k, x) for (k, _), x in zip(nonzero, ints)))
+        scales.append(s)
+    membership = sparse_cone_member(target, columns)
+    if not membership.inside:
+        return membership
+    return membership._replace(
+        coefficients=tuple(c * s for c, s in zip(membership.coefficients, scales))
+    )
 
+
+def sparse_cone_member(target, columns) -> Membership:
+    """cone_member over sparse integer columns: (coordinate, value) pairs, values nonzero.
+
+    Revised phase-1 simplex (Dantzig 1963) in integers (Edmonds 1967; Bareiss
+    1968): it keeps only d * B^-1, the right-hand side and the artificial part
+    of the cost row, where the positive common denominator d is the last
+    pivot, so each update (p * x - f * y) // d is exact.  The cost row gives
+    d * pi, a structural column is priced from its nonzeros as
+    -(d * pi) . A_j, and every integer compared is one the dense tableau
+    holds: the pivots, the coefficients and the separator are those of the
+    simplex over rationals.
+    """
+    t_scale, t = _integer_scaled(target)
+    m, n = len(t), len(columns)
     sigma = [1 if x >= 0 else -1 for x in t]
-    # tableau columns: n structural, m artificial, rhs
-    rows = []
-    for i in range(m):
-        row = [sigma[i] * g[i] for _, g in scaled]
-        row += [1 if j == i else 0 for j in range(m)]
-        row.append(sigma[i] * t[i])
-        rows.append(row)
-    cost = [-sum(col) for col in zip(*rows)] if m else [0] * (n + 1)
-    for i in range(m):
-        cost[n + i] += 1
-    basis = [n + i for i in range(m)]
+    # rows of [B^-1 | rhs] for the constraints sigma_i * (A x)_i = |t_i|, row i
+    # times row_d[i], the d at which a pivot last rewrote it (see _pivot)
+    rows = [[1 if j == i else 0 for j in range(m)] + [abs(t[i])] for i in range(m)]
+    row_d = [1] * m
+    # times d: the artificials' reduced costs, then minus the phase-1 objective
+    cost = [0] * m + [-sum(map(abs, t))]
+    basis = list(range(n, n + m))
     d = 1
 
     while True:
-        enter = next((j for j in range(n + m) if cost[j] < 0), None)
-        if enter is None:
-            break
+        # sigma_i * (d * pi_i), where d * pi_i = d - (reduced cost of artificial i)
+        w = [s * (d - c) for s, c in zip(sigma, cost)]
+        for enter, col in enumerate(columns):
+            f = -sum(w[k] * v for k, v in col)
+            if f < 0:
+                signed = [(k, sigma[k] * v) for k, v in col]
+                entering = [
+                    sum(row[k] * v for k, v in signed) * d // rd for row, rd in zip(rows, row_d)
+                ]
+                break
+        else:
+            art = next((i for i in range(m) if cost[i] < 0), None)
+            if art is None:
+                break
+            enter, f = n + art, cost[art]
+            entering = [row[art] * d // rd for row, rd in zip(rows, row_d)]
         piv = None
-        for i in range(m):
-            a = rows[i][enter]
+        for i, a in enumerate(entering):
             if a > 0:
-                b = rows[i][-1]
+                b = rows[i][m] * d // row_d[i]
                 # b / a < pb / pa, compared by cross-multiplying (a, pa > 0)
                 if piv is None or b * pa < pb * a or (b * pa == pb * a and basis[i] < basis[piv]):
                     piv, pa, pb = i, a, b
         if piv is None:
             raise CertificateError("phase-1 simplex unbounded; this should not happen")
-        prow = rows[piv]
-        for i in range(m):
-            if i == piv:
-                continue
-            f = rows[i][enter]
-            if f:
-                rows[i] = [(pa * x - f * y) // d for x, y in zip(rows[i], prow)]
-            elif pa != d:
-                rows[i] = [pa * x // d for x in rows[i]]
-        f = cost[enter]
-        cost = [(pa * x - f * y) // d for x, y in zip(cost, prow)]
+        cost = _pivot(rows, row_d, cost, entering, f, piv, d)
         basis[piv] = enter
         d = pa
 
-    if cost[-1] == 0:
-        support = [(b, rows[i][-1]) for i, b in enumerate(basis) if b < n]
-        residual = [sum(v * scaled[b][1][k] for b, v in support) for k in range(m)]
+    if cost[m] == 0:
+        support = [(b, rows[i][m] * d // row_d[i]) for i, b in enumerate(basis) if b < n]
+        residual = [0] * m
+        for b, v in support:
+            for k, x in columns[b]:
+                residual[k] += v * x
         if residual != [d * x for x in t] or any(v < 0 for _, v in support):
             raise CertificateError("membership coefficients failed re-verification")
         lam = [Fraction(0)] * n
         for b, v in support:
-            lam[b] = Fraction(v * scaled[b][0], d * t_scale)
+            lam[b] = Fraction(v, d * t_scale)
         return Membership(True, tuple(lam), None)
 
-    # phase-1 dual prices, times d: d * pi_i = d - reduced cost of the i-th artificial
-    y = primitive([-sigma[i] * (d - cost[n + i]) for i in range(m)])
-    if dot(y, target) >= 0 or any(dot(y, g) < 0 for g in generators):
+    y = primitive([-s * (d - c) for s, c in zip(sigma, cost)])
+    if dot(y, t) >= 0 or any(sum(y[k] * v for k, v in col) < 0 for col in columns):
         raise CertificateError("Farkas separator failed re-verification")
     return Membership(False, None, y)
+
+
+def _pivot(rows, row_d, cost, entering, f, piv, d):
+    """One Bareiss step on entering[piv], in place; returns the new cost row.
+
+    Row i holds its rational entries times row_d[i].  A row that the entering
+    column misses keeps them: its entries times d are integers, so it is
+    brought to d exactly, as row * d // row_d[i], only when a later pivot
+    reads or rewrites it.
+    """
+    pa = entering[piv]
+    prow = rows[piv] = [y * d // row_d[piv] for y in rows[piv]]
+    row_d[piv] = pa
+    for i, a in enumerate(entering):
+        if a and i != piv:
+            rd = row_d[i]
+            rows[i] = [(pa * (x * d // rd) - a * y) // d for x, y in zip(rows[i], prow)]
+            row_d[i] = pa
+    return [(pa * x - f * y) // d for x, y in zip(cost, prow)]
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +397,7 @@ def minor_facets(M: MomentMatrix) -> tuple[tuple[int, ...], ...]:
     """Sorted distinct primitive rows over M.vbasis of the 2x2 principal minors, in log space."""
     if not any(el.graph.n == 0 for el in M.basis):
         raise ValueError("moment matrix basis must contain the empty graph")
+    position = {key: k for k, key in enumerate(M.vbasis)}
     rows = set()
     for i, j in M.entries:  # one generator per orbit, at its first pair
         if i == j:
@@ -369,7 +408,11 @@ def minor_facets(M: MomentMatrix) -> tuple[tuple[int, ...], ...]:
                 f"symbolically zero 2x2 minor for basis pair ({i}, {j}); "
                 "use a basis whose components are all labeled"
             )
-        rows.add(primitive([vec.get(k, 0) for k in M.vbasis]))
+        g = gcd(*vec.values())
+        row = [0] * len(position)
+        for key, c in vec.items():
+            row[position[key]] = c // g
+        rows.add(tuple(row))
     return tuple(sorted(rows))
 
 

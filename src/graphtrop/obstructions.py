@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import and_
 from typing import NamedTuple
 
-from .cones import CertificateError, cone_member, dot, primitive
+from .cones import CertificateError, dot, primitive, sparse_cone_member
 from .gluing import (
     LabeledGraph,
     _glue_raw,
@@ -355,7 +355,8 @@ def counting_obstruction(
     weights = dict(zip(y, primitive(y.values())))
     position = {key: n for n, key in enumerate(vbasis)}
     parts = [labeled_parts(*L.raw) for L in M.basis]
-    generators: dict[tuple[int, ...], None] = {}
+    # primitive generators as sparse columns over vbasis, deduplicated in first-seen order
+    generators: dict[tuple[tuple[int, int], ...], None] = {}
     # at each orbit's first pair (a, b): its verdict at (a, b) and, swapped, at (b, a)
     census: dict[tuple[int, int], PairVerdict | None] = {}
     pos_indices = []
@@ -371,10 +372,8 @@ def counting_obstruction(
                     raise CertificateError(f"negative weight pairing for basis pair ({i}, {j})")
                 g = gcd(*entry.values())
                 if g:
-                    dense = [0] * len(vbasis)
-                    for key, c in entry.items():
-                        dense[position[key]] = c // g
-                    generators.setdefault(tuple(dense))
+                    column = sorted((position[key], c // g) for key, c in entry.items())
+                    generators.setdefault(tuple(column))
                 census[i, j] = census[j, i] = None
                 if entry.get(witness, 0) > 0:
                     verdict = _verdict(_census(M, i, j, witness, parts), y_pairing(y, entry))
@@ -385,15 +384,15 @@ def counting_obstruction(
                 pos_indices.append((i, j))
                 verdicts.append(census[cell])
 
-    membership = cone_member(target, tuple(generators))
+    membership = sparse_cone_member(target, tuple(generators))
     if membership.inside:
         if chain_contradiction:
             raise CertificateError("counting chain contradicts the LP membership verdict")
         status = "inconclusive"
         conclusion = f"implied by the degree-{degree} generators at label budget {label_budget}"
         lp_combination = tuple(
-            (gen, coeff)
-            for gen, coeff in zip(generators, membership.coefficients)
+            (tuple(dict(column).get(k, 0) for k in range(len(vbasis))), coeff)
+            for column, coeff in zip(generators, membership.coefficients)
             if coeff
         )
         lp_separator = None
@@ -402,7 +401,7 @@ def counting_obstruction(
         lp_combination = None
         lp_separator = membership.separator
         separator_verified = dot(lp_separator, target) < 0 and all(
-            dot(lp_separator, g) >= 0 for g in generators
+            sum(lp_separator[k] * v for k, v in column) >= 0 for column in generators
         )
         if not separator_verified:
             raise CertificateError("Farkas separator failed the report re-verification")

@@ -333,12 +333,14 @@ def fraction_echelon(rows):
     return out
 
 
-def fraction_cone_member(target, generators) -> Membership:
+def fraction_cone_member(target, generators, pivots=None) -> Membership:
     """Phase-1 simplex on a dense Fraction tableau, with the library's pivot rule.
 
     First negative reduced cost enters; the minimum ratio leaves, ties broken
     by basis index.  Returns the coefficients, or the separator built from the
-    phase-1 dual prices.
+    phase-1 dual prices.  A list given as pivots gets one (entering column,
+    pivot row, number of rows at the least ratio) per pivot; the columns from
+    n on are the artificials.
     """
     target = [Fraction(x) for x in target]
     gens = [tuple(Fraction(x) for x in g) for g in generators]
@@ -362,7 +364,9 @@ def fraction_cone_member(target, generators) -> Membership:
         ratios = [
             (rows[i][-1] / rows[i][enter], basis[i], i) for i in range(m) if rows[i][enter] > 0
         ]
-        _, _, piv = min(ratios)
+        least, _, piv = min(ratios)
+        if pivots is not None:
+            pivots.append((enter, piv, sum(r == least for r, _, _ in ratios)))
         pv = rows[piv][enter]
         rows[piv] = [x / pv for x in rows[piv]]
         for i in range(m):

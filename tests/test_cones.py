@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphtrop import cones
+from graphtrop.cli import load_graph, main
 from graphtrop.cones import (
     CertificateError,
     RationalCone,
@@ -23,6 +25,7 @@ from graphtrop.cones import (
     star_trop_cone,
 )
 from graphtrop.gluing import enumerate_basis, moment_matrix
+from graphtrop.obstructions import counting_obstruction
 from oracles import (
     cone_contains,
     cone_from_facets,
@@ -308,10 +311,72 @@ def _membership_instances(draw):
 @example(((1, 1), [(1, 1)]))
 @example(((2, 2, 1), [(1, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 0)]))
 @example(((Fraction(3, 2), 3, 0), [(Fraction(1, 2), 1, 0), (1, 2, 0), (0, 0, -1)]))
+@example(((2, -2, -2), [(2, 2, -2), (1, 0, -2), (-2, 0, -2)]))
+@example(((-2, 0, -2), [(-1, 2, 2), (2, 0, 2), (-1, 0, -1)]))
+@example(((1, -1), [(2, -2)]))
+@example(((), [(), ()]))
+@example(((0, -1, 0), []))
 def test_cone_member_matches_fraction_simplex(case):
-    """The integer simplex gives the Fraction simplex's verdict, coefficients and separator."""
+    """The integer simplex gives the Fraction simplex's verdict, coefficients and
+    separator, through the same pivot rows."""
     target, gens = case
-    assert cone_member(target, gens) == fraction_cone_member(target, gens)
+    trace = []
+    expected = fraction_cone_member(target, gens, trace)
+    assert pivot_rows(cone_member, target, gens) == (expected, [row for _, row, _ in trace])
+
+
+def pivot_rows(fn, *args):
+    """fn(*args) and the pivot row of each simplex pivot it made, counted at cones._pivot."""
+    rows = []
+    step = cones._pivot
+
+    def counted(*step_args):
+        rows.append(step_args[5])  # _pivot(rows, row_d, cost, entering, f, piv, d)
+        return step(*step_args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cones, "_pivot", counted)
+        result = fn(*args)
+    return result, rows
+
+
+@pytest.mark.parametrize(
+    "target, gens, inside, artificial, tied",
+    [
+        ((2, -2, -2), [(2, 2, -2), (1, 0, -2), (-2, 0, -2)], False, True, True),
+        ((-2, 0, -2), [(-1, 2, 2), (2, 0, 2), (-1, 0, -1)], True, True, True),
+        ((1, -1), [(2, -2)], True, False, True),
+        ((), [(), ()], True, False, False),
+        ((0, -1, 0), [], False, False, False),
+    ],
+    ids=["artificial-reenters", "zero-and-negative-target", "ratio-tie", "m=0", "no-generators"],
+)
+def test_cone_member_edge_cases_match_fraction_simplex(target, gens, inside, artificial, tied):
+    """Cases the revised simplex must get right, each shown to arise in the Fraction
+    simplex: an artificial column entering again, a tie in the ratio test, a target with
+    zero and negative coordinates, no rows, and no generators."""
+    trace = []
+    expected = fraction_cone_member(target, gens, trace)
+    assert expected.inside is inside
+    assert any(enter >= len(gens) for enter, _, _ in trace) is artificial
+    assert any(ties > 1 for _, _, ties in trace) is tied
+    assert pivot_rows(cone_member, target, gens) == (expected, [row for _, row, _ in trace])
+
+
+def test_pivot_counts_of_the_ledger_lps(capsys):
+    """The membership LPs of c08 at d=3 and of test-binomial P3 at (d, L) = (2, 4) and
+    (3, 3), and P7 at (4, 2), take 19, 16, 142 and 215 pivots."""
+    report, rows = pivot_rows(counting_obstruction, load_graph("P3"), load_graph("edge^3"), 7, 3, 3)
+    assert report.lp_inside is False and len(rows) == 19
+    p7 = '{"r": 2, "n": 8, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7]]}'
+    for argv, pivots in (
+        (["P3", "edge^3", "--d", "2", "--labels", "4"], 16),
+        (["P3", "edge^3", "--d", "3", "--labels", "3"], 142),
+        ([p7, "edge^7", "--d", "4", "--labels", "2"], 215),
+    ):
+        code, rows = pivot_rows(main, ["test-binomial", "trop-sos", *argv])
+        assert (code, len(rows)) == (0, pivots), argv
+        assert '"verdict": "not valid"' in capsys.readouterr().out
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import json
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphtrop.obstructions as obstructions
 from graphtrop.cones import primitive
 from graphtrop.gluing import (
     cherry,
@@ -480,6 +482,43 @@ def test_counting_obstruction_chain_contradiction():
     assert rep.lp_inside is False
     assert rep.status == "validated-obstruction"
     assert rep.conclusion == "not sos-testable at degree 1"
+
+
+def test_counting_obstruction_stays_sparse_to_the_lp():
+    """c08's d=3, L=3 report peaks under 2.5 MB traced: no generator is dense before the LP
+    (dense ones peaked at 3.07 MB)."""
+    tracemalloc.start()
+    try:
+        rep = counting_obstruction(path_graph(3), edge_power(3), 7, 3, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "validated-obstruction"
+    assert peak < 2.5 * 2**20, peak
+
+
+def test_counting_obstruction_prints_its_lp_combination_dense(monkeypatch):
+    """An inside verdict lists the generators it uses as dense vectors over vbasis, each
+    with its coefficient.  The preconditions make every such LP outside, so the LP is
+    handed the first generator as its target here."""
+    lp = obstructions.sparse_cone_member
+    columns = []
+
+    def first_generator_as_target(target, generators):
+        columns.extend(generators)
+        dense = [0] * len(target)
+        for k, v in generators[0]:
+            dense[k] = v
+        return lp(tuple(dense), generators)
+
+    monkeypatch.setattr(obstructions, "sparse_cone_member", first_generator_as_target)
+    rep = counting_obstruction(path_graph(3), edge_power(3), 1, 1, 2, 1)
+    assert (rep.status, rep.lp_inside, rep.lp_separator) == ("inconclusive", True, None)
+    dense = {tuple(dict(col).get(k, 0) for k in range(len(rep.vbasis))) for col in columns}
+    assert rep.lp_combination and all(gen in dense and c > 0 for gen, c in rep.lp_combination)
+    total = [sum(c * gen[k] for gen, c in rep.lp_combination) for k in range(len(rep.vbasis))]
+    first = dict(columns[0])
+    assert total == [first.get(k, 0) for k in range(len(rep.vbasis))]
 
 
 def test_counting_obstruction_precondition_failures():

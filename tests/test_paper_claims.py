@@ -3,8 +3,8 @@
 Blakley–Roy says that the path with k edges has density at least edge^k.
 Sums of squares cannot test it for odd k: at degree ceil(k/2), the least
 that puts P_k among the tropicalized products, the binomial is not valid on
-the tropicalized SOS cone for k = 3 and 5, and valid for the even paths and
-the single edge.  Below that degree P_k is not among them, and the test is
+the tropicalized SOS cone for k = 3, 5 and 7, and valid for the even paths
+and the single edge.  Below that degree P_k is not among them, and the test is
 refused.  For P3 the degree-2 counting obstruction of k copies of P3 against
 k + 1 copies of edge^3 is validated at every tested k.
 """
@@ -32,16 +32,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# sha256 of the stdout at degree 3 and label budget 2
+# sha256 of the stdout at degree ceil(k/2) and label budget 2
 PATH_SHA256 = {
     5: "160e57a1c22d8b9db6bf7cac8e6e5a9565dac2e556bc27344e4bc2f0baad8ad9",
     6: "9264d4cd471a3f3c43077c0fde268a698749fcc7214633fb468c078a61037b67",
+    7: "5a216dea7ec0e1380f1375f12d1e57f8e7f7f965a6a236faab3d177ad5e111a0",
+    8: "b15929b5934d370257558bbf3ad4ffaff85c686b54adc7e3698b1dd86a51e408",
 }
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_blakley_roy_on_trop_sos_fails_exactly_for_odd_paths(capsys, k):
-    """P_k >= edge^k at degree ceil(k/2): not valid for P3 and P5, valid on trop otherwise.
+    """P_k >= edge^k at degree ceil(k/2): not valid for P3, P5 and P7, valid on trop otherwise.
 
     Label budget 2 for every k, and 2 * ceil(k/2) as well for k <= 4.
     """
@@ -50,7 +52,7 @@ def test_blakley_roy_on_trop_sos_fails_exactly_for_odd_paths(capsys, k):
         argv = ("test-binomial", "trop-sos", path_json(k), f"edge^{k}", "--d", str(d), "--labels", str(labels))
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, labels
-        assert json.loads(out)["verdict"] == ("not valid" if k in (3, 5) else "valid on trop"), labels
+        assert json.loads(out)["verdict"] == ("not valid" if k in (3, 5, 7) else "valid on trop"), labels
         if k in PATH_SHA256:
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PATH_SHA256[k]
 
