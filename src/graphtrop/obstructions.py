@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key, reduce
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, permutations
 from math import gcd, lcm
 from operator import and_
 from typing import NamedTuple
@@ -676,7 +676,7 @@ def _sign_table(polys):
 def _refuting_subset(masks) -> tuple[int, ...]:
     """Indices of the first infeasible constraint, else the first infeasible pair, else all."""
     every = range(len(masks))
-    subsets = [(i,) for i in every] + list(combinations(every, 2)) + [tuple(every)]
+    subsets = chain(((i,) for i in every), combinations(every, 2), [tuple(every)])
     return next(S for S in subsets if not reduce(and_, (masks[i] for i in S), -1))
 
 
@@ -728,24 +728,28 @@ _SIGNED_PERMUTATIONS = {
     k: [(p, (-1) ** sum(i > j for i, j in combinations(p, 2))) for p in permutations(range(k))]
     for k in (1, 2, 3)
 }
+# the rows of a minor of size 1 to 3, as positions in its upper triangle read row by
+# row, keyed by the triangle's length
+_SYMMETRIC = {1: ((0,),), 3: ((0, 1), (1, 2)), 6: ((0, 1, 2), (1, 3, 4), (2, 4, 5))}
 
 
-def _minor_poly(terms, S):
-    """Determinant of the principal minor on S, as a polynomial in the free density.
+def _minor_poly(upper):
+    """Determinant of a principal minor, as a polynomial in the free density.
 
-    terms maps each pair i <= j of S to its entry's monomial.  Each row is
-    scaled by the lcm of its denominators, so the determinant is summed in
-    integers and divided by the product of the scales once at the end.
+    upper lists the monomials of its entries on and above the diagonal, row
+    by row.  Each row is scaled by the lcm of its denominators, so the
+    determinant is summed in integers and divided by the product of the
+    scales once at the end.
     """
     rows = []
     scale = 1
-    for i in S:
-        row = [terms[(i, j) if i <= j else (j, i)] for j in S]
+    for at in _SYMMETRIC[len(upper)]:
+        row = [upper[k] for k in at]
         den = lcm(*(d for _, d, _ in row))
         rows.append([(n * (den // d), w) for n, d, w in row])
         scale *= den
     poly: dict[int, int] = {}
-    for perm, coeff in _SIGNED_PERMUTATIONS[len(S)]:
+    for perm, coeff in _SIGNED_PERMUTATIONS[len(rows)]:
         power = 0
         for i, j in enumerate(perm):
             c, w = rows[i][j]
@@ -784,33 +788,48 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         label_budget = 2 * degree
     M = moment_matrix(enumerate_basis("B_tilde", degree, label_budget, free.r))
     allowed = set(fixed_map) | {free_key}
-    # the monomial of every entry whose graphs are all coordinates, at its first pair both ways
-    orbit_terms = {
-        first: _entry_term(counts, fixed_map, free_key)
-        for first, counts in M.entries.items()
-        if counts.keys() <= allowed
-    }
-    orbit_terms |= {(j, i): term for (i, j), term in orbit_terms.items()}
-    terms = {(i, i + k): orbit_terms[cell] for i, row in enumerate(M.orbit)
-             for k, cell in enumerate(row) if cell in orbit_terms}
-    diag = [i for i in range(M.size) if (i, i) in terms]
-    index_sets = [(i,) for i in diag]
-    index_sets += [S for S in combinations(diag, 2) if S in terms]
-    index_sets += [
-        (i, j, k)
-        for i, j, k in combinations(diag, 3)
-        if (i, j) in terms and (i, k) in terms and (j, k) in terms
-    ]
-    # a minor is fixed by its entries' terms: expand each signature once
-    signatures: set[tuple[tuple[int, int, int], ...]] = set()
+    # one id per distinct monomial of the entries whose graphs are all
+    # coordinates, keyed by their orbit's first pair both ways
+    monomials: dict[tuple[int, int, int], int] = {}
+    term_id = {}
+    for (i, j), counts in M.entries.items():
+        if counts.keys() <= allowed:
+            term_id[i, j] = term_id[j, i] = monomials.setdefault(
+                _entry_term(counts, fixed_map, free_key), len(monomials)
+            )
+    monomials = list(monomials)
+    dterm = {i: term_id[row[0]] for i, row in enumerate(M.orbit) if row[0] in term_id}
+    diag = list(dterm)
+    # up[i]: the term id of each eligible pair (i, j), j > i, in increasing j
+    up = {}
+    for p, i in enumerate(diag):
+        row = M.orbit[i]
+        up[i] = {j: t for j in diag[p + 1:] if (t := term_id.get(row[j - i])) is not None}
+    # a minor is fixed by its entries' terms, its signature.  Walk the singletons,
+    # the pairs, then the triples (the triangles of the pairs), each in
+    # lexicographic order, and keep each signature's first index set
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for i in diag:
+        first.setdefault((dterm[i],), (i,))
+    for i in diag:
+        for j, t in up[i].items():
+            first.setdefault((dterm[i], t, dterm[j]), (i, j))
+    eligible = len(diag) + sum(map(len, up.values()))
+    for i in diag:
+        ui, di = up[i], dterm[i]
+        for j, tij in ui.items():
+            uj, dj = up[j], dterm[j]
+            common = sorted(ui.keys() & uj.keys())
+            eligible += len(common)
+            for k in common:
+                sig = (di, tij, ui[k], dj, uj[k], dterm[k])
+                if sig not in first:
+                    first[sig] = i, j, k
     constraints: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-    for S in index_sets:
-        sig = tuple(terms[ij] for ij in combinations_with_replacement(S, 2))
-        if sig not in signatures:
-            signatures.add(sig)
-            pol = _minor_poly(terms, S)
-            if pol:
-                constraints.setdefault(pol, S)
+    for sig, S in first.items():
+        pol = _minor_poly([monomials[t] for t in sig])
+        if pol:
+            constraints.setdefault(pol, S)
 
     masks, (feasible, point, interval) = _sign_table(list(constraints))
     fixed_out = tuple(sorted(fixed_map.items(), key=lambda kv: basis_sort_key(kv[0])))
@@ -819,7 +838,7 @@ def minor_certificate(fixed, free, degree: int, label_budget: int | None = None)
         fixed=fixed_out,
         degree=degree,
         label_budget=label_budget,
-        eligible_minors=len(index_sets),
+        eligible_minors=eligible,
         constraints=len(constraints),
     )
     if feasible:

@@ -22,8 +22,13 @@ the reference for the merged sign table: its witness, `_sign_table(polys)[1]`,
 and its refuting subset.  They isolate roots with `reference_root_data`, the
 isolation as first written, with Fraction endpoints and Fraction evaluation,
 which is the reference for the isolation on dyadic integer points
-(`_core_roots`).  `reference_moment_matrix` builds every moment entry
-on its own, through the canonical form of the whole product, and is the
+(`_core_roots`).  `reference_minor_constraints` is the enumeration of
+principal minors as first written: it lists every eligible index set, over
+all triples of the diagonal, with tuple signatures and a Fraction
+determinant.  `reference_refuting_subset` lists every candidate subset
+before it tests one.  They are the reference for `minor_certificate`'s walk
+over the triangles of eligible pairs and its lazy refutation search.
+`reference_moment_matrix` builds every moment entry on its own, through the canonical form of the whole product, and is the
 reference for the orbit-shared `moment_matrix`.  `reference_v_basis` glues
 every pair of the "B" basis on its own and is the reference for the "V"
 basis, the `vbasis` of the moment matrix over "B".  Both glue through
@@ -72,8 +77,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, gcd
+from operator import and_
 from random import Random
 
 import networkx as nx
@@ -814,6 +821,70 @@ def reference_refutation(polys) -> tuple[int, ...]:
         if not reference_system_feasible([polys[i], polys[j]], roots)[0]:
             return (i, j)
     return tuple(range(len(polys)))
+
+
+def _reference_minor_poly(terms, S) -> tuple[Fraction, ...]:
+    """Determinant of the principal minor on S by the Leibniz formula, in Fractions."""
+    poly: dict[int, Fraction] = {}
+    for perm in permutations(range(len(S))):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        coeff, power = Fraction(sign), 0
+        for a, b in enumerate(perm):
+            i, j = sorted((S[a], S[b]))
+            coeff *= terms[(i, j)][0]
+            power += terms[(i, j)][1]
+        poly[power] = poly.get(power, Fraction(0)) + coeff
+    top = max(poly, default=-1)
+    return tuple(_poly_trim([poly.get(w, Fraction(0)) for w in range(top + 1)]))
+
+
+def reference_minor_constraints(M, fixed_map, free_key):
+    """The eligible minors of a moment matrix and its constraints, as first enumerated.
+
+    Every pair whose entry involves only the coordinates gets its monomial,
+    (coefficient, power of the free density); every triple of the diagonal
+    is scanned, every eligible set is listed, singletons, then pairs, then
+    triples, and each set's signature is the tuple of its entries' monomials.
+    Returns the count of eligible sets and the constraints, each polynomial
+    with its first index set, in the order the sign table receives them.
+    """
+    allowed = set(fixed_map) | {free_key}
+    orbit_terms = {}
+    for first, counts in M.entries.items():
+        if counts.keys() <= allowed:
+            coeff = Fraction(1)
+            for key, cnt in counts.items():
+                if key != free_key:
+                    coeff *= fixed_map[key] ** cnt
+            orbit_terms[first] = (coeff, counts.get(free_key, 0))
+    orbit_terms |= {(j, i): term for (i, j), term in orbit_terms.items()}
+    terms = {(i, i + k): orbit_terms[cell] for i, row in enumerate(M.orbit)
+             for k, cell in enumerate(row) if cell in orbit_terms}
+    diag = [i for i in range(M.size) if (i, i) in terms]
+    index_sets = [(i,) for i in diag]
+    index_sets += [S for S in combinations(diag, 2) if S in terms]
+    index_sets += [
+        (i, j, k)
+        for i, j, k in combinations(diag, 3)
+        if (i, j) in terms and (i, k) in terms and (j, k) in terms
+    ]
+    signatures = set()
+    constraints: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
+    for S in index_sets:
+        sig = tuple(terms[ij] for ij in combinations_with_replacement(S, 2))
+        if sig not in signatures:
+            signatures.add(sig)
+            pol = _reference_minor_poly(terms, S)
+            if pol:
+                constraints.setdefault(pol, S)
+    return len(index_sets), constraints
+
+
+def reference_refuting_subset(masks) -> tuple[int, ...]:
+    """The first infeasible constraint, pair or whole set, from the list of every candidate."""
+    every = range(len(masks))
+    subsets = [(i,) for i in every] + list(combinations(every, 2)) + [tuple(every)]
+    return next(S for S in subsets if not reduce(and_, (masks[i] for i in S), -1))
 
 
 def reference_moment_matrix(basis):

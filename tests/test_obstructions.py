@@ -70,7 +70,9 @@ from oracles import (
     random_graph,
     reference_json,
     reference_pair_stats,
+    reference_minor_constraints,
     reference_refutation,
+    reference_refuting_subset,
     reference_root_data,
     reference_system_feasible,
 )
@@ -1032,6 +1034,52 @@ def test_minor_certificate_refutes_pinned_point():
         (Fraction(-63, 6250), Fraction(0), Fraction(47, 50), Fraction(-2)),
     }
     assert not _sign_table([list(mc.coefficients) for mc in cert.refutation])[1][0]
+
+
+@pytest.mark.parametrize(
+    "k3, d, labels",
+    [(Fraction(3, 25), 2, 4), (Fraction(343, 1000), 2, 4), (Fraction(3, 25), 3, 3), (Fraction(3, 25), 3, 4)],
+    ids=["c06-refuted", "c06-moment-point", "d3-L3", "d3-L4"],
+)
+def test_minor_certificate_matches_the_listed_enumeration(monkeypatch, k3, d, labels):
+    """The walk over the triangles of eligible pairs gives the enumeration over every triple
+    of the diagonal: the same count of eligible minors, the same polynomials handed to the
+    sign table in the same order, and the same refuting index sets."""
+    handed = []
+    solver = obstructions._sign_table
+    monkeypatch.setattr(obstructions, "_sign_table", lambda polys: handed.append(polys) or solver(polys))
+    fixed = {single_edge(): Fraction(7, 10), complete_graph(3): k3}
+    cert = minor_certificate(fixed, path_graph(2), d, labels)
+    monkeypatch.undo()
+    M = moment_matrix(enumerate_basis("B_tilde", d, labels, 2))
+    fixed_map = {graph_key(g): value for g, value in fixed.items()}
+    count, constraints = reference_minor_constraints(M, fixed_map, graph_key(path_graph(2)))
+    assert cert.eligible_minors == count
+    assert handed == [list(constraints)]
+    masks, (feasible, _, _) = solver(list(constraints))
+    assert (cert.status == "refuted") == (not feasible)
+    if not feasible:
+        first_sets = list(constraints.values())
+        assert [mc.indices for mc in cert.refutation] == [
+            first_sets[i] for i in reference_refuting_subset(masks)
+        ]
+
+
+def test_minor_certificate_lists_no_index_sets():
+    """The (3, 4) certificate peaks under 4.5 MB traced, after a (2, 2) one warms the small
+    caches.  It peaked at 6.2 MB when it listed every eligible index set, built a pair map
+    and a tuple signature for each, and listed the 45,753 candidate refuting pairs; with
+    only that pair list restored it peaks at 5.4 MB."""
+    fixed = {single_edge(): Fraction(7, 10), complete_graph(3): Fraction(3, 25)}
+    minor_certificate(fixed, path_graph(2), 2, 2)
+    tracemalloc.start()
+    try:
+        cert = minor_certificate(fixed, path_graph(2), 3, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (cert.status, cert.eligible_minors, cert.constraints) == ("refuted", 6242, 303)
+    assert peak < 4.5 * 2**20, peak
 
 
 def test_minor_certificate_moment_point_is_inconclusive():
