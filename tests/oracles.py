@@ -28,8 +28,9 @@ all triples of the diagonal, with tuple signatures and a Fraction
 determinant.  `reference_refuting_subset` lists every candidate subset
 before it tests one.  They are the reference for `minor_certificate`'s walk
 over the triangles of eligible pairs and its lazy refutation search.
-`reference_moment_matrix` builds every moment entry on its own, through the canonical form of the whole product, and is the
-reference for the orbit-shared `moment_matrix`.  `reference_v_basis` glues
+`reference_moment_matrix` builds every moment entry on its own, through the
+canonical form of the whole product, and is the reference for the
+orbit-shared `moment_matrix`.  `reference_v_basis` glues
 every pair of the "B" basis on its own and is the reference for the "V"
 basis, the `vbasis` of the moment matrix over "B".  Both glue through
 `named_product` below, not through the package's raw gluing.

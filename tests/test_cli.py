@@ -772,6 +772,7 @@ MINOR_CERT_D3_SHA256 = {
     None: "83f8e446f6e65ae9c135de4e870de7dda203ed979455e48110b8baedf3a4bde5",
 }
 
+
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -869,6 +870,7 @@ def test_minor_cert_at_degree_3_keeps_its_bytes(capsys):
         assert code == 0 and _sha256(out) == digest, labels
     assert json.loads(out)["eligible_minors"] == 1939288
     assert elapsed < 8.0, elapsed
+
 
 def test_minor_cert_command_prints_the_certificate(capsys):
     """minor-cert prints to_json() and a newline, and exits 0 whether refuted or not."""

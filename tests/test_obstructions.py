@@ -1065,7 +1065,7 @@ def test_minor_certificate_matches_the_listed_enumeration(monkeypatch, k3, d, la
         ]
 
 
-def test_minor_certificate_lists_no_index_sets():
+def test_minor_certificate_peak_memory_at_degree_3():
     """The (3, 4) certificate peaks under 4.5 MB traced, after a (2, 2) one warms the small
     caches.  It peaked at 6.2 MB when it listed every eligible index set, built a pair map
     and a tuple signature for each, and listed the 45,753 candidate refuting pairs; with
