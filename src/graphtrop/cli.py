@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, partial
 
@@ -32,12 +33,12 @@ from .hypergraphs import (
     density,
     fraction_str,
     graph_key,
-    json_text,
     key_graph,
     named_graph,
     star_limit_density,
+    write_json,
 )
-from .obstructions import counting_obstruction, minor_certificate
+from .obstructions import MinorCertificate, ObstructionReport, counting_obstruction, minor_certificate
 
 
 class GraphInputError(ValueError):
@@ -62,14 +63,6 @@ def load_graph(spec: str) -> Hypergraph:
         return named_graph(text)
     except ValueError as exc:
         raise GraphInputError(str(exc)) from exc
-
-
-def cone_json(cone, **extra) -> str:
-    """A cone's basis, facets and rays, its lineality when nonempty, and the extra keys."""
-    obj = {"basis": cone.basis, "facets": cone.facets, "rays": cone.rays, **extra}
-    if cone.lineality:
-        obj["lineality"] = cone.lineality
-    return json_text(obj) + "\n"
 
 
 def parse_fraction(token: str) -> Fraction:
@@ -105,10 +98,10 @@ def format_12g(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_density(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_density(args: argparse.Namespace) -> tuple[dict, int]:
     H = load_graph(args.H)
     G = load_graph(args.G)
-    return json_text({"H": graph_key(H), "G": graph_key(G), "density": density(H, G)}) + "\n", 0
+    return {"H": graph_key(H), "G": graph_key(G), "density": density(H, G)}, 0
 
 
 def build_cone(args: argparse.Namespace):
@@ -128,11 +121,14 @@ def build_cone(args: argparse.Namespace):
     return cone, descriptor, {"moment_basis_size": M.size, "degenerate": not cone.basis}
 
 
-def cmd_cone(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_cone(args: argparse.Namespace) -> tuple[dict, int]:
     """A cone command prints the cone; test-binomial tests t(H1) >= t(H2) on it."""
     if args.command != "test-binomial":
         cone, _, extra = build_cone(args)
-        return cone_json(cone, **extra), 0
+        obj = {"basis": cone.basis, "facets": cone.facets, "rays": cone.rays, **extra}
+        if cone.lineality:
+            obj["lineality"] = cone.lineality
+        return obj, 0
     H1 = load_graph(args.H1)
     H2 = load_graph(args.H2)
     r = 2 if args.cone == "trop-sos" else args.r
@@ -166,20 +162,20 @@ def cmd_cone(args: argparse.Namespace) -> tuple[str, int]:
             raise CertificateError("separating cone point failed re-verification")
         obj["verdict"] = "not valid"
         obj["separator"] = list(sep)
-    return json_text(obj) + "\n", 0
+    return obj, 0
 
 
-def cmd_obstruction(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_obstruction(args: argparse.Namespace) -> tuple[ObstructionReport, int]:
     upper = load_graph(args.upper)
     lower = load_graph(args.lower)
     report = counting_obstruction(
         upper, lower, args.k, args.d, args.labels, args.p
     )
     code = 2 if report.status == "precondition-failure" else 0
-    return report.to_json() + "\n", code
+    return report, code
 
 
-def cmd_minor_cert(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_minor_cert(args: argparse.Namespace) -> tuple[MinorCertificate, int]:
     fixed: dict[str, Fraction] = {}  # by key, so that a graph fixed twice is caught here
     for spec, value in args.fixed:
         key = graph_key(load_graph(spec))
@@ -190,7 +186,7 @@ def cmd_minor_cert(args: argparse.Namespace) -> tuple[str, int]:
             raise ValueError(f"density of {spec} must lie in [0, 1], got {fraction_str(fixed[key])}")
     graphs = {key_graph(key): value for key, value in fixed.items()}
     cert = minor_certificate(graphs, load_graph(args.free), args.d, args.labels)
-    return cert.to_json() + "\n", 0
+    return cert, 0
 
 
 def trajectory_setup(args: argparse.Namespace):
@@ -215,7 +211,7 @@ def trajectory_setup(args: argparse.Namespace):
     return names, target, evaluate
 
 
-def cmd_family_trajectory(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_family_trajectory(args: argparse.Namespace) -> tuple[dict | str, int]:
     if not args.schedule:
         raise ValueError("--schedule is required")
     schedule = [parse_fraction(tok) for tok in args.schedule.split(",")]
@@ -240,7 +236,7 @@ def cmd_family_trajectory(args: argparse.Namespace) -> tuple[str, int]:
 
     header = ["parameter"] + names + ["distance"]
     if args.format == "json":
-        return json_text({"columns": header, "rows": rows}) + "\n", 0
+        return {"columns": header, "rows": rows}, 0
     # no field holds a comma, a quote or a newline, so no field needs CSV quoting
     return "".join(",".join(row) + "\n" for row in [header, *rows]), 0
 
@@ -344,12 +340,13 @@ def main(argv=None) -> int:
     try:
         if args.format == "csv" and args.command != "family-trajectory":
             raise ValueError(f"command {args.command} only emits JSON")
-        text, code = COMMANDS[args.command](args)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        result, code = COMMANDS[args.command](args)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+            if isinstance(result, str):  # the trajectory CSV
+                fh.write(result)
+            else:
+                write_json(result, fh.write)
+                fh.write("\n")
         return code
     except GraphInputError as exc:
         print(f"graphtrop: input error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from operator import itemgetter, lshift
 
 MAX_CANON_VERTICES = 20
@@ -520,6 +520,13 @@ def json_text(obj) -> str:
     return _json_value(obj, 0, {})
 
 
+def write_json(obj, write) -> None:
+    """Pass json_text(obj) to write in pieces: the brackets and items of the outer object
+    and of each list or dict in its fields go one by one, deeper values one string each."""
+    for piece in _json_pieces(obj._asdict() if hasattr(obj, "_asdict") else obj, 0, {}, 2):
+        write(piece)
+
+
 def _json_value(x, depth: int, memo: dict[tuple[int, int], str]) -> str:
     if isinstance(x, str):
         return json.encoder.encode_basestring_ascii(x)
@@ -533,15 +540,30 @@ def _json_value(x, depth: int, memo: dict[tuple[int, int], str]) -> str:
         if (id(x), depth) not in memo:
             memo[id(x), depth] = _json_value(x._asdict(), depth, memo)
         return memo[id(x), depth]
-    sep, end = ",\n" + "  " * (depth + 1), "\n" + "  " * depth
-    if isinstance(x, (list, tuple)):
-        items = [_json_value(v, depth + 1, memo) for v in x]
-        return "[" + sep[1:] + sep.join(items) + end + "]" if items else "[]"
+    if isinstance(x, (list, tuple, dict)):
+        return "".join(_json_pieces(x, depth, memo, 1))
+    raise TypeError(f"no JSON text for {type(x).__name__}")
+
+
+def _json_pieces(x, depth: int, memo, levels: int):
+    """The text of x at depth in pieces.  A list or dict gives a piece per item, brackets,
+    separators and keys included, and cuts its items again to `levels` levels in all."""
+    if not levels or hasattr(x, "_asdict") or not isinstance(x, (list, tuple, dict)):
+        yield _json_value(x, depth, memo)
+        return
+    brackets, items = "[]", zip(repeat(""), x)
     if isinstance(x, dict):
         x = {str(k): v for k, v in x.items()}
-        items = [f"{_json_value(k, 0, memo)}: {_json_value(x[k], depth + 1, memo)}" for k in sorted(x)]
-        return "{" + sep[1:] + sep.join(items) + end + "}" if items else "{}"
-    raise TypeError(f"no JSON text for {type(x).__name__}")
+        brackets, items = "{}", [(_json_value(k, 0, memo) + ": ", x[k]) for k in sorted(x)]
+    head, sep = brackets[0] + "\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1)
+    for key, v in items:
+        if levels > 1:
+            yield head + key
+            yield from _json_pieces(v, depth + 1, memo, levels - 1)
+        else:
+            yield head + key + _json_value(v, depth + 1, memo)
+        head = sep
+    yield "\n" + "  " * depth + brackets[1] if x else brackets
 
 
 # ---------------------------------------------------------------------------

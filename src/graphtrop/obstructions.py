@@ -357,8 +357,9 @@ def counting_obstruction(
     parts = [labeled_parts(*L.raw) for L in M.basis]
     # primitive generators as sparse columns over vbasis, deduplicated in first-seen order
     generators: dict[tuple[tuple[int, int], ...], None] = {}
-    # at each orbit's first pair (a, b): its verdict at (a, b) and, swapped, at (b, a)
-    census: dict[tuple[int, int], PairVerdict | None] = {}
+    # at the first pair (a, b) of each orbit whose entry holds the witness: its verdict
+    # at (a, b) and, swapped, at (b, a); an orbit without the witness has no key
+    census: dict[tuple[int, int], PairVerdict] = {}
     pos_indices = []
     verdicts = []
     pair_count = 0
@@ -374,15 +375,14 @@ def counting_obstruction(
                 if g:
                     column = sorted((position[key], c // g) for key, c in entry.items())
                     generators.setdefault(tuple(column))
-                census[i, j] = census[j, i] = None
                 if entry.get(witness, 0) > 0:
                     verdict = _verdict(_census(M, i, j, witness, parts), y_pairing(y, entry))
                     if not verdict.passed:
                         raise CertificateError(f"census bounds failed for basis pair ({i}, {j})")
                     census[i, j], census[j, i] = verdict, _swapped(verdict)
-            if census[cell] is not None:
+            if (verdict := census.get(cell)) is not None:
                 pos_indices.append((i, j))
-                verdicts.append(census[cell])
+                verdicts.append(verdict)
 
     membership = sparse_cone_member(target, tuple(generators))
     if membership.inside:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -640,6 +641,60 @@ def test_unwritable_out_exit_4(capsys):
     """An unwritable output path exits with code 4."""
     assert main(["--out", "/no/such/dir/x.json", "clique-cone", "--l", "3"]) == 4
     capsys.readouterr()
+
+
+# The e+P3 vs P4 report at d=2, L=4 and the sha256 of its stdout, recorded when the
+# command wrote its output as one string.
+E_P3_VS_P4 = [
+    "obstruction", '{"r":2,"n":6,"edges":[[0,1],[2,3],[3,4],[4,5]]}', "P4",
+    "--k", "3", "--d", "2", "--labels", "4",
+]
+E_P3_VS_P4_SHA256 = "0ec138f5a20a54e9dcb8ba5cb27ab561471e51e7bf709f0a717eef86a49573a5"
+
+
+class _HashingSink:
+    """A stdout that hashes what it is given, keeps the longest write, and discards the rest."""
+
+    def __init__(self):
+        self.sha256, self.longest = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.sha256.update(text.encode("utf-8"))
+        self.longest = max(self.longest, len(text))
+        return len(text)
+
+
+def test_report_is_streamed_in_small_writes(monkeypatch):
+    """main streams the report: the same bytes, no write over 1 KB, and a traced peak
+    under 0.6 MB once the caches are warm.  As one string of 301,653 characters, built
+    and then copied to add its newline, it peaked at 1.05 MB."""
+
+    def run():
+        sink = _HashingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(E_P3_VS_P4) == 0
+        return sink
+
+    run()  # warms the caches
+    tracemalloc.start()
+    try:
+        sink = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.sha256.hexdigest() == E_P3_VS_P4_SHA256
+    assert sink.longest <= 1024, sink.longest
+    assert peak < 0.6 * 2**20, peak
+
+
+def test_out_file_holds_the_streamed_report(capsys, tmp_path):
+    """--out writes the report's stdout bytes; an unwritable --out exits 4 and leaves no file."""
+    path = tmp_path / "report.json"
+    assert main(["--out", str(path), *E_P3_VS_P4]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == E_P3_VS_P4_SHA256
+    assert main(["--out", "/no/such/dir/x.json", *E_P3_VS_P4]) == 4
+    assert not Path("/no/such/dir/x.json").exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_byte_identical_reruns(capsys):

@@ -32,6 +32,7 @@ from graphtrop.hypergraphs import (
     star_hypergraph,
     star_limit_density,
     turan_hypergraph,
+    write_json,
 )
 from oracles import (
     DensityVector,
@@ -510,6 +511,9 @@ _JSON_VALUES = st.recursive(
 )
 
 
+_OTHER_TYPES = [0.5, [1, {"a": float("nan")}], object(), {1, 2}, b"x"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_JSON_VALUES)
 @example([_LEAF, [_LEAF, {"a": _LEAF, "b": _NODE}], _NODE, _LEAF])
@@ -520,7 +524,26 @@ def test_json_text_matches_reference_encoder(value):
     assert json_text(value) == reference_json(value)
 
 
-@pytest.mark.parametrize("value", [0.5, [1, {"a": float("nan")}], object(), {1, 2}, b"x"])
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example([_LEAF, [_LEAF, {"a": _LEAF, "b": _NODE}], _NODE, _LEAF])
+@example({"": [], "x": {}, 3: ()})
+@example(_NODE)
+def test_write_json_pieces_join_to_json_text(value):
+    """The streamed pieces join to the text json_text returns, a report object at the
+    top included: the writer cuts the text, it does not encode it another way."""
+    pieces = []
+    write_json(value, pieces.append)
+    assert "".join(pieces) == json_text(value) == reference_json(value)
+
+
+@pytest.mark.parametrize("value", _OTHER_TYPES)
 def test_json_text_refuses_other_types(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+@pytest.mark.parametrize("value", _OTHER_TYPES)
+def test_write_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        write_json(value, lambda piece: None)

@@ -499,6 +499,21 @@ def test_counting_obstruction_stays_sparse_to_the_lp():
     assert peak < 2.5 * 2**20, peak
 
 
+def test_counting_obstruction_keeps_a_census_only_where_the_witness_is():
+    """c08's d=3, L=3 report, after one warm-up call, peaks under 0.85 MB traced: only the
+    orbits whose entry holds the witness keep a census key.  With a None kept for each of
+    the 1,420 orbits it peaked at 1.00 MB."""
+    first = counting_obstruction(path_graph(3), edge_power(3), 7, 3, 3)
+    tracemalloc.start()
+    try:
+        rep = counting_obstruction(path_graph(3), edge_power(3), 7, 3, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep == first
+    assert peak < 0.85 * 2**20, peak
+
+
 def test_counting_obstruction_prints_its_lp_combination_dense(monkeypatch):
     """An inside verdict lists the generators it uses as dense vectors over vbasis, each
     with its coefficient.  The preconditions make every such LP outside, so the LP is
